@@ -58,12 +58,15 @@ func benchJobs(b *testing.B, u float64) []taskmodel.Job {
 }
 
 // GASolve measures the GA scheduler on a moderate system with a reduced
-// population — the gate for the allocation-free fitness inner loop.
+// population — the gate for the allocation-free fitness inner loop. It
+// evaluates serially, as sweep cells do: the worker pool's goroutines
+// would make allocs/op depend on the host's CPU count.
 func GASolve(b *testing.B) {
 	jobs := benchJobs(b, 0.5)
 	opts := ga.DefaultOptions()
 	opts.Population = 20
 	opts.Generations = 10
+	opts.Parallelism = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

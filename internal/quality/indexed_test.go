@@ -46,14 +46,17 @@ func TestIndexedMatchesMapMetrics(t *testing.T) {
 		if got := PsiIndexed(jobs, idx); got != wantPsi {
 			t.Fatalf("trial %d: PsiIndexed = %g, Psi = %g", trial, got, wantPsi)
 		}
+		if n == 0 {
+			continue
+		}
 		for _, c := range curves {
 			wantUps, wantErr := Upsilon(jobs, m, c)
-			gotUps, gotErr := UpsilonIndexed(jobs, idx, c)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("trial %d: error mismatch: %v vs %v", trial, wantErr, gotErr)
+			ideal := IdealSum(jobs, c)
+			if (wantErr == nil) != (ideal > 0) {
+				t.Fatalf("trial %d: Upsilon error %v, IdealSum %g", trial, wantErr, ideal)
 			}
-			if wantErr == nil && gotUps != wantUps {
-				t.Fatalf("trial %d: UpsilonIndexed = %g, Upsilon = %g (curve %T)", trial, gotUps, wantUps, c)
+			if got := SumIndexed(jobs, idx, c) / ideal; wantErr == nil && got != wantUps {
+				t.Fatalf("trial %d: SumIndexed/IdealSum = %g, Upsilon = %g (curve %T)", trial, got, wantUps, c)
 			}
 		}
 	}

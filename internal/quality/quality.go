@@ -124,25 +124,27 @@ func PsiIndexed(jobs []taskmodel.Job, starts []timing.Time) float64 {
 	return float64(exact) / float64(len(jobs))
 }
 
-// UpsilonIndexed returns Υ over index-keyed start times: starts[i] is the
-// start instant of jobs[i] (the allocation-free counterpart of Upsilon;
-// see PsiIndexed). It returns an error if the ideal quality sum is not
-// positive. starts must have at least len(jobs) entries. An empty job
-// list yields Υ = 0.
-func UpsilonIndexed(jobs []taskmodel.Job, starts []timing.Time, curve Curve) (float64, error) {
-	if len(jobs) == 0 {
-		return 0, nil
-	}
-	var got, ideal float64
+// IdealSum returns Σ V(δ), Υ's denominator, summed in job order. It
+// depends on the jobs alone, so a hot path scoring many start vectors for
+// one job set (the GA fitness evaluator) computes it once and divides
+// SumIndexed by it: the result equals Upsilon bit for bit whenever the
+// sum is positive.
+func IdealSum(jobs []taskmodel.Job, curve Curve) float64 {
+	var ideal float64
 	for i := range jobs {
-		j := &jobs[i]
-		got += curve.Value(j, starts[i])
-		ideal += curve.Value(j, j.Ideal)
+		ideal += curve.Value(&jobs[i], jobs[i].Ideal)
 	}
-	if ideal <= 0 {
-		return 0, fmt.Errorf("quality: ideal quality sum %g is not positive", ideal)
+	return ideal
+}
+
+// SumIndexed returns Σ V(κ), Υ's numerator, over index-keyed start times
+// (starts[i] belongs to jobs[i]; see PsiIndexed), summed in job order.
+func SumIndexed(jobs []taskmodel.Job, starts []timing.Time, curve Curve) float64 {
+	var got float64
+	for i := range jobs {
+		got += curve.Value(&jobs[i], starts[i])
 	}
-	return got / ideal, nil
+	return got
 }
 
 // Accuracy returns the timing accuracy of one job: |ideal − actual|, the

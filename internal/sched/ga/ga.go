@@ -192,27 +192,32 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 	}
 	opts.normalize(len(jobs))
 	pool := exec.New(opts.Parallelism)
-
-	bs := make([]bounds, len(jobs))
-	for i := range jobs {
-		b, err := geneBounds(&jobs[i])
-		if err != nil {
-			return nil, err
-		}
-		bs[i] = b
+	prob, err := newProblem(jobs, opts)
+	if err != nil {
+		return nil, err
 	}
+	bs := prob.bounds
 
-	initRNG := exec.RNG(opts.Seed, streamInit)
+	// Two gene slabs, one row per slot, hold the current population and
+	// the offspring; they swap roles every generation, so breeding never
+	// allocates. One source, re-seeded at every stream boundary, draws
+	// exactly what a fresh exec.RNG on the same path would.
+	n := len(jobs)
 	pop := make([]individual, opts.Population)
+	next := make([]individual, opts.Population)
+	slabs := [2][]timing.Time{make([]timing.Time, opts.Population*n), make([]timing.Time, opts.Population*n)}
 	for k := range pop {
-		pop[k].genes = randomGenes(initRNG, bs)
+		pop[k].genes = slabs[0][k*n : (k+1)*n : (k+1)*n]
+		next[k].genes = slabs[1][k*n : (k+1)*n : (k+1)*n]
+	}
+	rng := exec.RNG(opts.Seed, streamInit)
+	for k := range pop {
+		randomGenes(rng, bs, pop[k].genes)
 	}
 	if opts.SeedIdeal {
-		g := make([]timing.Time, len(jobs))
 		for i := range jobs {
-			g[i] = clampT(jobs[i].Ideal, bs[i].lo, bs[i].hi)
+			pop[0].genes[i] = clampT(jobs[i].Ideal, bs[i].lo, bs[i].hi)
 		}
-		pop[0].genes = g
 	}
 	arch := &archive{}
 	weights := make([]float64, opts.Population)
@@ -224,19 +229,31 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 		}
 	}
 	// One evaluator (with its private scratch) per worker chunk, reused
-	// across every generation: the eval inner loop allocates nothing, so
-	// the only per-generation allocations left are the offspring genes and
-	// the generation's derived random source.
+	// across every generation: the eval inner loop allocates nothing.
 	nev := pool.Workers()
 	if nev > opts.Population {
 		nev = opts.Population
 	}
 	evs := make([]evaluator, nev)
 	for c := range evs {
-		evs[c] = evaluator{jobs: jobs, curve: opts.Curve, snap: opts.SnapToIdeal}
+		evs[c] = newEvaluator(prob)
 	}
-	evaluate := func(batch []individual) {
-		evalPopulation(pool, evs, batch)
+	// Scoring consumes no randomness and each chunk writes only its own
+	// slots, so the chunk count cannot affect the scores. The chunk
+	// function is built once and reads the batch being scored from batch.
+	var batch []individual
+	scoreChunk := func(_ context.Context, c int) error {
+		ev := &evs[c]
+		lo, hi := c*len(batch)/len(evs), (c+1)*len(batch)/len(evs)
+		for k := lo; k < hi; k++ {
+			batch[k].psi, batch[k].ups, batch[k].feasible = ev.eval(batch[k].genes)
+		}
+		return nil
+	}
+	evaluate := func(b []individual) {
+		batch = b
+		// scoreChunk never fails; ignore Each's nil result.
+		_ = pool.Each(context.Background(), len(evs), scoreChunk)
 		// Archive offers run serially in slot order (determinism), and a
 		// solution's StartTimes map is materialised only when the archive
 		// actually accepts it — re-running the deterministic repair for the
@@ -252,14 +269,13 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 	}
 	evaluate(pop)
 
-	next := make([]individual, opts.Population)
 	for gen := 0; gen < opts.Generations; gen++ {
-		rng := exec.RNG(opts.Seed, streamGen, int64(gen))
+		rng.Seed(exec.DeriveSeed(opts.Seed, streamGen, int64(gen)))
 		for k := 0; k < opts.Population; k++ {
 			w := weights[k]
 			p1 := tournament(rng, pop, w, opts.TournamentSize)
 			p2 := tournament(rng, pop, w, opts.TournamentSize)
-			child := make([]timing.Time, len(jobs))
+			child := next[k].genes
 			if rng.Float64() < opts.CrossoverRate {
 				for i := range child {
 					if rng.Intn(2) == 0 {
@@ -276,14 +292,17 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 					child[i] = randomGene(rng, bs[i])
 				}
 			}
-			next[k] = individual{genes: child}
 		}
 		evaluate(next)
 		// Slot elitism: keep the incumbent when it scores better under the
-		// slot's weight.
+		// slot's weight. Its genes are copied into the offspring's row, so
+		// the two slabs never share a row.
 		for k := range next {
 			if scalar(&pop[k], weights[k]) > scalar(&next[k], weights[k]) {
+				genes := next[k].genes
+				copy(genes, pop[k].genes)
 				next[k] = pop[k]
+				next[k].genes = genes
 			}
 		}
 		pop, next = next, pop
@@ -295,23 +314,6 @@ func Solve(jobs []taskmodel.Job, opts Options) (*Result, error) {
 	}
 	sort.Slice(arch.sols, func(a, b int) bool { return arch.sols[a].Psi > arch.sols[b].Psi })
 	return &Result{Front: arch.sols}, nil
-}
-
-// evalPopulation scores a population on the pool in contiguous chunks, one
-// long-lived evaluator (with its private scratch) per chunk. Scoring
-// consumes no randomness and each chunk writes only its own slots, so the
-// chunk count cannot affect the scores.
-func evalPopulation(pool exec.Pool, evs []evaluator, batch []individual) {
-	chunks := len(evs)
-	// Each is error-free here; ignore the nil result.
-	_ = pool.Each(context.Background(), chunks, func(_ context.Context, c int) error {
-		ev := &evs[c]
-		lo, hi := c*len(batch)/chunks, (c+1)*len(batch)/chunks
-		for k := lo; k < hi; k++ {
-			batch[k].psi, batch[k].ups, batch[k].feasible = ev.eval(batch[k].genes)
-		}
-		return nil
-	})
 }
 
 type individual struct {
@@ -336,12 +338,11 @@ func tournament(rng *rand.Rand, pop []individual, w float64, size int) int {
 	return best
 }
 
-func randomGenes(rng *rand.Rand, bs []bounds) []timing.Time {
-	g := make([]timing.Time, len(bs))
+// randomGenes draws one gene per job into g.
+func randomGenes(rng *rand.Rand, bs []bounds, g []timing.Time) {
 	for i := range bs {
 		g[i] = randomGene(rng, bs[i])
 	}
-	return g
 }
 
 func randomGene(rng *rand.Rand, b bounds) timing.Time {
@@ -358,20 +359,84 @@ func clampT(v, lo, hi timing.Time) timing.Time {
 	return v
 }
 
+// problem is the per-Solve state every evaluator shares read-only: the
+// jobs with their gene bounds, plus the constants of the gene-order sort
+// and of Υ, computed once instead of once per evaluation.
+type problem struct {
+	jobs   []taskmodel.Job
+	bounds []bounds
+	curve  quality.Curve
+	snap   bool
+	// rank[i] is jobs[i]'s position under the layout tie-break (higher
+	// priority first, then Task, then J, then input index), so the
+	// (gene, rank) sort key is unique for every job.
+	rank []int
+	// byLo lists the job indices by gene lower bound (ties by index): the
+	// order each evaluation lays its sort keys out in before sorting.
+	byLo []int
+	// ideal is Σ V(δ) over the jobs in input order, Υ's denominator.
+	ideal float64
+}
+
+func newProblem(jobs []taskmodel.Job, opts Options) (*problem, error) {
+	n := len(jobs)
+	p := &problem{jobs: jobs, bounds: make([]bounds, n), curve: opts.Curve, snap: opts.SnapToIdeal}
+	for i := range jobs {
+		b, err := geneBounds(&jobs[i])
+		if err != nil {
+			return nil, err
+		}
+		p.bounds[i] = b
+	}
+	p.ideal = quality.IdealSum(jobs, opts.Curve)
+	if p.ideal <= 0 {
+		return nil, fmt.Errorf("ga: ideal quality sum %g is not positive", p.ideal)
+	}
+	byRank := identity(n)
+	sort.SliceStable(byRank, func(a, b int) bool {
+		ja, jb := &jobs[byRank[a]], &jobs[byRank[b]]
+		if ja.P != jb.P {
+			return ja.P > jb.P
+		}
+		if ja.ID.Task != jb.ID.Task {
+			return ja.ID.Task < jb.ID.Task
+		}
+		return ja.ID.J < jb.ID.J
+	})
+	p.rank = make([]int, n)
+	for r, i := range byRank {
+		p.rank[i] = r
+	}
+	p.byLo = identity(n)
+	sort.SliceStable(p.byLo, func(a, b int) bool { return p.bounds[p.byLo[a]].lo < p.bounds[p.byLo[b]].lo })
+	return p, nil
+}
+
+func identity(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// geneKey is one job's entry in the gene-order sort.
+type geneKey struct {
+	gene timing.Time
+	idx  int
+}
+
 // evaluator runs the reconfiguration function and scores individuals. Its
-// scratch slices and comparator state live for the whole Solve, so the eval
-// inner loop performs no heap allocation: start times stay in an
-// index-keyed slice (starts[i] belongs to jobs[i]) and only archive-bound
-// individuals ever pay for a StartTimes map (materialize).
+// scratch slices live for the whole Solve, so the eval inner loop performs
+// no heap allocation: start times stay in an index-keyed slice (starts[i]
+// belongs to jobs[i]) and only archive-bound individuals ever pay for a
+// StartTimes map (materialize).
 type evaluator struct {
-	jobs  []taskmodel.Job
-	curve quality.Curve
-	snap  bool
+	*problem
 	// scratch reused across evaluations
-	order  []int
+	keys   []geneKey
 	starts []timing.Time
 	ready  []int
-	sorter layoutSorter
 	// The FPS fallback ignores the genes, so its schedule — and whether one
 	// exists at all — is a property of the job set alone: simulate once and
 	// memoise the verdict, the starts and the scores.
@@ -382,30 +447,35 @@ type evaluator struct {
 	fpsUps    float64
 }
 
-// layoutSorter is the pre-allocated comparator state for the gene-order
-// sort: a sort.Interface over the evaluator's order scratch, so sorting
-// captures no closure and allocates nothing per evaluation.
-type layoutSorter struct {
-	jobs  []taskmodel.Job
-	genes []timing.Time
-	order []int
+func newEvaluator(p *problem) evaluator {
+	n := len(p.jobs)
+	return evaluator{problem: p, keys: make([]geneKey, n), starts: make([]timing.Time, n)}
 }
 
-func (s *layoutSorter) Len() int      { return len(s.order) }
-func (s *layoutSorter) Swap(a, b int) { s.order[a], s.order[b] = s.order[b], s.order[a] }
-func (s *layoutSorter) Less(a, b int) bool {
-	ja, jb := &s.jobs[s.order[a]], &s.jobs[s.order[b]]
-	ga, gb := s.genes[s.order[a]], s.genes[s.order[b]]
-	if ga != gb {
-		return ga < gb
+// geneOrder returns the jobs in layout order: by gene, ties by rank. The
+// keys start in byLo order, which is the sorted order whenever the genes
+// fall in the same order as their lower bounds, and otherwise is off only
+// where two jobs' gene ranges overlap; an inline insertion sort therefore
+// runs in near-linear time. The (gene, rank) keys are unique, so any
+// correct sort yields this same order.
+func (e *evaluator) geneOrder(genes []timing.Time) []geneKey {
+	keys, rank := e.keys, e.rank
+	for k, i := range e.byLo {
+		keys[k] = geneKey{gene: genes[i], idx: i}
 	}
-	if ja.P != jb.P {
-		return ja.P > jb.P
+	for i := 1; i < len(keys); i++ {
+		key := keys[i]
+		j := i
+		for ; j > 0; j-- {
+			prev := keys[j-1]
+			if prev.gene < key.gene || (prev.gene == key.gene && rank[prev.idx] < rank[key.idx]) {
+				break
+			}
+			keys[j] = prev
+		}
+		keys[j] = key
 	}
-	if ja.ID.Task != jb.ID.Task {
-		return ja.ID.Task < jb.ID.Task
-	}
-	return ja.ID.J < jb.ID.J
+	return keys
 }
 
 // eval repairs the genes into a feasible layout and returns (Ψ, Υ, true);
@@ -431,12 +501,7 @@ func (e *evaluator) eval(genes []timing.Time) (float64, float64, bool) {
 }
 
 func (e *evaluator) score(starts []timing.Time) (float64, float64, bool) {
-	psi := quality.PsiIndexed(e.jobs, starts)
-	ups, err := quality.UpsilonIndexed(e.jobs, starts, e.curve)
-	if err != nil {
-		panic(err)
-	}
-	return psi, ups, true
+	return quality.PsiIndexed(e.jobs, starts), quality.SumIndexed(e.jobs, starts, e.curve) / e.ideal, true
 }
 
 // materialize re-runs the deterministic repair for genes and returns the
@@ -463,21 +528,11 @@ func (e *evaluator) materialize(genes []timing.Time) quality.StartTimes {
 // first, as footnote 2 prescribes), writing the schedule into e.starts.
 // It returns false when the order misses a deadline.
 func (e *evaluator) layout(genes []timing.Time) bool {
-	n := len(e.jobs)
-	if e.order == nil {
-		e.order = make([]int, n)
-		e.starts = make([]timing.Time, n)
-	}
-	order := e.order
-	for i := range order {
-		order[i] = i
-	}
-	e.sorter = layoutSorter{jobs: e.jobs, genes: genes, order: order}
-	sort.Stable(&e.sorter)
+	order := e.geneOrder(genes)
 	var cursor timing.Time
-	for oi, idx := range order {
-		j := &e.jobs[idx]
-		start := genes[idx]
+	for oi, key := range order {
+		j := &e.jobs[key.idx]
+		start := key.gene
 		if start < j.Release {
 			start = j.Release
 		}
@@ -489,7 +544,7 @@ func (e *evaluator) layout(genes []timing.Time) bool {
 			// layout: the next job's gene must not want the gap.
 			snapped := j.Ideal
 			if oi+1 < len(order) {
-				if nxt := genes[order[oi+1]]; snapped+j.C > nxt {
+				if nxt := order[oi+1].gene; snapped+j.C > nxt {
 					snapped = start
 				}
 			}
@@ -498,7 +553,7 @@ func (e *evaluator) layout(genes []timing.Time) bool {
 		if start+j.C > j.Deadline {
 			return false
 		}
-		e.starts[idx] = start
+		e.starts[key.idx] = start
 		cursor = start + j.C
 	}
 	return true
@@ -526,17 +581,8 @@ func (e *evaluator) fps() bool {
 // gene-feasible regions.
 func (e *evaluator) simulateFPS() bool {
 	n := len(e.jobs)
-	if e.order == nil {
-		e.order = make([]int, n)
-		e.starts = make([]timing.Time, n)
-	}
-	if e.fpsStarts == nil {
-		e.fpsStarts = make([]timing.Time, n)
-	}
-	order := e.order
-	for i := range order {
-		order[i] = i
-	}
+	e.fpsStarts = make([]timing.Time, n)
+	order := identity(n)
 	sort.SliceStable(order, func(a, b int) bool {
 		return e.jobs[order[a]].Release < e.jobs[order[b]].Release
 	})
