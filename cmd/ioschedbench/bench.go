@@ -3,8 +3,9 @@ package main
 // The bench subcommand: measure the tier benchmarks through the shared
 // internal/benchtraj bodies (the exact code `go test -bench` runs),
 // write a BENCH_*.json trajectory snapshot, and optionally gate against
-// a committed baseline. allocs/op is gated on every machine; ns/op only
-// when the host fingerprint matches the baseline's. See docs/CACHE.md
+// a committed baseline. Each body runs benchtraj.Repeats times,
+// round-robin, and keeps the fastest run's ns/op. allocs/op is gated on every machine; ns/op
+// only when the host fingerprint matches the baseline's. See docs/CACHE.md
 // for the trajectory workflow.
 
 import (
@@ -22,13 +23,13 @@ import (
 func runBench(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	var (
-		out       = fs.String("o", "bench/BENCH_0013.json", "trajectory file to write (empty = don't write)")
+		out       = fs.String("o", "bench/BENCH_0014.json", "trajectory file to write (empty = don't write)")
 		compare   = fs.String("compare", "", "baseline trajectory to gate against; regressions make the command fail")
 		tolerance = fs.Float64("tolerance", 0.15, "allowed relative regression before the gate fails")
 		benchtime = fs.String("benchtime", "500ms", "per-benchmark measuring time (test.benchtime syntax, e.g. 2s or 10x)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ioschedbench bench [-o bench/BENCH_0013.json] [-compare baseline.json] [flags]")
+		fmt.Fprintln(os.Stderr, "usage: ioschedbench bench [-o bench/BENCH_0014.json] [-compare baseline.json] [flags]")
 		fmt.Fprintln(os.Stderr, "\nMeasures the tier benchmarks (shared with `go test -bench` via")
 		fmt.Fprintln(os.Stderr, "internal/benchtraj), the Figure 5 serial/parallel speedup, the cell")
 		fmt.Fprintln(os.Stderr, "cache warm hit rate, the dispatch makespan ratio, the shard codec")
@@ -56,22 +57,13 @@ func runBench(args []string, w io.Writer) error {
 		return fmt.Errorf("-benchtime %q: %w", *benchtime, err)
 	}
 
-	traj := &benchtraj.Trajectory{
-		Version:    benchtraj.Version,
-		Benchmarks: make(map[string]benchtraj.Measurement),
-		Host:       benchtraj.CurrentHost(),
+	traj := &benchtraj.Trajectory{Version: benchtraj.Version, Host: benchtraj.CurrentHost()}
+	var err error
+	if traj.Benchmarks, err = benchtraj.MeasureTier(benchtraj.Tier(), benchtraj.Repeats, testing.Benchmark); err != nil {
+		return err
 	}
 	for _, bench := range benchtraj.Tier() {
-		r := testing.Benchmark(bench.Body)
-		if r.N == 0 {
-			return fmt.Errorf("benchmark %s failed (zero iterations)", bench.Name)
-		}
-		m := benchtraj.Measurement{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		traj.Benchmarks[bench.Name] = m
+		m := traj.Benchmarks[bench.Name]
 		fmt.Fprintf(w, "bench: %-24s %12.0f ns/op %8d B/op %6d allocs/op\n",
 			bench.Name, m.NsPerOp, m.BytesPerOp, m.AllocsPerOp)
 	}

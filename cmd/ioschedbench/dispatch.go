@@ -86,11 +86,6 @@ func runDispatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	if cache != nil {
-		if err := cache.SetEncoding(codec); err != nil {
-			return err
-		}
-	}
 
 	var pool []dispatch.Worker
 	if len(cmds) > 0 {

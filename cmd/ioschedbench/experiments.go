@@ -46,8 +46,8 @@ func runExperiments(args []string, w io.Writer) error {
 			key = e.CellKey()
 			// The payload column names the codec version and whether binary
 			// shard files pack this experiment's cells natively (a codec is
-			// registered under the experiment's name and version) or fall
-			// back to the compact-JSON column.
+			// registered under the experiment's name and version) or carry
+			// them in the generic compact-JSON column.
 			payload = fmt.Sprintf("v%d json", c.Version)
 			if _, ok := shard.LookupPayloadCodec(e.Name(), c.Version); ok {
 				payload = fmt.Sprintf("v%d binary", c.Version)
@@ -69,7 +69,7 @@ func runExperiments(args []string, w io.Writer) error {
 	fmt.Fprintln(w, "Experiments sharing a cell key are computed once per run; \"-\" marks a")
 	fmt.Fprintln(w, "closed-form experiment with no grid to shard. The payload column is the")
 	fmt.Fprintln(w, "cell payload version and how -codec binary packs it (binary = a native")
-	fmt.Fprintln(w, "columnar codec, json = the compact-JSON fallback column).")
+	fmt.Fprintln(w, "columnar codec, json = the generic compact-JSON column).")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "repro \"no (host)\" marks a non-reproducible experiment: its payloads measure")
 	fmt.Fprintln(w, "this machine, not the seed, so it runs only when named (excluded from")

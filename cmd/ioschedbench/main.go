@@ -62,9 +62,10 @@
 // -codec selects the cell-file container this process writes: json (the
 // human-readable default) or binary, a compact columnar container about
 // a tenth the size at paper scale. Readers always auto-detect per file,
-// so shard sets, caches and dispatch directories may mix encodings and
-// still merge byte-identical to the unsharded run. The layouts are
-// specified in docs/SHARD_FORMAT.md.
+// so shard sets and dispatch directories may mix encodings and still
+// merge byte-identical to the unsharded run. The layouts are specified
+// in docs/SHARD_FORMAT.md. The cell cache has one envelope of its own
+// (docs/CACHE.md) that -codec does not select.
 //
 // # Dispatch
 //
@@ -234,11 +235,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if cache != nil {
-		if err := cache.SetEncoding(codec); err != nil {
-			fail(err)
-		}
-	}
 
 	if *cellSpec != "" {
 		if *shards > 0 {
@@ -301,8 +297,8 @@ func (c *cacheFlags) open() (*cellcache.Store, error) {
 }
 
 // registerCodecFlag registers the shared -codec flag: which cell-file
-// encoding this process writes (shard files, cell batches, cache
-// entries). It is host-local like -parallel and -cache-dir — readers
+// encoding this process writes (shard files, cell batches). It is
+// host-local like -parallel and -cache-dir — readers
 // auto-detect the encoding per file, so any mix of settings across a
 // worker pool merges identically — and is therefore never part of the
 // run params.

@@ -8,8 +8,8 @@
 //
 // Gating across machines: allocs/op is machine-independent — it is
 // always gated against the committed baseline. ns/op is gated only when
-// the current host fingerprint (GOOS/GOARCH/CPU count/Go version)
-// matches the baseline's, so a baseline produced on the CI runner class
+// the current host fingerprint (GOOS/GOARCH/CPU count/Go version/
+// GOMAXPROCS) matches the baseline's, so a baseline produced on the CI runner class
 // gates CI wall-clock without false-failing every developer laptop.
 package benchtraj
 
@@ -19,6 +19,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"testing"
 )
 
 // Version identifies the trajectory file schema.
@@ -38,16 +39,51 @@ type Host struct {
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
 	GoVersion string `json:"go_version"`
+	// GOMAXPROCS is the scheduler's CPU limit during the run (0 in
+	// trajectories recorded before it was). With 1, the parallel speedup
+	// is a serial run timed twice, so Compare does not gate it.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 }
 
 // CurrentHost returns this process's fingerprint.
 func CurrentHost() Host {
 	return Host{
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		GoVersion: runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
+}
+
+// Repeats is how many times the bench subcommand runs each body.
+const Repeats = 3
+
+// MeasureTier measures every body repeats times through run and keeps
+// each body's fastest run: a shared host only ever adds time, so the
+// minimum is the stable ns/op estimate (allocs/op and bytes/op do not
+// vary between runs). The runs go round-robin over the bodies, so each
+// body's samples spread across the whole measurement rather than one
+// stretch of it. A run with zero iterations fails the measurement.
+func MeasureTier(bodies []Bench, repeats int, run func(func(*testing.B)) testing.BenchmarkResult) (map[string]Measurement, error) {
+	out := make(map[string]Measurement, len(bodies))
+	for i := 0; i < repeats; i++ {
+		for _, b := range bodies {
+			r := run(b.Body)
+			if r.N == 0 {
+				return nil, fmt.Errorf("benchmark %s failed (zero iterations)", b.Name)
+			}
+			m := Measurement{
+				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+				AllocsPerOp: r.AllocsPerOp(),
+				BytesPerOp:  r.AllocedBytesPerOp(),
+			}
+			if best, ok := out[b.Name]; !ok || m.NsPerOp < best.NsPerOp {
+				out[b.Name] = m
+			}
+		}
+	}
+	return out, nil
 }
 
 // Trajectory is one BENCH_*.json snapshot.
@@ -127,7 +163,8 @@ func ReadFile(path string) (*Trajectory, error) {
 // tolerance (0.15 = +15%) and returns one line per regression (empty =
 // gate passes). allocs/op is always compared — it is a property of the
 // code, not the machine. ns/op and the parallel speedup are compared
-// only when the host fingerprints match. A benchmark present in the
+// only when the host fingerprints match, and the speedup only when
+// neither side ran with GOMAXPROCS 1. A benchmark present in the
 // baseline but missing from current is a regression (the gate must not
 // pass because a measurement silently disappeared); new benchmarks in
 // current are fine — they join the baseline when it is regenerated.
@@ -155,7 +192,8 @@ func Compare(baseline, current *Trajectory, tolerance float64) []string {
 				name, c.NsPerOp, b.NsPerOp, 100*tolerance))
 		}
 	}
-	if sameHost && baseline.ParallelSpeedup > 0 && current.ParallelSpeedup > 0 &&
+	oneProc := baseline.Host.GOMAXPROCS == 1 || current.Host.GOMAXPROCS == 1
+	if sameHost && !oneProc && baseline.ParallelSpeedup > 0 && current.ParallelSpeedup > 0 &&
 		current.ParallelSpeedup < baseline.ParallelSpeedup*(1-tolerance) {
 		regs = append(regs, fmt.Sprintf("parallel speedup %.2fx fell below baseline %.2fx by more than %.0f%%",
 			current.ParallelSpeedup, baseline.ParallelSpeedup, 100*tolerance))

@@ -2,11 +2,15 @@ package benchtraj
 
 import (
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sample() *Trajectory {
+	host := CurrentHost()
+	host.GOMAXPROCS = 2 // the speedup gate applies whatever the test host's setting
 	return &Trajectory{
 		Version: Version,
 		Benchmarks: map[string]Measurement{
@@ -16,7 +20,7 @@ func sample() *Trajectory {
 		ParallelSpeedup:       3.0,
 		CacheHitRate:          1.0,
 		DispatchMakespanRatio: 1.5,
-		Host:                  CurrentHost(),
+		Host:                  host,
 	}
 }
 
@@ -143,5 +147,53 @@ func TestCompareTolerancePasses(t *testing.T) {
 	cur.Benchmarks["GASolve"] = m
 	if regs := Compare(sample(), cur, 0.15); len(regs) != 0 {
 		t.Fatalf("within-tolerance drift must pass, got %v", regs)
+	}
+}
+
+func TestMeasureTierKeepsTheFastestRun(t *testing.T) {
+	a, b := func(*testing.B) {}, func(*testing.B) {}
+	bodies := []Bench{{Name: "A", Body: a}, {Name: "B", Body: b}}
+	// Round-robin order: A B A B A B.
+	runs := []testing.BenchmarkResult{
+		{N: 10, T: 3000 * time.Nanosecond, MemAllocs: 50, MemBytes: 500},
+		{N: 1, T: 70 * time.Nanosecond},
+		{N: 20, T: 2000 * time.Nanosecond, MemAllocs: 100, MemBytes: 1000},
+		{N: 1, T: 90 * time.Nanosecond},
+		{N: 10, T: 2500 * time.Nanosecond, MemAllocs: 50, MemBytes: 500},
+		{N: 1, T: 80 * time.Nanosecond},
+	}
+	i := 0
+	got, err := MeasureTier(bodies, 3, func(func(*testing.B)) testing.BenchmarkResult { i++; return runs[i-1] })
+	if err != nil || i != len(runs) {
+		t.Fatalf("err=%v after %d runs", err, i)
+	}
+	if want := (Measurement{NsPerOp: 100, AllocsPerOp: 5, BytesPerOp: 50}); got["A"] != want {
+		t.Fatalf("A = %+v, want %+v", got["A"], want)
+	}
+	if got["B"].NsPerOp != 70 {
+		t.Fatalf("B = %+v, want the 70 ns run", got["B"])
+	}
+	fail := func(func(*testing.B)) testing.BenchmarkResult { return testing.BenchmarkResult{} }
+	if _, err := MeasureTier(bodies, 3, fail); err == nil {
+		t.Fatal("a zero-iteration run must fail the measurement")
+	}
+}
+
+func TestCurrentHostRecordsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := CurrentHost().GOMAXPROCS; got != 1 {
+		t.Fatalf("GOMAXPROCS recorded as %d, want 1", got)
+	}
+}
+
+func TestCompareSkipsSpeedupOnOneProc(t *testing.T) {
+	base, cur := sample(), sample()
+	cur.ParallelSpeedup = 1.0 // far below 3.0
+	if regs := Compare(base, cur, 0.15); len(regs) != 1 {
+		t.Fatalf("GOMAXPROCS 2 must gate the speedup, got %v", regs)
+	}
+	base.Host.GOMAXPROCS, cur.Host.GOMAXPROCS = 1, 1
+	if regs := Compare(base, cur, 0.15); len(regs) != 0 {
+		t.Fatalf("GOMAXPROCS 1 must not gate the speedup, got %v", regs)
 	}
 }

@@ -5,8 +5,8 @@ package benchtraj
 // synthetic paper-scale-shaped shard file — the fig5 and figq grids at
 // the paper's 1000 systems per point, with payloads shaped exactly like
 // the real experiments' (the structs below mirror the experiment
-// package's payload types tag for tag, so the registered native codecs
-// pack them). Sizes are deterministic functions of the code, identical
+// package's payload types tag for tag, so decoding the file types them
+// with the registered codecs). Sizes are deterministic functions of the code, identical
 // on every machine, so Compare holds the v2/v1 ratio as a hard cap.
 
 import (
@@ -20,7 +20,7 @@ import (
 
 // codecFig5Payload mirrors the fig5 experiment's cell payload
 // (experiment.fig5Outcome is unexported); identical JSON tags in
-// identical order make the native codec's re-marshal byte-identical.
+// identical order make the file decode into it.
 type codecFig5Payload struct {
 	Offline bool `json:"offline"`
 	Online  bool `json:"online"`
@@ -47,10 +47,15 @@ type codecFigqPayload struct {
 // codecBenchFile builds the synthetic paper-scale shard file: the fig5
 // grid (15 utilisation points × 1000 systems) and the fig6 grid (5 ×
 // 1000, the figq cell payload) with pseudo-random payloads under the
-// real experiments' names and payload versions, so EncodeBinary packs
-// them with the registered native codecs exactly as a real
-// -paperscale -codec binary run would.
+// real experiments' names and payload versions. The file is built as
+// JSON and round-tripped through shard.Decode, which types every payload
+// with the registered codec (the experiment's payload types are
+// unexported) — so its cells are exactly what a real -paperscale run
+// holds in memory, and EncodeBinary packs them the same way.
 func codecBenchFile() (*shard.File, error) {
+	if err := codecRegistered(); err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(1))
 	f := &shard.File{
 		Version:   shard.FormatVersion,
@@ -66,12 +71,9 @@ func codecBenchFile() (*shard.File, error) {
 		prob := 1 - float64(p)/float64(fig5.Grid.Points)
 		for s := 0; s < fig5.Grid.Systems; s++ {
 			ok := rng.Float64() < prob
-			data, err := json.Marshal(codecFig5Payload{
+			data := codecFig5Payload{
 				Offline: ok, Online: ok && rng.Intn(4) > 0, GPIOCP: ok,
 				Static: ok && rng.Intn(8) > 0, GA: ok || rng.Intn(16) == 0,
-			})
-			if err != nil {
-				return nil, err
 			}
 			fig5.Cells = append(fig5.Cells, shard.Cell{Point: p, System: s, Seed: rng.Int63(), Data: data})
 		}
@@ -84,15 +86,16 @@ func codecBenchFile() (*shard.File, error) {
 	figq := shard.Run{Experiment: "fig6", Grid: shard.Grid{Points: 5, Systems: 1000}, PayloadVersion: 1}
 	for p := 0; p < figq.Grid.Points; p++ {
 		for s := 0; s < figq.Grid.Systems; s++ {
-			data, err := json.Marshal(codecFigqPayload{Offline: q(), CP: q(), Static: q(), GA: q()})
-			if err != nil {
-				return nil, err
-			}
+			data := codecFigqPayload{Offline: q(), CP: q(), Static: q(), GA: q()}
 			figq.Cells = append(figq.Cells, shard.Cell{Point: p, System: s, Seed: rng.Int63(), Data: data})
 		}
 	}
 	f.Runs = append(f.Runs, figq)
-	return f, nil
+	v1, err := f.Encode()
+	if err != nil {
+		return nil, err
+	}
+	return shard.Decode(v1)
 }
 
 // codecRegistered reports whether the experiment payload codecs the
@@ -117,9 +120,6 @@ func CodecEncodeBinary(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := codecRegistered(); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -130,13 +130,10 @@ func CodecEncodeBinary(b *testing.B) {
 }
 
 // CodecDecodeBinary measures decoding the v2 binary container back into
-// cells (native column unpacking and payload re-marshalling included).
+// cells (typed payload column unpacking included).
 func CodecDecodeBinary(b *testing.B) {
 	f, err := codecBenchFile()
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := codecRegistered(); err != nil {
 		b.Fatal(err)
 	}
 	bin, err := f.EncodeBinary()
@@ -178,9 +175,6 @@ func (s CodecSizes) Ratio() float64 {
 func MeasureCodecSizes() (CodecSizes, error) {
 	f, err := codecBenchFile()
 	if err != nil {
-		return CodecSizes{}, err
-	}
-	if err := codecRegistered(); err != nil {
 		return CodecSizes{}, err
 	}
 	v1, err := f.Encode()

@@ -11,26 +11,23 @@
 //
 // Layout: <dir>/<hh>/<hash>/<point>_<system>.json, where hash is the
 // hex SHA-256 of the (cell key, params, payload version) tuple and hh its
-// first two digits (a fan-out level, keeping directories small). Each
-// entry is an envelope carrying the cell's derived seed, the payload
-// bytes and their SHA-256 digest — a JSON document by default, or the
-// compact binary form of codec.go when the store is switched with
-// SetEncoding (the file name keeps its .json suffix either way; the
-// envelope magic, not the name, identifies the format). Reads
-// auto-detect the envelope encoding and verify the digest and the
-// expected seed; anything that fails — unreadable file, truncated
-// envelope, digest or seed mismatch — is a miss, never an error: the
-// caller recomputes, and the next Put repairs the entry. Writes go
-// through a temp file and an atomic rename, so concurrent readers and
-// writers (racing dispatch workers, parallel runs sharing one store)
-// see either a complete entry or none.
+// first two digits (a fan-out level, keeping directories small; the
+// .json suffix is historical — the envelope magic, not the name,
+// identifies the format). Each entry is one binary envelope (codec.go)
+// holding the cell's derived seed, its payload packed as the v2 shard
+// record of the experiment's payload codec, and a SHA-256 digest. Reads
+// verify the magic, the digest and the expected seed; anything that fails
+// — unreadable file, truncated envelope, an entry written by an older
+// build in a retired envelope form, digest or seed mismatch — is a miss,
+// never an error: the caller recomputes, and the next Put repairs the
+// entry. Writes go through a temp file and an atomic rename, so
+// concurrent readers and writers (racing dispatch workers, parallel runs
+// sharing one store) see either a complete entry or none.
 package cellcache
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -41,10 +38,9 @@ import (
 // stores with Open. A Store is safe for concurrent use by any number of
 // goroutines and processes sharing the directory.
 type Store struct {
-	dir      string
-	encoding string // what Put writes; reads always auto-detect
-	hits     atomic.Uint64
-	misses   atomic.Uint64
+	dir    string
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // Open opens (creating if needed) the cache rooted at dir.
@@ -55,26 +51,29 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cellcache: %w", err)
 	}
-	return &Store{dir: dir, encoding: EncodingJSON}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetEncoding selects the envelope encoding Put writes (EncodingJSON or
-// EncodingBinary). Reads are unaffected: Get auto-detects per entry, so
-// a directory written under one setting stays fully readable under the
-// other and mixed directories are fine.
+// Encoding names the retired per-store envelope choice still accepts.
+const (
+	EncodingJSON   = "json"
+	EncodingBinary = "binary"
+)
+
+// SetEncoding used to select the envelope encoding Put writes. Every
+// entry is now the one binary envelope holding the cell's packed record,
+// so SetEncoding changes nothing; it still rejects unknown names.
+//
+// Deprecated: the store has a single envelope; drop the call.
 func (s *Store) SetEncoding(encoding string) error {
 	switch encoding {
-	case "", EncodingJSON:
-		s.encoding = EncodingJSON
-	case EncodingBinary:
-		s.encoding = EncodingBinary
-	default:
-		return fmt.Errorf("cellcache: unknown encoding %q (want %q or %q)", encoding, EncodingJSON, EncodingBinary)
+	case "", EncodingJSON, EncodingBinary:
+		return nil
 	}
-	return nil
+	return fmt.Errorf("cellcache: unknown encoding %q (want %q or %q)", encoding, EncodingJSON, EncodingBinary)
 }
 
 // Key addresses one run's cell namespace: all cells of one experiment
@@ -104,90 +103,42 @@ func RunKey(cellKey string, params []byte, payloadVersion int) Key {
 	return Key{hash: hex.EncodeToString(h.Sum(nil))}
 }
 
-// entry is the on-disk envelope of one cached cell.
-type entry struct {
-	// Seed is the cell's derived sub-seed (shard.Cell.Seed); Get re-checks
-	// it against the seed the caller derives, so a stale derivation rule
-	// can never serve a wrong payload.
-	Seed int64 `json:"seed"`
-	// Sum is the hex SHA-256 of Data: a truncated or bit-rotted entry
-	// fails the check and reads as a miss.
-	Sum string `json:"sha256"`
-	// Data is the cell payload in compact JSON form. Put compacts before
-	// digesting, so deposits of the same value spelled with different
-	// whitespace (an in-memory marshal vs a re-read pretty-printed shard
-	// file) store and serve identical bytes.
-	Data json.RawMessage `json:"data"`
-}
-
 func (s *Store) cellPath(k Key, point, system int) string {
 	return filepath.Join(s.dir, k.hash[:2], k.hash[2:], fmt.Sprintf("%d_%d.json", point, system))
 }
 
-func digest(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// Get returns the cached payload of cell (point, system) under k, or
-// (nil, false) on a miss. seed is the derived sub-seed the caller's run
-// would record for the cell; an entry whose recorded seed differs is a
-// miss (and so is any unreadable, truncated or corrupt entry — the cache
-// recomputes, it never guesses).
-func (s *Store) Get(k Key, point, system int, seed int64) (json.RawMessage, bool) {
+// Get returns the packed payload record of cell (point, system) under k,
+// or (nil, false) on a miss. seed is the derived sub-seed the caller's
+// run would record for the cell; an entry whose recorded seed differs is
+// a miss (and so is any unreadable, truncated, corrupt or retired-format
+// entry — the cache recomputes, it never guesses).
+func (s *Store) Get(k Key, point, system int, seed int64) ([]byte, bool) {
 	raw, err := os.ReadFile(s.cellPath(k, point, system))
 	if err == nil {
-		var e entry
-		if isEnvelope(raw) {
-			if seed2, data, sum, derr := decodeEnvelope(raw); derr == nil {
-				e = entry{Seed: seed2, Sum: sum, Data: data}
-			}
-		} else if json.Unmarshal(raw, &e) != nil {
-			e = entry{}
-		}
-		if e.Data != nil && e.Seed == seed && e.Sum == digest(e.Data) {
+		if got, record, ok := decodeEnvelope(raw); ok && got == seed {
 			s.hits.Add(1)
-			return e.Data, true
+			return record, true
 		}
 	}
 	s.misses.Add(1)
 	return nil, false
 }
 
-// Put deposits the payload of cell (point, system) under k with its
-// derived seed. The payload is compacted first: json.Marshal compacts
-// RawMessage fields when writing the envelope, so the digest must be
-// taken over the compact form or a pretty-printed deposit (cells re-read
-// from an indented shard file) would never verify again. The write is
-// atomic (temp file + rename): concurrent writers of the same cell race
-// benignly — their payloads are identical by the determinism invariant,
-// and the last rename wins.
-func (s *Store) Put(k Key, point, system int, seed int64, data json.RawMessage) error {
+// Put deposits the packed payload record of cell (point, system) under k
+// with its derived seed. The write is atomic (temp file + rename):
+// concurrent writers of the same cell race benignly — their records are
+// identical by the determinism invariant, and the last rename wins.
+func (s *Store) Put(k Key, point, system int, seed int64, record []byte) error {
 	path := s.cellPath(k, point, system)
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("cellcache: %w", err)
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, data); err != nil {
-		return fmt.Errorf("cellcache: cell (%d,%d) payload is not JSON: %w", point, system, err)
-	}
-	data = compact.Bytes()
-	var raw []byte
-	if s.encoding == EncodingBinary {
-		raw = encodeEnvelope(seed, data)
-	} else {
-		var err error
-		raw, err = json.Marshal(entry{Seed: seed, Sum: digest(data), Data: data})
-		if err != nil {
-			return fmt.Errorf("cellcache: encode cell (%d,%d): %w", point, system, err)
-		}
-	}
 	tmp, err := os.CreateTemp(dir, ".put-*")
 	if err != nil {
 		return fmt.Errorf("cellcache: %w", err)
 	}
-	_, werr := tmp.Write(raw)
+	_, werr := tmp.Write(encodeEnvelope(seed, record))
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr

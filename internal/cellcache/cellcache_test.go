@@ -179,30 +179,3 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 		t.Fatal("Open(\"\") succeeded")
 	}
 }
-
-// TestPutCompactsWhitespace: depositing a pretty-printed payload (cells
-// re-read from an indented shard file) must verify and serve on read —
-// the envelope stores compact JSON, and the digest is taken over exactly
-// those bytes. This is the regression test for the dispatch deposit
-// path, whose payloads arrive with the shard file's indentation.
-func TestPutCompactsWhitespace(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := RunKey("fig5", []byte(`{"seed":1}`), 1)
-	indented := json.RawMessage("{\n  \"psi\": 0.5,\n  \"ok\": true\n}")
-	if err := s.Put(k, 0, 0, 7, indented); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := s.Get(k, 0, 0, 7)
-	if !ok {
-		t.Fatal("indented deposit reads as a miss")
-	}
-	if want := `{"psi":0.5,"ok":true}`; string(got) != want {
-		t.Fatalf("served %q, want the compact form %q", got, want)
-	}
-	if err := s.Put(k, 0, 1, 7, json.RawMessage("not json")); err == nil {
-		t.Fatal("non-JSON payload accepted")
-	}
-}

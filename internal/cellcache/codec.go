@@ -1,78 +1,56 @@
 package cellcache
 
-// The binary cell-envelope codec. A store opened with the binary
-// encoding writes each cached cell as a compact binary envelope instead
-// of the JSON one: a magic, the derived seed as a zigzag varint, the
-// length-prefixed compact payload and the raw 32-byte SHA-256 digest.
-// Reads always auto-detect — the magic cannot open a JSON document — so
-// one directory can hold a mix of encodings and a store configured
-// either way serves both; the encoding only selects what Put writes.
-// The envelope is hand-rolled (cellcache deliberately does not import
-// internal/shard) but keeps the same defensive posture: any structural
-// defect is a miss, never an error.
+// The cell envelope: a magic, the derived seed as a zigzag varint, the
+// cell's packed payload record, and the raw 32-byte SHA-256 of the seed
+// and record bytes. The record is opaque here — the experiment layer
+// packs and unpacks it with the run's payload codec (the v2 shard
+// record), so cellcache stays independent of internal/shard.
+//
+// Entries written by older builds came in two retired forms: a JSON
+// document and a binary envelope under the magic "\x89IOSC1\r\n" whose
+// body was compact JSON. Neither opens with the current magic, so
+// neither can ever be unpacked as a packed record: both read as misses,
+// and the next Put rewrites the entry in the current form.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
-	"fmt"
 )
 
-// Encoding names for Store envelopes; mirrored by the shard layer's
-// file encodings so one -codec flag drives both.
-const (
-	EncodingJSON   = "json"
-	EncodingBinary = "binary"
-)
-
-// envelopeMagic opens every binary cell envelope. Same construction as
-// the shard container's magic (high bit set so no JSON or UTF-8 text
-// can collide, CRLF as a transfer-corruption canary) with a distinct
-// name so the two formats can never be mistaken for each other.
-var envelopeMagic = [8]byte{0x89, 'I', 'O', 'S', 'C', '1', '\r', '\n'}
+// envelopeMagic opens every cell envelope. Same construction as the
+// shard container's magic (high bit set so no JSON or UTF-8 text can
+// collide, CRLF as a transfer-corruption canary) with a distinct name
+// so the two formats can never be mistaken for each other; the "2"
+// retires the JSON-payload envelope "\x89IOSC1\r\n".
+var envelopeMagic = [8]byte{0x89, 'I', 'O', 'S', 'C', '2', '\r', '\n'}
 
 const sumSize = sha256.Size
 
-// encodeEnvelope renders one cell entry in the binary envelope form.
-// data must already be compact.
-func encodeEnvelope(seed int64, data []byte) []byte {
-	out := make([]byte, 0, len(envelopeMagic)+binary.MaxVarintLen64*2+len(data)+sumSize)
+// encodeEnvelope renders one cell entry.
+func encodeEnvelope(seed int64, record []byte) []byte {
+	out := make([]byte, 0, len(envelopeMagic)+binary.MaxVarintLen64+len(record)+sumSize)
 	out = append(out, envelopeMagic[:]...)
 	out = binary.AppendVarint(out, seed)
-	out = binary.AppendUvarint(out, uint64(len(data)))
-	out = append(out, data...)
-	sum := sha256.Sum256(data)
-	out = append(out, sum[:]...)
-	return out
+	out = append(out, record...)
+	sum := sha256.Sum256(out[len(envelopeMagic):])
+	return append(out, sum[:]...)
 }
 
-// decodeEnvelope parses a binary cell envelope. It mirrors Get's JSON
-// path exactly: the returned digest is re-checked by the caller, and
-// any structural defect (truncation, length overrun, trailing bytes) is
-// an error the caller treats as a miss.
-func decodeEnvelope(raw []byte) (seed int64, data json.RawMessage, sum string, err error) {
-	rest := raw[len(envelopeMagic):]
-	seed, n := binary.Varint(rest)
+// decodeEnvelope parses one cell entry. Any defect — wrong or retired
+// magic, truncation, a digest mismatch — reports ok=false, which the
+// caller treats as a miss. The record aliases raw.
+func decodeEnvelope(raw []byte) (seed int64, record []byte, ok bool) {
+	if len(raw) < len(envelopeMagic)+1+sumSize || !bytes.Equal(raw[:len(envelopeMagic)], envelopeMagic[:]) {
+		return 0, nil, false
+	}
+	body, sum := raw[len(envelopeMagic):len(raw)-sumSize], raw[len(raw)-sumSize:]
+	if want := sha256.Sum256(body); !bytes.Equal(sum, want[:]) {
+		return 0, nil, false
+	}
+	seed, n := binary.Varint(body)
 	if n <= 0 {
-		return 0, nil, "", fmt.Errorf("cellcache: bad seed varint")
+		return 0, nil, false
 	}
-	rest = rest[n:]
-	dlen, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return 0, nil, "", fmt.Errorf("cellcache: bad length varint")
-	}
-	rest = rest[n:]
-	if dlen > uint64(len(rest)) {
-		return 0, nil, "", fmt.Errorf("cellcache: payload length %d exceeds %d remaining bytes", dlen, len(rest))
-	}
-	data, rest = rest[:dlen], rest[dlen:]
-	if len(rest) != sumSize {
-		return 0, nil, "", fmt.Errorf("cellcache: %d trailing bytes, want a %d-byte digest", len(rest), sumSize)
-	}
-	return seed, json.RawMessage(data), fmt.Sprintf("%x", rest), nil
-}
-
-// isEnvelope reports whether raw opens with the binary envelope magic.
-func isEnvelope(raw []byte) bool {
-	return len(raw) >= len(envelopeMagic) && string(raw[:len(envelopeMagic)]) == string(envelopeMagic[:])
+	return seed, body[n:], true
 }

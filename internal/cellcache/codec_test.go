@@ -1,8 +1,13 @@
 package cellcache
 
 import (
-	"encoding/json"
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -11,76 +16,78 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetEncoding(EncodingBinary); err != nil {
-		t.Fatal(err)
-	}
 	k := RunKey("fig5", []byte(`{"seed":1}`), 1)
-	data := json.RawMessage(`{"x":42,"s":"<&>"}`)
-	if err := s.Put(k, 3, 7, -99, data); err != nil {
+	record := []byte{0x1f, 0x00, 0xff, '{'}
+	if err := s.Put(k, 3, 7, -99, record); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(s.cellPath(k, 3, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !isEnvelope(raw) {
-		t.Fatalf("binary store wrote a non-envelope entry: %q", raw)
+	if !bytes.HasPrefix(raw, envelopeMagic[:]) {
+		t.Fatalf("entry does not open with the envelope magic: % x", raw)
 	}
 	got, ok := s.Get(k, 3, 7, -99)
-	if !ok || string(got) != string(data) {
-		t.Fatalf("Get = %q, %v; want %s", got, ok, data)
+	if !ok || !bytes.Equal(got, record) {
+		t.Fatalf("Get = % x, %v; want % x", got, ok, record)
 	}
 	// Wrong seed is still a miss.
 	if _, ok := s.Get(k, 3, 7, 99); ok {
-		t.Fatal("binary entry served under a different seed")
+		t.Fatal("entry served under a different seed")
 	}
 }
 
-// TestMixedEncodingDirectory: entries written under either encoding are
-// served by a store configured with the other — reads auto-detect per
-// entry, so flipping -codec never invalidates a warm cache.
-func TestMixedEncodingDirectory(t *testing.T) {
-	dir := t.TempDir()
-	jsonStore, err := Open(dir)
+// retiredEntries are the two forms older builds wrote for one cell: the
+// JSON envelope and the binary envelope with a compact-JSON body. Both
+// carry a valid digest of their payload and the right seed.
+func retiredEntries(seed int64, payload string) (jsonEnvelope, binaryEnvelope []byte) {
+	sum := sha256.Sum256([]byte(payload))
+	jsonEnvelope = fmt.Appendf(nil, `{"seed":%d,"sha256":%q,"data":%s}`, seed, hex.EncodeToString(sum[:]), payload)
+	binaryEnvelope = append([]byte{0x89, 'I', 'O', 'S', 'C', '1', '\r', '\n'}, binary.AppendVarint(nil, seed)...)
+	binaryEnvelope = binary.AppendUvarint(binaryEnvelope, uint64(len(payload)))
+	binaryEnvelope = append(append(binaryEnvelope, payload...), sum[:]...)
+	return jsonEnvelope, binaryEnvelope
+}
+
+// TestRetiredEnvelopesAreMisses: an entry written before cells were
+// stored as packed records is never unpacked as one — it reads as a miss,
+// and the next Put repairs it in place.
+func TestRetiredEnvelopesAreMisses(t *testing.T) {
+	s, err := Open(t.TempDir())
 	if err != nil {
-		t.Fatal(err)
-	}
-	binStore, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := binStore.SetEncoding(EncodingBinary); err != nil {
 		t.Fatal(err)
 	}
 	k := RunKey("fig5", []byte(`{"seed":1}`), 1)
-	if err := jsonStore.Put(k, 0, 0, 1, json.RawMessage(`"via-json"`)); err != nil {
+	path := s.cellPath(k, 0, 0)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := binStore.Put(k, 0, 1, 2, json.RawMessage(`"via-binary"`)); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*Store{jsonStore, binStore} {
-		if got, ok := s.Get(k, 0, 0, 1); !ok || string(got) != `"via-json"` {
-			t.Fatalf("json entry via %q store: %q, %v", s.encoding, got, ok)
+	jsonEnv, binEnv := retiredEntries(7, `{"offline":true,"online":false}`)
+	for name, raw := range map[string][]byte{"json-envelope": jsonEnv, "binary-envelope": binEnv} {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if got, ok := s.Get(k, 0, 1, 2); !ok || string(got) != `"via-binary"` {
-			t.Fatalf("binary entry via %q store: %q, %v", s.encoding, got, ok)
+		if got, ok := s.Get(k, 0, 0, 7); ok {
+			t.Fatalf("%s entry served as record % x", name, got)
+		}
+		if err := s.Put(k, 0, 0, 7, []byte{0x01}); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := s.Get(k, 0, 0, 7); !ok || !bytes.Equal(got, []byte{0x01}) {
+			t.Fatalf("%s entry not repaired by Put: % x, %v", name, got, ok)
 		}
 	}
 }
 
-// TestCorruptBinaryEnvelopeIsMiss pins the miss-never-error contract on
-// the binary path.
+// TestCorruptBinaryEnvelopeIsMiss pins the miss-never-error contract.
 func TestCorruptBinaryEnvelopeIsMiss(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetEncoding(EncodingBinary); err != nil {
-		t.Fatal(err)
-	}
 	k := RunKey("fig5", []byte(`{"seed":1}`), 1)
-	if err := s.Put(k, 1, 2, 5, json.RawMessage(`{"payload":"with enough bytes to truncate"}`)); err != nil {
+	if err := s.Put(k, 1, 2, 5, []byte("a record with enough bytes to truncate")); err != nil {
 		t.Fatal(err)
 	}
 	path := s.cellPath(k, 1, 2)
@@ -96,6 +103,11 @@ func TestCorruptBinaryEnvelopeIsMiss(t *testing.T) {
 			c[len(c)/2] ^= 0x01
 			return c
 		},
+		"seed-flip": func(b []byte) []byte {
+			c := append([]byte(nil), b...)
+			c[len(envelopeMagic)] ^= 0x02
+			return c
+		},
 		"digest-flip": func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)-1] ^= 0x01
@@ -107,7 +119,7 @@ func TestCorruptBinaryEnvelopeIsMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, ok := s.Get(k, 1, 2, 5); ok {
-			t.Fatalf("%s binary entry served", name)
+			t.Fatalf("%s envelope served", name)
 		}
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
@@ -118,6 +130,8 @@ func TestCorruptBinaryEnvelopeIsMiss(t *testing.T) {
 	}
 }
 
+// TestSetEncodingRejectsUnknown: the deprecated shim still validates
+// its argument and otherwise changes nothing about what Put writes.
 func TestSetEncodingRejectsUnknown(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -126,7 +140,41 @@ func TestSetEncodingRejectsUnknown(t *testing.T) {
 	if err := s.SetEncoding("v3"); err == nil {
 		t.Fatal("unknown encoding accepted")
 	}
-	if err := s.SetEncoding(""); err != nil || s.encoding != EncodingJSON {
-		t.Fatalf("empty encoding: %v, %q", err, s.encoding)
+	k := RunKey("fig5", []byte(`{"seed":1}`), 1)
+	var entries [][]byte
+	for i, enc := range []string{"", EncodingJSON, EncodingBinary} {
+		if err := s.SetEncoding(enc); err != nil {
+			t.Fatalf("SetEncoding(%q): %v", enc, err)
+		}
+		if err := s.Put(k, i, 0, 1, []byte("rec")); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(s.cellPath(k, i, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, raw)
 	}
+	if !bytes.Equal(entries[0], entries[1]) || !bytes.Equal(entries[1], entries[2]) {
+		t.Fatal("SetEncoding changed what Put writes")
+	}
+}
+
+// FuzzDecodeEnvelope hammers the cell-envelope decoder: it never panics,
+// and anything it accepts re-encodes to exactly the bytes it came from,
+// so a decoded record is the one a Put wrote.
+func FuzzDecodeEnvelope(f *testing.F) {
+	// testdata/fuzz/FuzzDecodeEnvelope holds the checked-in seeds: a valid
+	// entry, a truncation, a flipped magic and both retired forms.
+	f.Add(encodeEnvelope(-42, []byte{0x1f, 0x07}))
+	f.Add([]byte(nil))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		seed, record, ok := decodeEnvelope(raw)
+		if !ok {
+			return
+		}
+		if again := encodeEnvelope(seed, record); !bytes.Equal(again, raw) {
+			t.Fatalf("accepted envelope re-encodes differently:\n got % x\nwant % x", again, raw)
+		}
+	})
 }

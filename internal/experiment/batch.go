@@ -9,7 +9,6 @@ package experiment
 // never on which batch computed it.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -19,29 +18,39 @@ import (
 
 // batchSets validates and canonicalises per-run cell sets against the
 // selection's runs: one set per run, each de-duplicated, sorted and
-// in-range. Returns the canonical sets and per-run membership tests.
-func batchSets(names []string, grids []shard.Grid, cells [][]int) ([][]int, []map[int]bool, error) {
+// in-range.
+func batchSets(names []string, grids []shard.Grid, cells [][]int) ([][]int, error) {
 	if len(cells) != len(names) {
-		return nil, nil, fmt.Errorf("experiment: batch lists %d cell sets for %d runs", len(cells), len(names))
+		return nil, fmt.Errorf("experiment: batch lists %d cell sets for %d runs", len(cells), len(names))
 	}
 	canon := make([][]int, len(names))
-	member := make([]map[int]bool, len(names))
 	for ri := range names {
-		member[ri] = make(map[int]bool, len(cells[ri]))
+		member := make(map[int]bool, len(cells[ri]))
 		for _, g := range cells[ri] {
 			if g < 0 || g >= grids[ri].Cells() {
-				return nil, nil, fmt.Errorf("experiment: %s batch cell %d outside %dx%d grid",
+				return nil, fmt.Errorf("experiment: %s batch cell %d outside %dx%d grid",
 					names[ri], g, grids[ri].Points, grids[ri].Systems)
 			}
-			member[ri][g] = true
+			member[g] = true
 		}
-		canon[ri] = make([]int, 0, len(member[ri]))
-		for g := range member[ri] {
+		canon[ri] = make([]int, 0, len(member))
+		for g := range member {
 			canon[ri] = append(canon[ri], g)
 		}
 		sort.Ints(canon[ri])
 	}
-	return canon, member, nil
+	return canon, nil
+}
+
+// restrict turns the file into a cell batch holding cells[ri] of run ri
+// (validated and canonicalised by batchSets).
+func (s *selectionFile) restrict(cells [][]int) error {
+	canon, err := batchSets(s.names, s.grids, cells)
+	if err != nil {
+		return err
+	}
+	s.f.Shards, s.f.Index, s.f.Batch = 1, 0, &shard.BatchInfo{Cells: canon}
+	return nil
 }
 
 // RunBatchCached evaluates exactly the given cells of the selection —
@@ -51,76 +60,21 @@ func batchSets(names []string, grids []shard.Grid, cells [][]int) ([][]int, []ma
 // cell set are computed once and recorded under each name, exactly like
 // RunShard.
 func RunBatchCached(selection string, p ShardParams, parallelism int, cells [][]int, cache *cellcache.Store) (*shard.File, error) {
-	names, err := SelectionRuns(selection)
+	s, err := newSelectionFile(selection, p, parallelism, 1, 0)
+	if err == nil {
+		err = s.restrict(cells)
+	}
 	if err != nil {
 		return nil, err
 	}
-	p = p.Normalised()
-	rc := p.Context(parallelism).WithCache(cache)
-	params, err := json.Marshal(p)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: encode params: %w", err)
-	}
-	grids := make([]shard.Grid, len(names))
-	exps := make([]Experiment, len(names))
-	for ri, name := range names {
-		e, err := get(name)
-		if err != nil {
-			return nil, err
-		}
-		g, err := e.Grid(rc)
-		if err != nil {
-			return nil, err
-		}
-		exps[ri], grids[ri] = e, g
-	}
-	canon, member, err := batchSets(names, grids, cells)
-	if err != nil {
+	rc := s.rc.WithCache(cache)
+	if _, err := s.fill(func(e Experiment, _ shard.Grid, sel CellSelector) ([]shard.Cell, bool, error) {
+		cs, _, err := runCells(e, rc, sel)
+		return cs, true, err
+	}); err != nil {
 		return nil, err
 	}
-	f := &shard.File{
-		Version:   shard.FormatVersion,
-		Selection: selection,
-		Shards:    1,
-		Index:     0,
-		Params:    params,
-		Batch:     &shard.BatchInfo{Cells: canon},
-	}
-	if !SelectionReproducible(selection) {
-		f.Host = HostFingerprint()
-	}
-	type computed struct {
-		cells []shard.Cell
-		grid  shard.Grid
-	}
-	byKey := make(map[string]computed)
-	for ri, name := range names {
-		e := exps[ri]
-		// Shared-key runs dedup only when their cell sets agree too; a
-		// decomposition that assigned them differently computes each.
-		key := e.CellKey() + "|" + shard.FormatRanges(canon[ri])
-		c, ok := byKey[key]
-		if !ok {
-			m := member[ri]
-			sel := func(o, i int) bool { return m[o*grids[ri].Systems+i] }
-			cs, _, err := runCells(e, rc, sel)
-			if err != nil {
-				return nil, err
-			}
-			if cs == nil {
-				cs = []shard.Cell{}
-			}
-			c = computed{cells: cs, grid: grids[ri]}
-			byKey[key] = c
-		}
-		f.Runs = append(f.Runs, shard.Run{
-			Experiment:     name,
-			Grid:           c.grid,
-			PayloadVersion: e.Codec().Version,
-			Cells:          c.cells,
-		})
-	}
-	return f, nil
+	return s.f, nil
 }
 
 // CachedBatch builds the batch purely from the cache — no cell is
@@ -128,79 +82,12 @@ func RunBatchCached(selection string, p ShardParams, parallelism int, cells [][]
 // cell is absent; a true return carries a file byte-identical to what
 // RunBatchCached would produce for the same cells.
 func CachedBatch(cache *cellcache.Store, selection string, p ShardParams, cells [][]int) (*shard.File, bool, error) {
-	names, err := SelectionRuns(selection)
+	s, err := newSelectionFile(selection, p, 1, 1, 0)
+	if err == nil {
+		err = s.restrict(cells)
+	}
 	if err != nil {
 		return nil, false, err
 	}
-	if !SelectionReproducible(selection) {
-		// Same refusal as CachedShard: measurements are never cached.
-		return nil, false, nil
-	}
-	p = p.Normalised()
-	rc := p.Context(1)
-	params, err := json.Marshal(p)
-	if err != nil {
-		return nil, false, fmt.Errorf("experiment: encode params: %w", err)
-	}
-	grids := make([]shard.Grid, len(names))
-	exps := make([]Experiment, len(names))
-	for ri, name := range names {
-		e, err := get(name)
-		if err != nil {
-			return nil, false, err
-		}
-		g, err := e.Grid(rc)
-		if err != nil {
-			return nil, false, err
-		}
-		exps[ri], grids[ri] = e, g
-	}
-	canon, _, err := batchSets(names, grids, cells)
-	if err != nil {
-		return nil, false, err
-	}
-	f := &shard.File{
-		Version:   shard.FormatVersion,
-		Selection: selection,
-		Shards:    1,
-		Index:     0,
-		Params:    params,
-		Batch:     &shard.BatchInfo{Cells: canon},
-	}
-	type computed struct {
-		cells []shard.Cell
-		grid  shard.Grid
-	}
-	byKey := make(map[string]computed)
-	for ri, name := range names {
-		e := exps[ri]
-		key, err := cacheKey(e, rc)
-		if err != nil {
-			return nil, false, err
-		}
-		dedup := e.CellKey() + "|" + shard.FormatRanges(canon[ri])
-		c, ok := byKey[dedup]
-		if !ok {
-			g := grids[ri]
-			cs := make([]shard.Cell, 0, len(canon[ri]))
-			for _, gi := range canon[ri] {
-				o, i := gi/g.Systems, gi%g.Systems
-				seed := e.CellSeed(rc, o, i)
-				data, hit := cache.Get(key, o, i, seed)
-				if !hit {
-					return nil, false, nil
-				}
-				cs = append(cs, shard.Cell{Point: o, System: i, Seed: seed, Data: data})
-			}
-			c = computed{cells: cs, grid: g}
-			byKey[dedup] = c
-		}
-		f.Runs = append(f.Runs, shard.Run{
-			Experiment:     name,
-			Grid:           c.grid,
-			PayloadVersion: e.Codec().Version,
-			Cells:          c.cells,
-		})
-	}
-	return f, true, nil
+	return s.cached(cache)
 }

@@ -25,87 +25,59 @@ import (
 // params and run layout are rebuilt from the registry exactly as RunShard
 // builds them.
 func CachedShard(cache *cellcache.Store, selection string, p ShardParams, shards, index int) (*shard.File, bool, error) {
-	plan, err := shard.NewPlan(shards, index)
+	if _, err := shard.NewPlan(shards, index); err != nil {
+		return nil, false, err
+	}
+	s, err := newSelectionFile(selection, p, 1, shards, index)
 	if err != nil {
 		return nil, false, err
 	}
-	names, err := SelectionRuns(selection)
-	if err != nil {
-		return nil, false, err
-	}
-	if !SelectionReproducible(selection) {
+	return s.cached(cache)
+}
+
+// cached fills the file purely from the cache (see CachedShard and
+// CachedBatch).
+func (s *selectionFile) cached(cache *cellcache.Store) (*shard.File, bool, error) {
+	if !SelectionReproducible(s.f.Selection) {
 		// Non-reproducible cells are never cached, so the cache can
 		// never answer for them — a fresh measurement is required.
 		return nil, false, nil
 	}
-	p = p.Normalised()
-	rc := p.Context(1)
-	params, err := json.Marshal(p)
-	if err != nil {
-		return nil, false, fmt.Errorf("experiment: encode params: %w", err)
-	}
-	f := &shard.File{
-		Version:   shard.FormatVersion,
-		Selection: selection,
-		Shards:    shards,
-		Index:     index,
-		Params:    params,
-	}
-	type computed struct {
-		cells []shard.Cell
-		grid  shard.Grid
-	}
-	byKey := make(map[string]computed)
-	for _, name := range names {
-		e, err := get(name)
+	ok, err := s.fill(func(e Experiment, g shard.Grid, sel CellSelector) ([]shard.Cell, bool, error) {
+		key, err := cacheKey(e, s.rc)
 		if err != nil {
 			return nil, false, err
 		}
-		c, ok := byKey[e.CellKey()]
-		if !ok {
-			g, err := e.Grid(rc)
-			if err != nil {
-				return nil, false, err
-			}
-			key, err := cacheKey(e, rc)
-			if err != nil {
-				return nil, false, err
-			}
-			sel := plan.Selector(g.Systems)
-			// Non-nil even when the shard owns no cell of this grid, so the
-			// encoded file matches RunShard's ("[]", never "null").
-			cells := make([]shard.Cell, 0, g.Cells()/shards+1)
-			for o := 0; o < g.Points; o++ {
-				for i := 0; i < g.Systems; i++ {
-					if !sel(o, i) {
-						continue
-					}
-					seed := e.CellSeed(rc, o, i)
-					data, hit := cache.Get(key, o, i, seed)
-					if !hit {
-						return nil, false, nil
-					}
-					cells = append(cells, shard.Cell{Point: o, System: i, Seed: seed, Data: data})
+		codec := payloadCodec(e)
+		// Non-nil even when the file owns no cell of this grid, so the
+		// encoded file matches a computed one's ("[]", never "null").
+		cells := []shard.Cell{}
+		for o := 0; o < g.Points; o++ {
+			for i := 0; i < g.Systems; i++ {
+				if !sel(o, i) {
+					continue
 				}
+				c, hit := cachedCell(cache, codec, key, o, i, e.CellSeed(s.rc, o, i))
+				if !hit {
+					return nil, false, nil
+				}
+				cells = append(cells, c)
 			}
-			c = computed{cells: cells, grid: g}
-			byKey[e.CellKey()] = c
 		}
-		f.Runs = append(f.Runs, shard.Run{
-			Experiment:     name,
-			Grid:           c.grid,
-			PayloadVersion: e.Codec().Version,
-			Cells:          c.cells,
-		})
+		return cells, true, nil
+	})
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	return f, true, nil
+	return s.f, true, nil
 }
 
 // DepositFile deposits every cell of a shard (or merged) file into the
-// cache under the run's key for params p. Runs whose recorded payload
-// version differs from the registered codec's — files written by an older
-// or newer build — are skipped rather than deposited under a layout they
-// do not carry; runs sharing a cell key (Figures 6 and 7) deposit once.
+// cache under the run's key for params p, each as its packed record.
+// Runs whose recorded payload version differs from the registered
+// codec's — files written by an older or newer build — are skipped rather
+// than deposited under a layout they do not carry; runs sharing a cell
+// key (Figures 6 and 7) deposit once.
 // Callers pass files they have validated (dispatch validates before
 // merging); the recorded seeds are stored as-is, and a wrong one can
 // never be served — Get re-checks the seed on every read.
@@ -135,8 +107,13 @@ func DepositFile(cache *cellcache.Store, f *shard.File, p ShardParams) error {
 		}
 		seen[ck] = true
 		key := cellcache.RunKey(ck, params, e.Codec().Version)
+		codec := payloadCodec(e)
 		for _, c := range r.Cells {
-			if err := cache.Put(key, c.Point, c.System, c.Seed, c.Data); err != nil {
+			w := &shard.ColumnWriter{}
+			if err := codec.Pack(w, c.Data); err != nil {
+				return fmt.Errorf("experiment: run %q cell (%d,%d): %w", r.Experiment, c.Point, c.System, err)
+			}
+			if err := cache.Put(key, c.Point, c.System, c.Seed, w.Bytes()); err != nil {
 				return err
 			}
 		}

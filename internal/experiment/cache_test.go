@@ -2,6 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -205,6 +209,76 @@ func TestCacheCorruptEntryRecomputed(t *testing.T) {
 	}
 	if repaired, err := os.ReadFile(victim); err != nil || len(repaired) <= len(data)/2 {
 		t.Fatalf("entry not rewritten after recomputation (err=%v, %d bytes)", err, len(repaired))
+	}
+}
+
+// TestRetiredCacheEntriesAreRecomputed: a store written before cells were
+// cached as packed records — in either retired envelope, each carrying a
+// valid digest and the right seed — is never mis-decoded. Every entry
+// reads as a miss, the run stays byte-identical, and the recomputation
+// repairs the store.
+func TestRetiredCacheEntriesAreRecomputed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	p := shardParamsFast()
+	ref, err := RunShard(ExpFig5, p, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := encoded(t, ref)
+	byName := map[string]shard.Cell{}
+	for _, c := range ref.Runs[0].Cells {
+		byName[fmt.Sprintf("%d_%d.json", c.Point, c.System)] = c
+	}
+	retire := map[string]func(seed int64, payload []byte) []byte{
+		"json": func(seed int64, payload []byte) []byte {
+			return fmt.Appendf(nil, `{"seed":%d,"sha256":"%x","data":%s}`, seed, sha256.Sum256(payload), payload)
+		},
+		"binary": func(seed int64, payload []byte) []byte {
+			sum := sha256.Sum256(payload)
+			raw := binary.AppendVarint([]byte("\x89IOSC1\r\n"), seed)
+			raw = binary.AppendUvarint(raw, uint64(len(payload)))
+			return append(append(raw, payload...), sum[:]...)
+		},
+	}
+	for form, encode := range retire {
+		dir := t.TempDir()
+		if _, err := RunShardCached(ExpFig5, p, 1, 1, 0, openStore(t, dir)); err != nil {
+			t.Fatal(err)
+		}
+		entries := 0
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			c, ok := byName[d.Name()]
+			if !ok {
+				return fmt.Errorf("unexpected entry %s", path)
+			}
+			payload, err := json.Marshal(c.Data)
+			if err != nil {
+				return err
+			}
+			entries++
+			return os.WriteFile(path, encode(c.Seed, payload), 0o644)
+		})
+		if err != nil || entries != len(byName) {
+			t.Fatalf("%s: retired %d of %d entries (err=%v)", form, entries, len(byName), err)
+		}
+		for pass, wantMisses := range []int{entries, 0} {
+			s := openStore(t, dir)
+			got, err := RunShardCached(ExpFig5, p, 1, 1, 0, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encoded(t, got), want) {
+				t.Fatalf("%s pass %d: run over retired entries differs from the uncached run", form, pass)
+			}
+			if st := s.Stats(); st.Misses != uint64(wantMisses) {
+				t.Fatalf("%s pass %d: stats = %+v, want %d misses", form, pass, st, wantMisses)
+			}
+		}
 	}
 }
 

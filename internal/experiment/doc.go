@@ -28,7 +28,15 @@
 // randomness from their (experiment, point, system) grid path via
 // exec.DeriveSeed, aggregation folds in grid order with fixed-order
 // float sums, and payloads round-trip losslessly through each
-// experiment's versioned codec. The paper's full scale (1000 systems
+// experiment's versioned codec.
+//
+// Cells carry their payload as the experiment's typed value (a *T under
+// the typed shard.PayloadCodec each built-in registers), from
+// computation through merge to aggregation: FromCells reads the values
+// it is handed, v1 JSON and v2 binary files are two serialisers of them,
+// and the cell cache stores each cell as its packed v2 record. Only an
+// experiment without a typed codec carries its payload as JSON, which
+// aggregation decodes through Codec().New. The paper's full scale (1000 systems
 // per point, GA population 300 × 500 generations) is reproduced by
 // PaperScale; the defaults are a calibrated scaled-down configuration
 // that preserves every qualitative relationship and finishes in seconds

@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"repro/internal/cellcache"
 	"repro/internal/exec"
@@ -63,6 +64,12 @@ func RunCells(name string, rc RunContext, sel CellSelector) ([]shard.Cell, shard
 	return runCells(e, rc, sel)
 }
 
+// runCells evaluates the selected cells in grid order. Cells the
+// context's cache holds under this run's seeds are reused; only the rest
+// is computed, fanned over rc's workers, and deposited back as packed
+// records. The cells are the same either way: each derives its randomness
+// from a sub-seed over its (runner, point, system) path, so it evaluates
+// to the same value in any subset, process or parallelism.
 func runCells(e Experiment, rc RunContext, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
 	g, err := e.Grid(rc)
 	if err != nil {
@@ -75,69 +82,92 @@ func runCells(e Experiment, rc RunContext, sel CellSelector) ([]shard.Cell, shar
 	// cache — whose contract is "a hit's bytes equal a recomputation's"
 	// — can neither serve nor store them: the cache is bypassed, never
 	// poisoned.
-	if rc.Cache != nil && Reproducible(e) {
-		return runCellsCached(e, rc, g, sel)
-	}
-	refs, vals, err := gridSubset(rc.Config.Parallelism, g.Points, g.Systems, sel,
-		func(o, i int) (any, error) { return e.Cell(rc, o, i) })
-	if err != nil {
-		return nil, g, err
-	}
-	cells, err := marshalCells(refs, vals, func(o, i int) int64 { return e.CellSeed(rc, o, i) })
-	return cells, g, err
-}
-
-// runCellsCached is runCells with the context's cell cache consulted
-// first: cached cells are reused verbatim (their recorded seed must match
-// the seed this run derives, or they read as misses), only the frontier —
-// the selected cells the cache does not hold — is computed, and every
-// computed cell is deposited back. The returned cells are byte-identical
-// to an uncached run's: a hit's payload bytes were marshalled by an
-// earlier run of the very same deterministic cell computation.
-func runCellsCached(e Experiment, rc RunContext, g shard.Grid, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
-	key, err := cacheKey(e, rc)
-	if err != nil {
-		return nil, g, err
-	}
-	refs := make([]cellRef, 0, g.Cells())
-	for o := 0; o < g.Points; o++ {
-		for i := 0; i < g.Systems; i++ {
-			if sel == nil || sel(o, i) {
-				refs = append(refs, cellRef{o, i})
-			}
+	cache, codec := rc.Cache, payloadCodec(e)
+	var key cellcache.Key
+	if !Reproducible(e) {
+		cache = nil
+	} else if cache != nil {
+		if key, err = cacheKey(e, rc); err != nil {
+			return nil, g, err
 		}
 	}
-	cells := make([]shard.Cell, len(refs))
-	var frontier []int // indices into refs the cache does not cover
-	for k, r := range refs {
-		seed := e.CellSeed(rc, r.o, r.i)
-		if data, ok := rc.Cache.Get(key, r.o, r.i, seed); ok {
-			cells[k] = shard.Cell{Point: r.o, System: r.i, Seed: seed, Data: data}
-		} else {
-			frontier = append(frontier, k)
+	cells := []shard.Cell{}
+	var frontier []int // indices into cells the cache does not cover
+	for o := 0; o < g.Points; o++ {
+		for i := 0; i < g.Systems; i++ {
+			if sel != nil && !sel(o, i) {
+				continue
+			}
+			seed := e.CellSeed(rc, o, i)
+			c, ok := cachedCell(cache, codec, key, o, i, seed)
+			if !ok {
+				c = shard.Cell{Point: o, System: i, Seed: seed}
+				frontier = append(frontier, len(cells))
+			}
+			cells = append(cells, c)
 		}
 	}
 	vals, err := exec.Map(exec.New(rc.Config.Parallelism), context.Background(), len(frontier),
 		func(_ context.Context, m int) (any, error) {
-			r := refs[frontier[m]]
-			return e.Cell(rc, r.o, r.i)
+			c := cells[frontier[m]]
+			return e.Cell(rc, c.Point, c.System)
 		})
 	if err != nil {
 		return nil, g, err
 	}
 	for m, k := range frontier {
-		r := refs[k]
-		data, err := json.Marshal(vals[m])
-		if err != nil {
-			return nil, g, fmt.Errorf("experiment: encode cell (%d,%d): %w", r.o, r.i, err)
+		c := &cells[k]
+		if c.Data, err = cellData(e, vals[m]); err != nil {
+			return nil, g, fmt.Errorf("experiment: encode cell (%d,%d): %w", c.Point, c.System, err)
 		}
-		seed := e.CellSeed(rc, r.o, r.i)
-		cells[k] = shard.Cell{Point: r.o, System: r.i, Seed: seed, Data: data}
 		// Deposits are best-effort: a full or read-only cache directory
 		// must not fail the run it merely accelerates.
-		_ = rc.Cache.Put(key, r.o, r.i, seed, data)
+		w := &shard.ColumnWriter{}
+		if cache != nil && codec.Pack(w, c.Data) == nil {
+			_ = cache.Put(key, c.Point, c.System, c.Seed, w.Bytes())
+		}
 	}
 	return cells, g, nil
+}
+
+// cellData turns a computed payload into the value a cell carries: a
+// pointer to it under a typed payload codec (what the codec packs and
+// Aggregate reads), its JSON under the generic codec.
+func cellData(e Experiment, v any) (any, error) {
+	if e.Codec().Payload == nil {
+		b, err := json.Marshal(v)
+		return json.RawMessage(b), err
+	}
+	if rv := reflect.ValueOf(v); rv.Kind() != reflect.Pointer {
+		p := reflect.New(rv.Type())
+		p.Elem().Set(rv)
+		return p.Interface(), nil
+	}
+	return v, nil
+}
+
+// cachedCell serves cell (o, i) from the cache (nil = none): a hit only
+// when the entry verifies under the seed and its record unpacks exactly
+// through codec.
+func cachedCell(cache *cellcache.Store, codec shard.PayloadCodec, key cellcache.Key, o, i int, seed int64) (shard.Cell, bool) {
+	if cache == nil {
+		return shard.Cell{}, false
+	}
+	rec, ok := cache.Get(key, o, i, seed)
+	if !ok {
+		return shard.Cell{}, false
+	}
+	cell := []shard.Cell{{Point: o, System: i, Seed: seed}}
+	r := shard.NewColumnReader(rec)
+	if codec.Unpack(r, cell) != nil || r.Remaining() != 0 {
+		return shard.Cell{}, false
+	}
+	return cell[0], true
+}
+
+// payloadCodec returns the shard codec e's cells travel under.
+func payloadCodec(e Experiment) shard.PayloadCodec {
+	return shard.PayloadCodecFor(e.Name(), e.Codec().Version)
 }
 
 // cacheKey derives the context's cache namespace for e: the experiment's
@@ -241,13 +271,14 @@ func CellCoverage(name string, rc RunContext, cells []shard.Cell) (Coverage, err
 	return cov, nil
 }
 
-// decodeCells decodes an arbitrary subset of a grid's cells through the
-// experiment's codec into a sparse payload grid with a presence map and
+// decodeCells gathers an arbitrary subset of a grid's typed cell payloads
+// into a sparse payload grid with a presence map and
 // its coverage. Duplicated, out-of-range and undecodable cells are
 // rejected — a partial result must be an honest subset of the full run,
 // never a guess.
 func decodeCells(e Experiment, g shard.Grid, cells []shard.Cell) (at func(o, i int) any, has func(o, i int) bool, cov Coverage, err error) {
 	codec := e.Codec()
+	want := reflect.TypeOf(codec.New())
 	cov = Coverage{Total: g.Cells(), PointHave: make([]int, g.Points), Inner: g.Systems}
 	if len(cells) > g.Cells() {
 		return nil, nil, Coverage{}, fmt.Errorf("experiment: %d cells for a %dx%d grid", len(cells), g.Points, g.Systems)
@@ -265,9 +296,16 @@ func decodeCells(e Experiment, g shard.Grid, cells []shard.Cell) (at func(o, i i
 		present[idx] = true
 		cov.Have++
 		cov.PointHave[c.Point]++
-		p := codec.New()
-		if err := json.Unmarshal(c.Data, p); err != nil {
-			return nil, nil, Coverage{}, fmt.Errorf("experiment: decode cell (%d,%d): %w", c.Point, c.System, err)
+		p := c.Data
+		if raw, ok := p.(json.RawMessage); ok {
+			// The generic JSON codec's value (an experiment without a typed
+			// codec, or cells built by hand).
+			p = codec.New()
+			if err := json.Unmarshal(raw, p); err != nil {
+				return nil, nil, Coverage{}, fmt.Errorf("experiment: decode cell (%d,%d): %w", c.Point, c.System, err)
+			}
+		} else if reflect.TypeOf(p) != want {
+			return nil, nil, Coverage{}, fmt.Errorf("experiment: cell (%d,%d) payload is %T, want %v", c.Point, c.System, p, want)
 		}
 		payloads[idx] = p
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -98,39 +97,10 @@ type qOutcome struct {
 	OK  bool    `json:"ok"`
 }
 
-// cellRef locates one cell of an outer × inner grid.
-type cellRef struct{ o, i int }
-
 // CellSelector picks the grid cells a run evaluates; nil selects every
 // cell. The shard workflow passes a round-robin ownership predicate
 // (shard.Plan.Selector) so N processes cover the grid disjointly.
 type CellSelector func(point, system int) bool
-
-// gridSubset fans fn over the cells selected by sel (nil = all) in grid
-// order and returns their locations and values, also in grid order. It is
-// the engine under both the in-process runners (full grid, aggregated
-// immediately) and the shard workflow (arbitrary subsets, serialised and
-// merged later): every cell derives its randomness from a private
-// sub-seed over the (runner, point, system) path, so a cell evaluates to
-// the same value in any subset, any process, at any parallelism.
-func gridSubset[T any](parallelism, outer, inner int, sel CellSelector, fn func(o, i int) (T, error)) ([]cellRef, []T, error) {
-	refs := make([]cellRef, 0, outer*inner)
-	for o := 0; o < outer; o++ {
-		for i := 0; i < inner; i++ {
-			if sel == nil || sel(o, i) {
-				refs = append(refs, cellRef{o, i})
-			}
-		}
-	}
-	vals, err := exec.Map(exec.New(parallelism), context.Background(), len(refs),
-		func(_ context.Context, k int) (T, error) {
-			return fn(refs[k].o, refs[k].i)
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return refs, vals, nil
-}
 
 // Method names as they appear in the figures.
 const (

@@ -7,67 +7,18 @@ package experiment
 // verdict shrinks from ~70 JSON bytes to one byte, a quality outcome
 // from ~40 to 17.
 //
-// Losslessness is structural, not hoped for: a codec unpacks back into
-// the same payload struct json.Marshal produced the JSON from, so the
-// re-marshalled bytes are identical whenever the value round-trips the
-// binary form bit-exactly (floats travel as raw IEEE bits, nil-ness is
-// an explicit flag). The shard encoder additionally verifies every
-// packed column against the original compact JSON and falls back to the
-// JSON column on any mismatch, so a payload these codecs cannot express
-// (foreign fields from another build, non-canonical number spellings)
-// costs compression, never correctness.
+// A codec is an exact inverse pair over the payload struct the
+// experiment's cells carry (floats travel as raw IEEE bits, nil-ness as
+// an explicit flag), so the v1 JSON render of an unpacked value is
+// byte-identical to the render of the value that was packed.
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/shard"
 	"repro/internal/timing"
 	"repro/internal/trace"
 )
-
-// columnCodec lifts a typed pack/unpack pair over one payload value into
-// a shard.PayloadCodec over a whole column. EncodeColumn rejects any
-// payload that does not unmarshal into T (the shard encoder treats that
-// as "fall back to JSON", not an error); DecodeColumn re-marshals each
-// unpacked value, reproducing the exact compact JSON json.Marshal wrote
-// when the cell was computed.
-type columnCodec[T any] struct {
-	pack   func(w *shard.ColumnWriter, v *T)
-	unpack func(r *shard.ColumnReader, v *T) error
-}
-
-func (c columnCodec[T]) EncodeColumn(payloads []json.RawMessage) ([]byte, error) {
-	w := &shard.ColumnWriter{}
-	for i, p := range payloads {
-		var v T
-		if err := json.Unmarshal(p, &v); err != nil {
-			return nil, fmt.Errorf("experiment: payload %d: %w", i, err)
-		}
-		c.pack(w, &v)
-	}
-	return w.Bytes(), nil
-}
-
-func (c columnCodec[T]) DecodeColumn(data []byte, n int) ([]json.RawMessage, error) {
-	r := shard.NewColumnReader(data)
-	out := make([]json.RawMessage, n)
-	for i := range out {
-		var v T
-		if err := c.unpack(r, &v); err != nil {
-			return nil, fmt.Errorf("experiment: payload %d: %w", i, err)
-		}
-		b, err := json.Marshal(v)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: payload %d: %w", i, err)
-		}
-		out[i] = b
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("experiment: %d trailing bytes after the last payload", r.Remaining())
-	}
-	return out, nil
-}
 
 // ---- shared qOutcome primitives ----
 
@@ -96,8 +47,8 @@ func unpackQOutcome(r *shard.ColumnReader, q *qOutcome) (err error) {
 
 // fig5PayloadCodec packs the five method verdicts into one bitmask byte.
 func fig5PayloadCodec() PayloadCodec {
-	return columnCodec[fig5Outcome]{
-		pack: func(w *shard.ColumnWriter, v *fig5Outcome) {
+	return shard.NewCodec(
+		func(w *shard.ColumnWriter, v *fig5Outcome) {
 			var b byte
 			for i, ok := range [...]bool{v.Offline, v.Online, v.GPIOCP, v.Static, v.GA} {
 				if ok {
@@ -106,7 +57,7 @@ func fig5PayloadCodec() PayloadCodec {
 			}
 			w.Byte(b)
 		},
-		unpack: func(r *shard.ColumnReader, v *fig5Outcome) error {
+		func(r *shard.ColumnReader, v *fig5Outcome) error {
 			b, err := r.Byte()
 			if err != nil {
 				return err
@@ -118,19 +69,19 @@ func fig5PayloadCodec() PayloadCodec {
 				b&1 != 0, b&2 != 0, b&4 != 0, b&8 != 0, b&16 != 0
 			return nil
 		},
-	}
+	)
 }
 
 // figqPayloadCodec packs the four per-method quality outcomes.
 func figqPayloadCodec() PayloadCodec {
-	return columnCodec[figqOutcome]{
-		pack: func(w *shard.ColumnWriter, v *figqOutcome) {
+	return shard.NewCodec(
+		func(w *shard.ColumnWriter, v *figqOutcome) {
 			packQOutcome(w, &v.Offline)
 			packQOutcome(w, &v.CP)
 			packQOutcome(w, &v.Static)
 			packQOutcome(w, &v.GA)
 		},
-		unpack: func(r *shard.ColumnReader, v *figqOutcome) error {
+		func(r *shard.ColumnReader, v *figqOutcome) error {
 			for _, q := range [...]*qOutcome{&v.Offline, &v.CP, &v.Static, &v.GA} {
 				if err := unpackQOutcome(r, q); err != nil {
 					return err
@@ -138,30 +89,27 @@ func figqPayloadCodec() PayloadCodec {
 			}
 			return nil
 		},
-	}
+	)
 }
 
 // qPayloadCodec packs a single quality outcome (the multidevice cell).
 func qPayloadCodec() PayloadCodec {
-	return columnCodec[qOutcome]{
-		pack:   packQOutcome,
-		unpack: unpackQOutcome,
-	}
+	return shard.NewCodec(packQOutcome, unpackQOutcome)
 }
 
 // qSlicePayloadCodec packs a variant slice of quality outcomes (the
 // ablation cell). nil and empty slices are distinct JSON ("null" vs
 // "[]"), so nil-ness travels as an explicit flag.
 func qSlicePayloadCodec() PayloadCodec {
-	return columnCodec[[]qOutcome]{
-		pack: func(w *shard.ColumnWriter, v *[]qOutcome) {
+	return shard.NewCodec(
+		func(w *shard.ColumnWriter, v *[]qOutcome) {
 			w.Bool(*v == nil)
 			w.Uvarint(uint64(len(*v)))
 			for i := range *v {
 				packQOutcome(w, &(*v)[i])
 			}
 		},
-		unpack: func(r *shard.ColumnReader, v *[]qOutcome) error {
+		func(r *shard.ColumnReader, v *[]qOutcome) error {
 			isNil, err := r.Bool()
 			if err != nil {
 				return err
@@ -189,13 +137,13 @@ func qSlicePayloadCodec() PayloadCodec {
 			*v = out
 			return nil
 		},
-	}
+	)
 }
 
 // tailqPayloadCodec packs the per-job quality census.
 func tailqPayloadCodec() PayloadCodec {
-	return columnCodec[tailqOutcome]{
-		pack: func(w *shard.ColumnWriter, v *tailqOutcome) {
+	return shard.NewCodec(
+		func(w *shard.ColumnWriter, v *tailqOutcome) {
 			w.Bool(v.OK)
 			w.Varint(int64(v.Jobs))
 			w.Varint(int64(v.Exact))
@@ -204,7 +152,7 @@ func tailqPayloadCodec() PayloadCodec {
 			w.Float64(v.SumUps)
 			w.Float64(v.MinUps)
 		},
-		unpack: func(r *shard.ColumnReader, v *tailqOutcome) error {
+		func(r *shard.ColumnReader, v *tailqOutcome) error {
 			ok, err := r.Bool()
 			if err != nil {
 				return err
@@ -223,15 +171,15 @@ func tailqPayloadCodec() PayloadCodec {
 			v.MinUps, err = r.Float64()
 			return err
 		},
-	}
+	)
 }
 
 // jitterPayloadCodec packs the replay jitter census: a bool byte,
 // varint counts and percentiles, the raw-bits mean, and the histogram
 // as a nil-flagged varint sequence (nil and empty are distinct JSON).
 func jitterPayloadCodec() PayloadCodec {
-	return columnCodec[jitterOutcome]{
-		pack: func(w *shard.ColumnWriter, v *jitterOutcome) {
+	return shard.NewCodec(
+		func(w *shard.ColumnWriter, v *jitterOutcome) {
 			w.Bool(v.OK)
 			w.Varint(int64(v.Dispatched))
 			w.Varint(int64(v.Skipped))
@@ -250,7 +198,7 @@ func jitterPayloadCodec() PayloadCodec {
 				w.Varint(n)
 			}
 		},
-		unpack: func(r *shard.ColumnReader, v *jitterOutcome) error {
+		func(r *shard.ColumnReader, v *jitterOutcome) error {
 			ok, err := r.Bool()
 			if err != nil {
 				return err
@@ -298,7 +246,7 @@ func jitterPayloadCodec() PayloadCodec {
 			}
 			return nil
 		},
-	}
+	)
 }
 
 // motivationPayloadCodec packs the simulated accuracy report: nil-ness
@@ -308,8 +256,8 @@ func motivationPayloadCodec() PayloadCodec {
 	// An event is at minimum a zero-length label prefix and two one-byte
 	// varints; the count cap divides by it.
 	const minEventSize = 3
-	return columnCodec[motivationOutcome]{
-		pack: func(w *shard.ColumnWriter, v *motivationOutcome) {
+	return shard.NewCodec(
+		func(w *shard.ColumnWriter, v *motivationOutcome) {
 			w.Bool(v.Report == nil)
 			if rep := v.Report; rep != nil {
 				w.Bool(rep.Events == nil)
@@ -325,7 +273,7 @@ func motivationPayloadCodec() PayloadCodec {
 			}
 			w.Varint(int64(v.BaseLatency))
 		},
-		unpack: func(r *shard.ColumnReader, v *motivationOutcome) error {
+		func(r *shard.ColumnReader, v *motivationOutcome) error {
 			noReport, err := r.Bool()
 			if err != nil {
 				return err
@@ -386,5 +334,5 @@ func motivationPayloadCodec() PayloadCodec {
 			v.BaseLatency = timing.Cycle(base)
 			return nil
 		},
-	}
+	)
 }

@@ -70,28 +70,22 @@ func fillRandom(rng *rand.Rand, v reflect.Value) {
 	}
 }
 
-// randomPayloads generates n marshalled random payloads for e.
-func randomPayloads(t *testing.T, rng *rand.Rand, e Experiment, n int) []json.RawMessage {
-	t.Helper()
-	out := make([]json.RawMessage, n)
+// randomPayloads generates n random typed payloads for e (each the
+// pointer Codec().New returns, the value a cell carries).
+func randomPayloads(rng *rand.Rand, e Experiment, n int) []any {
+	out := make([]any, n)
 	for i := range out {
 		v := e.Codec().New()
 		fillRandom(rng, reflect.ValueOf(v).Elem())
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatalf("%s: marshal random payload: %v", e.Name(), err)
-		}
-		out[i] = b
+		out[i] = v
 	}
 	return out
 }
 
 // TestPayloadCodecRoundTrip is the direct property test: for every
-// registered experiment with a native payload codec, random payloads
-// packed into a column and unpacked again must reproduce the original
-// compact JSON byte for byte. This is the same check the binary encoder
-// runs per file (verifyColumn); here it must hold unconditionally, not
-// fall back.
+// registered experiment with a typed payload codec, random payloads
+// packed into a column and unpacked again must deep-equal the originals
+// and render the same JSON byte for byte.
 func TestPayloadCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tested := 0
@@ -105,18 +99,26 @@ func TestPayloadCodecRoundTrip(t *testing.T) {
 		}
 		tested++
 		for round := 0; round < 50; round++ {
-			payloads := randomPayloads(t, rng, e, 1+rng.Intn(8))
-			packed, err := c.Payload.EncodeColumn(payloads)
-			if err != nil {
-				t.Fatalf("%s: EncodeColumn: %v", e.Name(), err)
+			payloads := randomPayloads(rng, e, 1+rng.Intn(8))
+			w := &shard.ColumnWriter{}
+			for _, p := range payloads {
+				if err := c.Payload.Pack(w, p); err != nil {
+					t.Fatalf("%s: Pack: %v", e.Name(), err)
+				}
 			}
-			got, err := c.Payload.DecodeColumn(packed, len(payloads))
-			if err != nil {
-				t.Fatalf("%s: DecodeColumn: %v", e.Name(), err)
+			got := make([]shard.Cell, len(payloads))
+			r := shard.NewColumnReader(w.Bytes())
+			if err := c.Payload.Unpack(r, got); err != nil || r.Remaining() != 0 {
+				t.Fatalf("%s: Unpack: %v (%d bytes left)", e.Name(), err, r.Remaining())
 			}
-			for i := range payloads {
-				if !bytes.Equal(got[i], payloads[i]) {
-					t.Fatalf("%s: payload %d round trip:\ngot  %s\nwant %s", e.Name(), i, got[i], payloads[i])
+			for i, want := range payloads {
+				if !reflect.DeepEqual(got[i].Data, want) {
+					t.Fatalf("%s: payload %d round trip:\ngot  %+v\nwant %+v", e.Name(), i, got[i].Data, want)
+				}
+				gotJSON, _ := json.Marshal(got[i].Data)
+				wantJSON, _ := json.Marshal(want)
+				if !bytes.Equal(gotJSON, wantJSON) {
+					t.Fatalf("%s: payload %d renders %s, want %s", e.Name(), i, gotJSON, wantJSON)
 				}
 			}
 		}
@@ -144,7 +146,7 @@ func TestBinaryContainerRoundTripAllExperiments(t *testing.T) {
 		if e.Codec().New == nil {
 			continue
 		}
-		payloads := randomPayloads(t, rng, e, 6)
+		payloads := randomPayloads(rng, e, 6)
 		run := shard.Run{
 			Experiment:     e.Name(),
 			Grid:           shard.Grid{Points: len(payloads), Systems: 1},
@@ -172,24 +174,12 @@ func TestBinaryContainerRoundTripAllExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Payloads deep-equal the originals when decoded through each
-	// experiment's own codec type.
+	// Payloads deep-equal the originals, typed as each experiment's codec
+	// types them.
 	for ri, run := range got.Runs {
-		e, ok := Lookup(run.Experiment)
-		if !ok {
-			t.Fatalf("run %d: unknown experiment %q", ri, run.Experiment)
-		}
 		for ci, cell := range run.Cells {
-			want := e.Codec().New()
-			if err := json.Unmarshal(f.Runs[ri].Cells[ci].Data, want); err != nil {
-				t.Fatal(err)
-			}
-			gotV := e.Codec().New()
-			if err := json.Unmarshal(cell.Data, gotV); err != nil {
-				t.Fatalf("%s cell %d: decoded payload does not unmarshal: %v", run.Experiment, ci, err)
-			}
-			if !reflect.DeepEqual(gotV, want) {
-				t.Fatalf("%s cell %d: decoded payload differs:\ngot  %+v\nwant %+v", run.Experiment, ci, gotV, want)
+			if want := f.Runs[ri].Cells[ci].Data; !reflect.DeepEqual(cell.Data, want) {
+				t.Fatalf("%s cell %d: decoded payload differs:\ngot  %+v\nwant %+v", run.Experiment, ci, cell.Data, want)
 			}
 		}
 	}

@@ -83,31 +83,30 @@ func motivationContext(mcfg MotivationConfig) RunContext {
 	return rc
 }
 
-// Codec is an experiment's versioned cell-payload codec. Payloads are
-// JSON-encoded; Version identifies the payload layout and is recorded in
-// shard files (shard.Run.PayloadVersion) so a reader rejects cells
-// written by an incompatible layout instead of silently mis-decoding
-// them. Bump Version whenever the payload struct changes incompatibly.
+// Codec is an experiment's versioned cell-payload codec. Version
+// identifies the payload layout and is recorded in shard files
+// (shard.Run.PayloadVersion) so a reader rejects cells written by an
+// incompatible layout instead of silently mis-decoding them. Bump
+// Version whenever the payload struct or its Payload codec changes
+// incompatibly.
 //
 // A zero Codec (nil New) marks a closed-form experiment with no cell
 // grid: Table I is recomputed at render time and never sharded.
 type Codec struct {
 	Version int
-	// New returns a pointer to a zero payload for decoding one cell.
+	// New returns a pointer to a zero payload: the type cells carry.
 	New func() any
-	// Payload, when non-nil, is the experiment's columnar payload codec
-	// for the v2 binary shard container: Register wires it into the shard
-	// layer under (Name, Version), and binary-encoded files then pack the
-	// experiment's payload column with it instead of per-cell JSON. An
-	// experiment without one still shards, caches and dispatches —
-	// binary files just fall back to the compact-JSON payload column.
+	// Payload, when non-nil, is the experiment's typed payload codec
+	// (shard.NewCodec over New's type): Register wires it into the shard
+	// layer under (Name, Version), cells then carry the typed value end to
+	// end, and binary files and cache entries pack it. An experiment
+	// without one still shards, caches and dispatches — its cells carry
+	// the payload's JSON under the generic JSON codec.
 	Payload PayloadCodec
 }
 
-// PayloadCodec is the experiment-side spelling of shard.PayloadCodec: a
-// lossless packer from one run's compact-JSON cell payloads to a binary
-// column and back (see payloadcodec.go for the columnCodec helper every
-// built-in experiment uses).
+// PayloadCodec is the experiment-side spelling of shard.PayloadCodec
+// (see payloadcodec.go for the built-in experiments' codecs).
 type PayloadCodec = shard.PayloadCodec
 
 // Result is one experiment's aggregated dataset. Rows is the only
@@ -159,8 +158,9 @@ type Experiment interface {
 	// Codec returns the versioned cell-payload codec; a zero Codec marks
 	// a closed-form experiment with nothing to shard.
 	Codec() Codec
-	// Cell evaluates one grid cell; the returned payload must round-trip
-	// losslessly through the codec.
+	// Cell evaluates one grid cell, returning its payload (a value or a
+	// pointer of Codec().New's type); it must round-trip losslessly
+	// through the codec.
 	Cell(rc RunContext, point, system int) (any, error)
 	// CellSeed returns the derived sub-seed recorded with the cell (0 if
 	// the cell draws no randomness).
@@ -168,8 +168,8 @@ type Experiment interface {
 	// Header renders the block the CLI prints above the result.
 	Header(rc RunContext) string
 	// Aggregate folds decoded cell payloads into the result in grid
-	// order. at(point, system) returns what Codec().New decoded for the
-	// cell; has restricts aggregation to the present cells (nil = the
+	// order. at(point, system) returns the cell's payload as a pointer of
+	// Codec().New's type; has restricts aggregation to the present cells (nil = the
 	// complete grid). A nil Result with a nil error means no provisional
 	// result exists for the subset (the motivation two-design
 	// comparison).

@@ -50,12 +50,6 @@ const (
 	ExpAll = "all"
 )
 
-// AllExperiments lists the registered experiment names in the canonical
-// "all" order.
-//
-// Deprecated: use Names, which this forwards to.
-func AllExperiments() []string { return Names() }
-
 // ShardParams is the run parameterisation recorded in every shard file:
 // everything that decides the grid contents and the rendered output,
 // and nothing host-local (parallelism is deliberately absent — it never
@@ -183,20 +177,6 @@ func HostFingerprint() string {
 		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version())
 }
 
-// marshalCells encodes subset values as shard cells, recording each
-// cell's derived seed.
-func marshalCells[T any](refs []cellRef, vals []T, seedFor func(o, i int) int64) ([]shard.Cell, error) {
-	cells := make([]shard.Cell, len(refs))
-	for k, r := range refs {
-		data, err := json.Marshal(vals[k])
-		if err != nil {
-			return nil, fmt.Errorf("experiment: encode cell (%d,%d): %w", r.o, r.i, err)
-		}
-		cells[k] = shard.Cell{Point: r.o, System: r.i, Seed: seedFor(r.o, r.i), Data: data}
-	}
-	return cells, nil
-}
-
 // SelectionRuns expands a CLI selection ("all" or one experiment name)
 // into the grid experiments a shard file for that selection records, in
 // canonical order, resolving names through the registry. "all" expands
@@ -252,64 +232,107 @@ func RunShard(selection string, p ShardParams, parallelism, shards, index int) (
 // deposited, and the returned file is byte-identical to an uncached run's
 // (see runCellsCached).
 func RunShardCached(selection string, p ShardParams, parallelism, shards, index int, cache *cellcache.Store) (*shard.File, error) {
-	plan, err := shard.NewPlan(shards, index)
+	if _, err := shard.NewPlan(shards, index); err != nil {
+		return nil, err
+	}
+	s, err := newSelectionFile(selection, p, parallelism, shards, index)
 	if err != nil {
 		return nil, err
 	}
+	rc := s.rc.WithCache(cache)
+	if _, err := s.fill(func(e Experiment, _ shard.Grid, sel CellSelector) ([]shard.Cell, bool, error) {
+		cells, _, err := runCells(e, rc, sel)
+		return cells, true, err
+	}); err != nil {
+		return nil, err
+	}
+	return s.f, nil
+}
+
+// selectionFile is one file of a selection being assembled — a round-
+// robin shard, or a cell batch when f.Batch is set — with the selection's
+// runs resolved under rc.
+type selectionFile struct {
+	f     *shard.File
+	rc    RunContext
+	names []string
+	exps  []Experiment
+	grids []shard.Grid
+}
+
+// newSelectionFile resolves the selection's runs and starts the file a
+// run of them records: the normalised params, the decomposition header
+// and, for a non-reproducible selection, the host fingerprint.
+func newSelectionFile(selection string, p ShardParams, parallelism, shards, index int) (*selectionFile, error) {
 	names, err := SelectionRuns(selection)
 	if err != nil {
 		return nil, err
 	}
 	p = p.Normalised()
-	rc := p.Context(parallelism).WithCache(cache)
 	params, err := json.Marshal(p)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: encode params: %w", err)
 	}
-	f := &shard.File{
-		Version:   shard.FormatVersion,
-		Selection: selection,
-		Shards:    shards,
-		Index:     index,
-		Params:    params,
+	s := &selectionFile{
+		f:     &shard.File{Version: shard.FormatVersion, Selection: selection, Shards: shards, Index: index, Params: params},
+		rc:    p.Context(parallelism),
+		names: names,
 	}
 	if !SelectionReproducible(selection) {
 		// Non-reproducible payloads are measurements of a host; record
 		// which one, so a reader of the file (or of a merge of files)
 		// knows what produced the numbers.
-		f.Host = HostFingerprint()
+		s.f.Host = HostFingerprint()
 	}
-	type computed struct {
-		cells []shard.Cell
-		grid  shard.Grid
-	}
-	byKey := make(map[string]computed)
 	for _, name := range names {
 		e, err := get(name)
 		if err != nil {
 			return nil, err
 		}
-		c, ok := byKey[e.CellKey()]
-		if !ok {
-			g, err := e.Grid(rc)
-			if err != nil {
-				return nil, err
-			}
-			cells, _, err := runCells(e, rc, plan.Selector(g.Systems))
-			if err != nil {
-				return nil, err
-			}
-			c = computed{cells: cells, grid: g}
-			byKey[e.CellKey()] = c
+		g, err := e.Grid(s.rc)
+		if err != nil {
+			return nil, err
 		}
-		f.Runs = append(f.Runs, shard.Run{
-			Experiment:     name,
-			Grid:           c.grid,
+		s.exps, s.grids = append(s.exps, e), append(s.grids, g)
+	}
+	return s, nil
+}
+
+// fill appends the file's runs, each holding the cells the file owns as
+// cells(e, grid, selector) produces them. Runs sharing a cell key and a
+// cell set (Figures 6 and 7) are produced once and recorded under each
+// name, exactly as an unsharded "all" run renders one computation twice.
+// A false ok from cells stops the fill and is returned.
+func (s *selectionFile) fill(cells func(e Experiment, g shard.Grid, sel CellSelector) ([]shard.Cell, bool, error)) (bool, error) {
+	byKey := make(map[string][]shard.Cell)
+	for ri, e := range s.exps {
+		g, key := s.grids[ri], e.CellKey()
+		sel := shard.Plan{Shards: s.f.Shards, Index: s.f.Index}.Selector(g.Systems)
+		if s.f.Batch != nil {
+			set := s.f.Batch.Cells[ri]
+			key += "|" + shard.FormatRanges(set)
+			member := make(map[int]bool, len(set))
+			for _, gi := range set {
+				member[gi] = true
+			}
+			sel = func(o, i int) bool { return member[o*g.Systems+i] }
+		}
+		cs, ok := byKey[key]
+		if !ok {
+			var err error
+			if cs, ok, err = cells(e, g, sel); err != nil || !ok {
+				return false, err
+			}
+			byKey[key] = cs
+		}
+		s.f.Runs = append(s.f.Runs, shard.Run{
+			Experiment:     s.names[ri],
+			Grid:           g,
 			PayloadVersion: e.Codec().Version,
-			Cells:          c.cells,
+			Cells:          cs,
 		})
 	}
-	return f, nil
+	return true, nil
 }
 
 // The per-figure shard entry points, superseded by the generic engines.

@@ -1,17 +1,16 @@
 package shard
 
 // The pluggable cell-file codec. A shard file has one logical content —
-// the File struct — and two on-disk encodings:
+// the File struct, whose cells carry each experiment's typed payload
+// value — and two on-disk serialisers of it:
 //
 //   - v1 ("json"): the indented JSON container shard.go encodes. Human-
 //     readable, diff-able, and the only format older builds read.
 //   - v2 ("binary"): a columnar binary container. Cells are stored
 //     column-wise per run — points, systems, seeds, payloads — with the
-//     payload column either packed by the experiment's registered
-//     PayloadCodec or, for experiments without one, as length-prefixed
-//     compact JSON. An order of magnitude smaller than v1 on the paper-
-//     scale grids, which is what matters once sweeps reach millions of
-//     cells.
+//     payload column packed record by record by the run's PayloadCodec.
+//     An order of magnitude smaller than v1 on the paper-scale grids,
+//     which is what matters once sweeps reach millions of cells.
 //
 // Readers never choose: Decode auto-detects the encoding from the first
 // bytes (the v2 magic cannot collide with JSON, which must start with
@@ -34,6 +33,7 @@ import (
 	"math"
 	"os"
 	"sync"
+	"unicode/utf8"
 )
 
 // Encoding names for the two container layouts. The strings are the
@@ -104,28 +104,123 @@ func (f *File) WriteFileAs(path, encoding string) error {
 	return nil
 }
 
-// ---- payload codec registry ----
+// ---- payload codecs ----
 
-// PayloadCodec packs one run's cell payloads into a binary column and
-// back. Implementations are registered per (experiment, payload version)
-// — bumping the payload version orphans the codec exactly as it orphans
-// cache entries — and must be lossless at the JSON level: DecodeColumn
-// of EncodeColumn's output must reproduce each payload's compact JSON
-// byte for byte (the v2 encoder verifies this on every encode and falls
-// back to the JSON column if it does not hold, so a codec bug can cost
-// compression but never correctness).
+// PayloadCodec serialises one experiment's cell payloads: a cell's Data
+// is the codec's typed value, and v1 JSON, the v2 column and the cell
+// cache's records are serialisers of it. Codecs are registered per
+// (experiment, payload version). The interface is sealed: NewCodec
+// builds typed codecs, and payload layouts without one travel under the
+// generic JSON codec (PayloadCodecFor), whose value is a json.RawMessage.
 type PayloadCodec interface {
-	// EncodeColumn packs the payloads (each one cell's compact JSON) into
-	// one column. An error is not fatal: the container encoder falls back
-	// to the JSON column (payloads an experiment's current layout cannot
-	// express — foreign fields, wrong types — are legitimate in files
-	// written by other builds).
-	EncodeColumn(payloads []json.RawMessage) ([]byte, error)
-	// DecodeColumn unpacks a column holding exactly n payloads and
-	// returns their compact JSON. It must validate every declared length
-	// against the data actually present — the column comes straight from
-	// an untrusted file.
-	DecodeColumn(data []byte, n int) ([]json.RawMessage, error)
+	// Pack appends the binary record of one payload (a Cell.Data value).
+	Pack(w *ColumnWriter, v any) error
+	// Unpack reads one record per cell from untrusted r into the cells'
+	// Data, backing all of them with one allocation.
+	Unpack(r *ColumnReader, cells []Cell) error
+	// decodeCells decodes the v1 JSON cell array next in dec in one pass
+	// (strictly, when dec disallows unknown fields).
+	decodeCells(dec *json.Decoder) ([]Cell, error)
+	// column names the v2 payload column kind the codec writes.
+	column() string
+}
+
+// NewCodec returns the typed PayloadCodec for payload type T: cells
+// carry *T, and pack and unpack must be exact inverses (floats as raw
+// bits, nil-ness as an explicit flag), so an unpacked value renders
+// exactly as the packed one did.
+func NewCodec[T any](pack func(w *ColumnWriter, v *T), unpack func(r *ColumnReader, v *T) error) PayloadCodec {
+	return typedCodec[T]{pack: pack, unpack: unpack}
+}
+
+type typedCodec[T any] struct {
+	pack   func(w *ColumnWriter, v *T)
+	unpack func(r *ColumnReader, v *T) error
+}
+
+func (c typedCodec[T]) Pack(w *ColumnWriter, v any) error {
+	p, ok := v.(*T)
+	if !ok || p == nil {
+		return fmt.Errorf("payload is %T, codec packs %T", v, p)
+	}
+	c.pack(w, p)
+	return nil
+}
+
+func (c typedCodec[T]) Unpack(r *ColumnReader, cells []Cell) error {
+	vals := make([]T, len(cells))
+	for i := range cells {
+		if err := c.unpack(r, &vals[i]); err != nil {
+			return fmt.Errorf("payload %d: %w", i, err)
+		}
+		cells[i].Data = &vals[i]
+	}
+	return nil
+}
+
+func (c typedCodec[T]) decodeCells(dec *json.Decoder) ([]Cell, error) {
+	return decodeCells(dec, func(v *T) any { return v })
+}
+
+func (typedCodec[T]) column() string { return columnNative }
+
+// jsonCodec is the generic codec of experiments without a typed one:
+// the value is the payload's json.RawMessage, and its record is the
+// length-prefixed compact JSON (the v2 "json" column kind).
+type jsonCodec struct{}
+
+func (jsonCodec) Pack(w *ColumnWriter, v any) error {
+	b, err := json.Marshal(v) // compacts a RawMessage; nil is "null", as in v1
+	if err != nil {
+		return err
+	}
+	w.Blob(b)
+	return nil
+}
+
+func (jsonCodec) Unpack(r *ColumnReader, cells []Cell) error {
+	for i := range cells {
+		b, err := r.Blob()
+		if err != nil {
+			return err
+		}
+		// Compacting validates: a blob that is not one JSON value is corrupt.
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, b); err != nil {
+			return fmt.Errorf("payload %d: %w", i, err)
+		}
+		cells[i].Data = json.RawMessage(buf.Bytes())
+	}
+	return nil
+}
+
+func (jsonCodec) decodeCells(dec *json.Decoder) ([]Cell, error) {
+	return decodeCells(dec, func(v *json.RawMessage) any { return *v })
+}
+
+func (jsonCodec) column() string { return columnJSON }
+
+// jsonCell is one v1 cell with its payload decoded as T.
+type jsonCell[T any] struct {
+	Point  int   `json:"point"`
+	System int   `json:"system"`
+	Seed   int64 `json:"seed"`
+	Data   T     `json:"data"`
+}
+
+// decodeCells decodes a v1 JSON cell array into one []jsonCell[T] and
+// hands out data(&cell.Data) as each cell's payload.
+func decodeCells[T any](dec *json.Decoder, data func(*T) any) ([]Cell, error) {
+	var jc []jsonCell[T]
+	if err := dec.Decode(&jc); err != nil || jc == nil {
+		return nil, err
+	}
+	cells := make([]Cell, len(jc))
+	for i := range jc {
+		c := &jc[i]
+		cells[i] = Cell{Point: c.Point, System: c.System, Seed: c.Seed, Data: data(&c.Data)}
+	}
+	return cells, nil
 }
 
 type payloadKey struct {
@@ -159,6 +254,15 @@ func LookupPayloadCodec(experiment string, version int) (PayloadCodec, bool) {
 	defer payloadMu.RUnlock()
 	c, ok := payloadCodecs[payloadKey{experiment, version}]
 	return c, ok
+}
+
+// PayloadCodecFor returns the registered codec, or the generic JSON
+// codec for payload layouts without one.
+func PayloadCodecFor(experiment string, version int) PayloadCodec {
+	if c, ok := LookupPayloadCodec(experiment, version); ok {
+		return c
+	}
+	return jsonCodec{}
 }
 
 // ---- column primitives ----
@@ -256,12 +360,16 @@ func (r *ColumnReader) Int() (int, error) {
 	return int(v), nil
 }
 
-// Float64 reads raw IEEE-754 bits.
+// Float64 reads raw IEEE-754 bits. NaN and infinities are rejected: no
+// payload holds one, and v1 JSON could not render it.
 func (r *ColumnReader) Float64() (float64, error) {
 	if r.Remaining() < 8 {
 		return 0, fmt.Errorf("shard: truncated float64 at offset %d", r.off)
 	}
 	v := math.Float64frombits(binary.LittleEndian.Uint64(r.data[r.off:]))
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("shard: non-finite float64 at offset %d", r.off)
+	}
 	r.off += 8
 	return v, nil
 }
@@ -304,9 +412,13 @@ func (r *ColumnReader) Blob() ([]byte, error) {
 	return b, nil
 }
 
-// String reads a length-prefixed string.
+// String reads a length-prefixed string, which must be valid UTF-8 (v1
+// JSON would silently rewrite anything else).
 func (r *ColumnReader) String() (string, error) {
 	b, err := r.Blob()
+	if err == nil && !utf8.Valid(b) {
+		err = fmt.Errorf("shard: invalid UTF-8 string before offset %d", r.off)
+	}
 	return string(b), err
 }
 
@@ -315,7 +427,7 @@ func (r *ColumnReader) String() (string, error) {
 // Column kinds of one run's payload column.
 const (
 	columnJSON   = "json"   // per cell: uvarint length + compact JSON
-	columnNative = "native" // packed by the run's registered PayloadCodec
+	columnNative = "native" // packed by the run's registered typed codec
 )
 
 // binHeader is the v2 container's JSON header: File minus the cells
@@ -344,12 +456,9 @@ type binRun struct {
 	Column string `json:"column"`
 }
 
-// EncodeBinary renders the file as a v2 columnar container. Runs whose
-// experiment has a registered PayloadCodec get a packed payload column —
-// after a verification pass proving the codec reproduces each payload's
-// compact JSON exactly; anything else (no codec, codec error, or a
-// verification mismatch) falls back to the length-prefixed JSON column.
-// Like Encode, the output is deterministic in the file's content.
+// EncodeBinary renders the file as a v2 columnar container, each run's
+// payload column packed by its PayloadCodec (PayloadCodecFor). Like
+// Encode, the output is deterministic in the file's content.
 func (f *File) EncodeBinary() ([]byte, error) {
 	hdr := binHeader{
 		Version:   f.Version,
@@ -360,33 +469,15 @@ func (f *File) EncodeBinary() ([]byte, error) {
 		Partial:   f.Partial,
 		Batch:     f.Batch,
 	}
-	columns := make([][]byte, len(f.Runs))
+	codecs := make([]PayloadCodec, len(f.Runs))
 	for ri, run := range f.Runs {
-		compact, err := compactPayloads(run)
-		if err != nil {
-			return nil, err
-		}
-		kind := columnJSON
-		var col []byte
-		if c, ok := LookupPayloadCodec(run.Experiment, run.PayloadVersion); ok {
-			if packed, err := c.EncodeColumn(compact); err == nil && verifyColumn(c, packed, compact) {
-				kind, col = columnNative, packed
-			}
-		}
-		if kind == columnJSON {
-			w := &ColumnWriter{}
-			for _, p := range compact {
-				w.Blob(p)
-			}
-			col = w.Bytes()
-		}
-		columns[ri] = col
+		codecs[ri] = PayloadCodecFor(run.Experiment, run.PayloadVersion)
 		hdr.Runs = append(hdr.Runs, binRun{
 			Experiment:     run.Experiment,
 			Grid:           run.Grid,
 			PayloadVersion: run.PayloadVersion,
 			Cells:          len(run.Cells),
-			Column:         kind,
+			Column:         codecs[ri].column(),
 		})
 	}
 	hdrJSON, err := json.Marshal(hdr)
@@ -396,6 +487,7 @@ func (f *File) EncodeBinary() ([]byte, error) {
 	w := &ColumnWriter{buf: append([]byte(nil), binaryMagic[:]...)}
 	w.Blob(hdrJSON)
 	w.Blob(f.Params)
+	col := &ColumnWriter{}
 	for ri, run := range f.Runs {
 		for _, c := range run.Cells {
 			w.Uvarint(uint64(c.Point))
@@ -406,49 +498,15 @@ func (f *File) EncodeBinary() ([]byte, error) {
 		for _, c := range run.Cells {
 			w.Varint(c.Seed)
 		}
-		w.Blob(columns[ri])
+		col.buf = col.buf[:0]
+		for _, c := range run.Cells {
+			if err := codecs[ri].Pack(col, c.Data); err != nil {
+				return nil, fmt.Errorf("shard: run %q cell (%d,%d): %w", run.Experiment, c.Point, c.System, err)
+			}
+		}
+		w.Blob(col.Bytes())
 	}
 	return w.Bytes(), nil
-}
-
-// compactPayloads compacts one run's cell payloads. Compact form is the
-// canonical payload spelling across the codec boundary: the JSON column
-// stores it, PayloadCodecs receive and must reproduce it, and v1's
-// MarshalIndent re-normalises whitespace anyway, so a v1→v2→v1 round
-// trip re-renders byte-identically.
-func compactPayloads(run Run) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, len(run.Cells))
-	for i, c := range run.Cells {
-		data := c.Data
-		if len(data) == 0 {
-			// json.Marshal spells a nil RawMessage "null"; mirror it so the
-			// two encoders agree on every input.
-			data = json.RawMessage("null")
-		}
-		var buf bytes.Buffer
-		if err := json.Compact(&buf, data); err != nil {
-			return nil, fmt.Errorf("shard: run %q cell (%d,%d) payload: %w", run.Experiment, c.Point, c.System, err)
-		}
-		out[i] = buf.Bytes()
-	}
-	return out, nil
-}
-
-// verifyColumn proves a packed column decodes back to exactly the
-// compact payloads it was packed from. Run on every encode: the cost is
-// one decode pass, the payoff is that a lossy or drifted PayloadCodec
-// can never corrupt a file — it just loses its compression.
-func verifyColumn(c PayloadCodec, packed []byte, want []json.RawMessage) bool {
-	got, err := c.DecodeColumn(packed, len(want))
-	if err != nil || len(got) != len(want) {
-		return false
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // decodeBinary parses a v2 container (data starts with the magic). Every
@@ -526,12 +584,8 @@ func decodeBinary(data []byte) (*File, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard: run %q payload column: %w", br.Experiment, err)
 		}
-		payloads, err := decodePayloadColumn(br, col)
-		if err != nil {
+		if err := decodePayloadColumn(br, col, cells); err != nil {
 			return nil, fmt.Errorf("shard: run %q payload column: %w", br.Experiment, err)
-		}
-		for i := range cells {
-			cells[i].Data = payloads[i]
 		}
 		run.Cells = cells
 		f.Runs = append(f.Runs, run)
@@ -546,44 +600,55 @@ func decodeBinary(data []byte) (*File, error) {
 }
 
 // decodePayloadColumn unpacks one run's payload column by its declared
-// kind.
-func decodePayloadColumn(br binRun, col []byte) ([]json.RawMessage, error) {
+// kind into the cells' Data. A JSON column of a run with a typed codec is
+// the legacy column older builds wrote when a payload did not pack; it
+// is read strictly into the typed values.
+func decodePayloadColumn(br binRun, col []byte, cells []Cell) error {
+	r := NewColumnReader(col)
+	c, typed := LookupPayloadCodec(br.Experiment, br.PayloadVersion)
+	var err error
 	switch br.Column {
-	case columnJSON:
-		r := NewColumnReader(col)
-		out := make([]json.RawMessage, br.Cells)
-		for i := range out {
-			b, err := r.Blob()
-			if err != nil {
-				return nil, err
-			}
-			// Compacting validates as it canonicalises: a blob that is not
-			// one well-formed JSON value is a corrupt column, and accepting
-			// it would poison every later re-encode of the file.
-			var buf bytes.Buffer
-			if err := json.Compact(&buf, b); err != nil {
-				return nil, fmt.Errorf("shard: payload %d: %w", i, err)
-			}
-			out[i] = json.RawMessage(buf.Bytes())
-		}
-		if r.Remaining() != 0 {
-			return nil, fmt.Errorf("shard: %d trailing bytes", r.Remaining())
-		}
-		return out, nil
 	case columnNative:
-		c, ok := LookupPayloadCodec(br.Experiment, br.PayloadVersion)
-		if !ok {
-			return nil, fmt.Errorf("shard: no payload codec registered for %q v%d (written by a build that had one)",
+		if !typed {
+			return fmt.Errorf("shard: no payload codec registered for %q v%d (written by a build that had one)",
 				br.Experiment, br.PayloadVersion)
 		}
-		out, err := c.DecodeColumn(col, br.Cells)
-		if err != nil {
-			return nil, err
+		err = c.Unpack(r, cells)
+	case columnJSON:
+		if typed {
+			err = unpackLegacyJSON(c, r, cells)
+		} else {
+			err = jsonCodec{}.Unpack(r, cells)
 		}
-		if len(out) != br.Cells {
-			return nil, fmt.Errorf("shard: payload codec returned %d payloads for %d cells", len(out), br.Cells)
-		}
-		return out, nil
+	default:
+		return fmt.Errorf("shard: unknown payload column kind %q", br.Column)
 	}
-	return nil, fmt.Errorf("shard: unknown payload column kind %q", br.Column)
+	if err != nil {
+		return err
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("shard: %d trailing bytes", r.Remaining())
+	}
+	return nil
+}
+
+// unpackLegacyJSON reads a JSON payload column into a typed codec's
+// values: the generic codec reads (and validates) the blobs, and the
+// cells decode strictly into the typed values through the v1 reader.
+func unpackLegacyJSON(c PayloadCodec, r *ColumnReader, cells []Cell) error {
+	if err := (jsonCodec{}).Unpack(r, cells); err != nil {
+		return err
+	}
+	arr, err := json.Marshal(cells)
+	if err != nil {
+		return err
+	}
+	typed, err := c.decodeCells(strictDecoder(arr))
+	if err != nil {
+		return badCell(c, arr, err)
+	}
+	for i := range cells {
+		cells[i].Data = typed[i].Data
+	}
+	return nil
 }

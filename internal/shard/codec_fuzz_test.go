@@ -13,7 +13,8 @@ import (
 // the rendered v1 JSON are stable.
 func FuzzDecodeBinary(f *testing.F) {
 	// Seed with a real encoded file plus targeted mutants: truncations,
-	// a flipped magic byte, a corrupt header, and a huge declared count.
+	// a flipped magic byte, a corrupt header, and a huge declared count;
+	// then typed and legacy payload columns.
 	valid, err := codecTestFile().EncodeBinary()
 	if err != nil {
 		f.Fatal(err)
@@ -35,6 +36,20 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add(append(append([]byte(nil), binaryMagic[:]...), huge.Bytes()...))
 	f.Add([]byte(nil))
 	f.Add(binaryMagic[:])
+	// A native column packed by a typed codec, and the JSON column older
+	// builds wrote for the same typed run.
+	typed, err := typedTestFile().EncodeBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(typed)
+	g := typedTestFile()
+	g.Runs[0].Experiment = "codectest-jsonx"
+	legacy, err := g.EncodeBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Replace(legacy, []byte("codectest-jsonx"), []byte("codectest-typed"), 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !IsBinary(data) {

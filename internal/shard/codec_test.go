@@ -217,41 +217,6 @@ func TestBinaryPreservesHeaders(t *testing.T) {
 	}
 }
 
-// lossyCodec deliberately breaks the losslessness contract: it decodes
-// every payload to {} whatever was packed.
-type lossyCodec struct{}
-
-func (lossyCodec) EncodeColumn(payloads []json.RawMessage) ([]byte, error) { return nil, nil }
-func (lossyCodec) DecodeColumn(data []byte, n int) ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, n)
-	for i := range out {
-		out[i] = json.RawMessage(`{}`)
-	}
-	return out, nil
-}
-
-func TestEncodeBinaryFallsBackOnLossyCodec(t *testing.T) {
-	RegisterPayloadCodec("codectest-lossy", 1, lossyCodec{})
-	f := &File{
-		Version: FormatVersion, Selection: "codectest-lossy", Shards: 1, Index: 0,
-		Runs: []Run{{Experiment: "codectest-lossy", Grid: Grid{Points: 1, Systems: 1}, PayloadVersion: 1,
-			Cells: []Cell{{Point: 0, System: 0, Data: json.RawMessage(`{"v":42}`)}}}},
-	}
-	bin, err := f.EncodeBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The verification pass must have rejected the lossy column and kept
-	// the JSON fallback, so the payload survives.
-	if want := `{"v":42}`; string(got.Runs[0].Cells[0].Data) != want {
-		t.Fatalf("payload = %s, want %s (lossy codec must not be trusted)", got.Runs[0].Cells[0].Data, want)
-	}
-}
-
 func TestDecodeBinaryRejectsCorruption(t *testing.T) {
 	f := codecTestFile()
 	bin, err := f.EncodeBinary()

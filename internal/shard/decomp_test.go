@@ -225,7 +225,7 @@ func TestMergeBatchesDiscardsDuplicatesFirstWins(t *testing.T) {
 	if dups != 2 {
 		t.Errorf("duplicates = %d, want 2", dups)
 	}
-	if string(merged.Runs[0].Cells[1].Data) != `{"v":1}` {
+	if got, _ := merged.Runs[0].Cells[1].Data.(json.RawMessage); string(got) != `{"v":1}` {
 		t.Errorf("cell 1 = %s, want the first file's copy", merged.Runs[0].Cells[1].Data)
 	}
 	if merged.Batch != nil {

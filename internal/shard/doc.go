@@ -14,8 +14,10 @@
 //   - shard i of N owns the cells with g mod N == i (round-robin, so every
 //     shard carries a near-equal slice of every utilisation point — the
 //     per-point cost varies far more than the per-system cost);
-//   - each shard process writes one versioned JSON File of its cells, with
-//     the derived seed recorded per cell for provenance;
+//   - each shard process writes one versioned File of its cells — v1
+//     JSON or the v2 binary container (codec.go), two serialisers of the
+//     same typed payloads — with the derived seed recorded per cell for
+//     provenance;
 //   - Merge validates that N files form one complete, disjoint cover of
 //     the grid (same run parameters, same shard count, distinct indices,
 //     every cell present exactly once and owned by its file's shard) and

@@ -25,8 +25,10 @@ type Cell struct {
 	// re-verified in isolation.
 	Seed int64 `json:"seed"`
 	// Data is the runner-specific payload (per-method verdicts for the
-	// schedulability sweep, quality outcomes for the metric sweeps, …).
-	Data json.RawMessage `json:"data"`
+	// schedulability sweep, quality outcomes for the metric sweeps, …) as
+	// the run's PayloadCodec types it: a *T for a typed codec, the
+	// json.RawMessage for the generic JSON codec.
+	Data any `json:"data"`
 }
 
 // Grid gives the dimensions of one run's cell grid.
@@ -208,11 +210,10 @@ func Decode(data []byte) (*File, error) {
 	if IsBinary(data) {
 		return decodeBinary(data)
 	}
-	f := &File{}
-	if err := json.Unmarshal(data, f); err != nil {
+	f, err := decodeJSON(data)
+	if err != nil {
 		return nil, fmt.Errorf("shard: decode: %w", err)
 	}
-	f.Encoding = EncodingJSON
 	if err := f.validateDecoded(); err != nil {
 		return nil, err
 	}

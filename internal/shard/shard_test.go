@@ -126,7 +126,7 @@ func TestMergeReassemblesGridOrder(t *testing.T) {
 		}
 		for g, c := range cells {
 			var payload struct{ V int }
-			if err := json.Unmarshal(c.Data, &payload); err != nil {
+			if err := json.Unmarshal(c.Data.(json.RawMessage), &payload); err != nil {
 				t.Fatal(err)
 			}
 			if payload.V != g || c.Point != g/grid.Systems || c.System != g%grid.Systems {

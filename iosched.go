@@ -552,11 +552,13 @@ const (
 	ShardEncodingBinary = shard.EncodingBinary
 )
 
-// ShardPayloadCodec packs one experiment's cell payloads as a typed
-// column inside the binary container; ExperimentCodec.Payload registers
-// one alongside the experiment. Experiments without one still shard,
-// merge and dispatch in either encoding — their payloads travel as a
-// compact JSON column.
+// ShardPayloadCodec serialises one experiment's typed cell payloads: in
+// memory a ShardCell's Data is the codec's value, and the JSON and
+// binary containers (and the cell cache) are serialisers of it;
+// ExperimentCodec.Payload registers one alongside the experiment.
+// Experiments without one still shard, merge and dispatch in either
+// encoding — their cells carry the payload's JSON (json.RawMessage),
+// travelling as a compact JSON column.
 type ShardPayloadCodec = shard.PayloadCodec
 
 // ParseShardEncoding normalises an encoding name ("" and "json" to
