@@ -3,17 +3,17 @@ package coord
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/dispatch"
-	"repro/internal/experiment"
 	"repro/internal/shard"
 	"repro/internal/textplot"
 )
@@ -49,9 +49,6 @@ func (o Options) withDefaults() Options {
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 15 * time.Second
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
 	if o.SweepEvery <= 0 {
 		o.SweepEvery = o.HeartbeatTimeout / 4
 	}
@@ -67,68 +64,35 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Run and unit lifecycle states.
+// Run states.
 const (
 	runRunning = "running"
 	runMerged  = "merged"
 	runFailed  = "failed"
 )
 
-// unit is one leasable work unit of a run: a round-robin shard or a
-// cost-balanced cell batch. Units and shards share the journal id space
-// exactly as in the in-process dispatcher.
-type unit struct {
-	id     int
-	kind   string  // "shard", "cost" or "split" (journal batch kinds)
-	index  int     // shard index for round-robin units (== id)
-	cells  [][]int // batch cells aligned to run names; nil for shards
-	spec   string  // formatted cell spec; "" for shards
-	ncells int
-	weight float64
-	path   string // where the validated result file lands
-
-	state      dispatch.ShardState
-	attempts   int
-	worker     string // worker id of the current lease
-	workerName string
-	leasedAt   time.Time
-	cellCount  int // validated result's cell count (done units)
-}
-
-// run is one multiplexed sweep.
+// run is one multiplexed sweep: its ledger plus the coordinator's
+// transport state — leases, the event history and its subscribers.
 type run struct {
-	id       string
-	dir      string
-	spec     dispatch.Spec
-	params   []byte
-	runNames []string
-	balance  string
-	jr       *dispatch.Journal
+	id  string
+	dir string
+	l   *dispatch.Ledger
+	// leases maps a unit id to its current lease; a unit has at most one.
+	leases map[int]*grant
 
-	units   []*unit
-	pending []*unit // FIFO lease queue
-
-	state      string
-	failure    string
-	resumed    int
-	duplicates int
-	mergedAt   bool
-	mergedCell int
+	state   string
+	failure string
 
 	history []dispatch.ProgressEvent
 	subs    map[chan dispatch.ProgressEvent]struct{}
 }
 
-func (r *run) total() int { return len(r.units) }
-
-func (r *run) doneCount() int {
-	n := 0
-	for _, u := range r.units {
-		if u.state == dispatch.ShardDone {
-			n++
-		}
-	}
-	return n
+// grant is one lease of a unit to a worker.
+type grant struct {
+	worker   string // worker id
+	name     string // worker name at lease time
+	attempt  int
+	leasedAt time.Time
 }
 
 // workerState is one registered worker.
@@ -208,11 +172,8 @@ func (c *Coordinator) Close() error {
 		defer c.mu.Unlock()
 		for _, id := range c.order {
 			r := c.runs[id]
-			if r.jr != nil {
-				if err := r.jr.Close(); err != nil && c.closeErr == nil {
-					c.closeErr = err
-				}
-				r.jr = nil
+			if err := r.l.Close(); err != nil && c.closeErr == nil {
+				c.closeErr = err
 			}
 			for ch := range r.subs {
 				close(ch)
@@ -240,10 +201,6 @@ func (c *Coordinator) wakeLocked() {
 // emit appends a progress event to the run's history and fans it out to
 // subscribers. Caller holds c.mu.
 func (c *Coordinator) emit(r *run, e dispatch.ProgressEvent) {
-	e.Version = dispatch.ProgressVersion
-	if e.Time.IsZero() {
-		e.Time = time.Now()
-	}
 	r.history = append(r.history, e)
 	for ch := range r.subs {
 		select {
@@ -260,12 +217,9 @@ func (c *Coordinator) emit(r *run, e dispatch.ProgressEvent) {
 // ends its event streams. Caller holds c.mu.
 func (c *Coordinator) terminalLocked(r *run, state, failure string) {
 	r.state, r.failure = state, failure
-	r.pending = nil
-	if r.jr != nil {
-		if err := r.jr.Close(); err != nil {
-			c.opts.Logf("coord: run %s: journal: %v", r.id, err)
-		}
-		r.jr = nil
+	r.leases = nil
+	if err := r.l.Close(); err != nil {
+		c.opts.Logf("coord: run %s: journal: %v", r.id, err)
 	}
 	for ch := range r.subs {
 		close(ch)
@@ -276,19 +230,10 @@ func (c *Coordinator) terminalLocked(r *run, state, failure string) {
 // ---- submission ----
 
 // Submit creates a run for the given sweep and returns its id. The spec
-// is normalised exactly as dispatch.Run would; the run starts pending
-// and is served to workers as they lease.
+// and balance are normalised and validated by the same ledger as
+// dispatch.Run's; the run starts pending and is served to workers as
+// they lease.
 func (c *Coordinator) Submit(req SubmitRequest) (string, error) {
-	spec := dispatch.Spec{Selection: req.Selection, Params: req.Params, Shards: req.Shards}
-	spec, params, runNames, err := spec.Normalised()
-	if err != nil {
-		return "", err
-	}
-	balance := req.Balance
-	if balance == "" {
-		balance = dispatch.BalanceRoundRobin
-	}
-
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	select {
@@ -296,95 +241,54 @@ func (c *Coordinator) Submit(req SubmitRequest) (string, error) {
 		return "", fmt.Errorf("coord: coordinator is shut down")
 	default:
 	}
-	c.rseq++
-	id := fmt.Sprintf("run-%04d", c.rseq)
-	dir := c.RunDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("coord: %w", err)
-	}
-	jr, _, _, err := dispatch.OpenJournal(filepath.Join(dir, dispatch.JournalFileName), spec, params, balance)
+	id := fmt.Sprintf("run-%04d", c.rseq+1)
+	spec := dispatch.Spec{Selection: req.Selection, Params: req.Params, Shards: req.Shards}
+	r, err := c.openRun(id, func(cfg dispatch.LedgerConfig) (*dispatch.Ledger, error) {
+		cfg.Spec, cfg.Balance = spec, req.Balance
+		return dispatch.OpenLedger(cfg)
+	})
 	if err != nil {
+		// The id stays free: nothing of a rejected run may linger.
+		os.RemoveAll(c.RunDir(id))
 		return "", err
 	}
-	r := &run{
-		id: id, dir: dir, spec: spec, params: params, runNames: runNames,
-		balance: balance, jr: jr, state: runRunning,
-		subs: make(map[chan dispatch.ProgressEvent]struct{}),
-	}
-	if err := c.planUnits(r); err != nil {
-		jr.Close()
-		return "", err
-	}
-	c.runs[id] = r
-	c.order = append(c.order, id)
-	c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressPlan, Shards: r.total(), Shard: -1})
-	for _, u := range r.units {
-		if u.kind != "shard" {
-			c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressBatch, Shard: u.id, Cells: u.ncells})
-		}
-	}
-	r.pending = append(r.pending, r.units...)
+	c.rseq++
 	c.wakeLocked()
-	c.opts.Logf("coord: run %s: %q x%d (%s), %d units", id, spec.Selection, spec.Shards, balance, r.total())
+	st := r.l.Stats()
+	c.opts.Logf("coord: run %s: %q x%d (%s), %d units", id, r.l.Spec().Selection, r.l.Spec().Shards, r.l.Balance(), st.Total)
 	return id, nil
 }
 
-// planUnits builds a fresh run's units: round-robin index shards, or
-// cost-packed cell batches planned exactly as the in-process dispatcher
-// plans them (and journaled as batch events).
-func (c *Coordinator) planUnits(r *run) error {
-	if r.balance == dispatch.BalanceRoundRobin {
-		plan, err := experiment.PlanSelection(r.spec.Selection, r.spec.Params)
-		if err != nil {
-			return err
-		}
-		assign, err := shard.RoundRobin{}.Split(plan.Grids, r.spec.Shards)
-		if err != nil {
-			return err
-		}
-		counts := make([]int, r.spec.Shards)
-		for ri := range assign {
-			for _, part := range assign[ri] {
-				counts[part]++
-			}
-		}
-		for i := 0; i < r.spec.Shards; i++ {
-			r.units = append(r.units, &unit{
-				id: i, kind: "shard", index: i, ncells: counts[i],
-				state: dispatch.ShardPending,
-				path:  filepath.Join(r.dir, fmt.Sprintf("shard%d.json", i)),
-			})
-		}
-		return nil
+// openRun opens a run's ledger through open, wiring it to the run's
+// event history and log, and registers the run. Caller holds c.mu.
+func (c *Coordinator) openRun(id string, open func(dispatch.LedgerConfig) (*dispatch.Ledger, error)) (*run, error) {
+	r := &run{
+		id: id, dir: c.RunDir(id), state: runRunning,
+		leases: make(map[int]*grant),
+		subs:   make(map[chan dispatch.ProgressEvent]struct{}),
 	}
-	plan, err := experiment.PlanSelection(r.spec.Selection, r.spec.Params)
+	l, err := open(dispatch.LedgerConfig{
+		Dir: r.dir, MaxAttempts: c.opts.MaxAttempts, Codec: c.opts.Codec, Now: time.Now,
+		Emit: func(e dispatch.ProgressEvent) { c.emit(r, e) },
+		Logf: func(format string, args ...any) {
+			c.opts.Logf("coord: run %s: "+format, append([]any{id}, args...)...)
+		},
+		KeepMerged: true,
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	covered := make([]map[int]bool, len(plan.Names))
-	for i := range covered {
-		covered[i] = map[int]bool{}
-	}
-	batches, _, err := dispatch.PlanCostBatches(plan, plan.Costs, covered, r.spec.Shards, 0)
-	if err != nil {
-		return err
-	}
-	for _, b := range batches {
-		r.jr.Batch(b.ID, "cost", -1, b.Spec, b.NCells, b.Weight)
-		r.units = append(r.units, &unit{
-			id: b.ID, kind: "cost", index: b.ID, cells: b.Cells, spec: b.Spec,
-			ncells: b.NCells, weight: b.Weight, state: dispatch.ShardPending,
-			path: filepath.Join(r.dir, fmt.Sprintf("batch%d.json", b.ID)),
-		})
-	}
-	return nil
+	r.l = l
+	c.runs[id] = r
+	c.order = append(c.order, id)
+	return r, nil
 }
 
 // ---- restart resume ----
 
-// loadRuns restores every journaled run under dir/runs. Done units are
-// revalidated against their files; anything else re-enters the pending
-// queue — exactly the resume rules of the in-process dispatcher.
+// loadRuns restores every journaled run under dir/runs with the ledger's
+// resume rule: done units re-validate their files, anything else
+// re-enters the queue, and merged runs stay merged.
 func (c *Coordinator) loadRuns() error {
 	entries, err := os.ReadDir(filepath.Join(c.dir, "runs"))
 	if err != nil {
@@ -412,158 +316,24 @@ func (c *Coordinator) loadRuns() error {
 }
 
 func (c *Coordinator) loadRun(id string) error {
-	dir := c.RunDir(id)
-	st, err := dispatch.ReadJournalDir(dir)
+	r, err := c.openRun(id, dispatch.ReopenLedger)
 	if err != nil {
 		return err
 	}
-	var p experiment.ShardParams
-	if len(st.Params) > 0 {
-		if err := json.Unmarshal(st.Params, &p); err != nil {
-			return fmt.Errorf("coord: run %s: params: %w", id, err)
-		}
-	}
-	spec := dispatch.Spec{Selection: st.Selection, Params: p, Shards: st.Shards}
-	spec, params, runNames, err := spec.Normalised()
-	if err != nil {
-		return err
-	}
-	balance := st.Balance
-	if balance == "" {
-		balance = dispatch.BalanceRoundRobin
-	}
-	jr, _, prior, err := dispatch.OpenJournal(filepath.Join(dir, dispatch.JournalFileName), spec, params, balance)
-	if err != nil {
-		return err
-	}
-	r := &run{
-		id: id, dir: dir, spec: spec, params: params, runNames: runNames,
-		balance: balance, jr: jr, state: runRunning,
-		subs: make(map[chan dispatch.ProgressEvent]struct{}),
-	}
-	if prior != nil && prior.Merged {
-		r.state, r.mergedAt, r.mergedCell = runMerged, true, prior.MergedCells
-		jr.Close()
-		r.jr = nil
-	}
-	// Round-robin units re-derive their per-shard cell counts from the
-	// plan (batches carry theirs in the journal). A plan failure only
-	// degrades the counts; it must not block resuming the journal record.
-	var rrCounts []int
-	if balance == dispatch.BalanceRoundRobin {
-		if plan, perr := experiment.PlanSelection(spec.Selection, spec.Params); perr == nil {
-			if assign, aerr := (shard.RoundRobin{}).Split(plan.Grids, spec.Shards); aerr == nil {
-				rrCounts = make([]int, spec.Shards)
-				for ri := range assign {
-					for _, part := range assign[ri] {
-						rrCounts[part]++
-					}
-				}
-			}
-		}
-	}
-	for _, sh := range prior.ShardStates {
-		if sh.Superseded {
-			continue
-		}
-		// Attempts resume from the journal so the MaxAttempts budget
-		// survives restarts: a journaled lease counts whether it failed or
-		// was interrupted, exactly as it counted live.
-		u := &unit{id: sh.Index, index: sh.Index, state: dispatch.ShardPending, attempts: sh.Attempts}
-		if balance == dispatch.BalanceRoundRobin {
-			u.kind = "shard"
-			if sh.Index < len(rrCounts) {
-				u.ncells = rrCounts[sh.Index]
-			}
-			u.path = filepath.Join(dir, fmt.Sprintf("shard%d.json", sh.Index))
-		} else {
-			u.kind = sh.Kind
-			if u.kind == "" {
-				u.kind = "cost"
-			}
-			u.spec, u.ncells, u.weight = sh.Spec, sh.Cells, sh.Weight
-			u.path = filepath.Join(dir, fmt.Sprintf("batch%d.json", sh.Index))
-			cells, err := cellsFor(runNames, sh.Spec)
-			if err != nil {
-				jr.Close()
-				return fmt.Errorf("coord: run %s: batch %d: %w", id, sh.Index, err)
-			}
-			u.cells = cells
-		}
-		if sh.State == dispatch.ShardDone {
-			// Trust but verify: the journal says done, the file must agree.
-			path := filepath.Join(dir, filepath.Base(sh.File))
-			f, verr := c.validateUnitFile(r, u, path)
-			if r.state == runMerged {
-				// A merged run's cover already proved itself; keep it done
-				// even if a shard file was cleaned up since.
-				u.state = dispatch.ShardDone
-			} else if verr == nil {
-				u.state = dispatch.ShardDone
-				u.path = path
-				u.cellCount = f.CellCount()
-				r.resumed++
-			} else {
-				c.opts.Logf("coord: run %s: unit %d journaled done but %v; re-queueing", id, sh.Index, verr)
-			}
-		}
-		r.units = append(r.units, u)
-	}
-	// Seed the event history so a late subscriber sees a coherent stream.
-	c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressPlan, Shards: r.total(), Shard: -1})
-	for _, u := range r.units {
-		if u.kind != "shard" {
-			c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressBatch, Shard: u.id, Cells: u.ncells})
-		}
-	}
-	for _, u := range r.units {
-		if u.state == dispatch.ShardDone && r.state != runMerged {
-			c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressResumed, Shard: u.id, File: u.path})
-		}
-		if u.state != dispatch.ShardDone && r.state == runRunning {
-			r.pending = append(r.pending, u)
-		}
-	}
-	if r.state == runMerged {
-		c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressMerged, Shards: r.total(), Shard: -1, Cells: r.mergedCell})
-		r.subs = make(map[chan dispatch.ProgressEvent]struct{})
-	}
-	c.runs[id] = r
-	c.order = append(c.order, id)
-	if r.state == runRunning && len(r.pending) == 0 && r.total() > 0 {
+	st := r.l.Stats()
+	switch {
+	case st.Merged:
+		c.terminalLocked(r, runMerged, "")
+	case r.l.Finished():
 		// Everything was already done but the merge never journaled
 		// (killed between last done and merged): finish the job now.
 		if err := c.mergeLocked(r); err != nil {
 			c.opts.Logf("coord: run %s: %v", id, err)
 		}
 	}
-	c.opts.Logf("coord: resumed run %s: %d/%d units done, state %s", id, r.doneCount(), r.total(), r.state)
+	st = r.l.Stats()
+	c.opts.Logf("coord: resumed run %s: %d/%d units done, state %s", id, st.Done, st.Total, r.state)
 	return nil
-}
-
-// cellsFor parses a journaled batch cell spec back into per-run cell
-// sets aligned with the selection's canonical run names.
-func cellsFor(runNames []string, spec string) ([][]int, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	names, sets, err := shard.ParseCellSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	byName := make(map[string]int, len(runNames))
-	for i, n := range runNames {
-		byName[n] = i
-	}
-	cells := make([][]int, len(runNames))
-	for i, n := range names {
-		ri, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("coord: cell spec names unknown run %q", n)
-		}
-		cells[ri] = sets[i]
-	}
-	return cells, nil
 }
 
 // ---- workers ----
@@ -646,25 +416,24 @@ func (c *Coordinator) Lease(workerID string, wait time.Duration) (*Lease, error)
 	}
 }
 
-// leaseLocked pops the first pending unit across runs in submission
+// leaseLocked grants the first queued unit across runs in submission
 // order. Caller holds c.mu.
 func (c *Coordinator) leaseLocked(w *workerState) *Lease {
 	for _, id := range c.order {
 		r := c.runs[id]
-		if r.state != runRunning || len(r.pending) == 0 {
+		if r.state != runRunning {
 			continue
 		}
-		u := r.pending[0]
-		r.pending = r.pending[1:]
-		u.state = dispatch.ShardRunning
-		u.attempts++
-		u.worker, u.workerName, u.leasedAt = w.id, w.name, time.Now()
-		r.jr.Attempt(u.id, u.attempts, w.name)
-		c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressAttempt, Shard: u.id, Attempt: u.attempts, Worker: w.name})
+		u := r.l.Next()
+		if u == nil {
+			continue
+		}
+		t, attempt := r.l.Start(u, w.name, false)
+		r.leases[u.ID()] = &grant{worker: w.id, name: w.name, attempt: attempt, leasedAt: time.Now()}
 		return &Lease{
-			RunID: r.id, Unit: u.id, Attempt: u.attempts,
-			Selection: r.spec.Selection, Params: r.spec.Params,
-			Shards: r.spec.Shards, Index: u.index, Cells: u.spec,
+			RunID: r.id, Unit: u.ID(), Attempt: attempt,
+			Selection: t.Spec.Selection, Params: t.Spec.Params,
+			Shards: t.Spec.Shards, Index: t.Index, Cells: t.Cells,
 		}
 	}
 	return nil
@@ -684,25 +453,27 @@ func (c *Coordinator) Push(runID string, unitID int, workerID string, attempt in
 		c.mu.Unlock()
 		return PushResponse{}, ErrUnknownRun
 	}
-	u := r.unitByID(unitID)
+	u := r.l.Unit(unitID)
 	if u == nil {
 		c.mu.Unlock()
 		return PushResponse{}, fmt.Errorf("coord: run %s has no unit %d", runID, unitID)
 	}
-	if resp, settled := c.settledPushLocked(r, u, workerID); settled {
+	if resp, settled := c.settledPushLocked(r, u, workerID, attempt, ""); settled {
 		c.mu.Unlock()
 		return resp, nil
 	}
 	c.pseq++
-	tmp := fmt.Sprintf("%s.push%d.tmp", u.path, c.pseq)
+	tmp := fmt.Sprintf("%s.push%d.tmp", u.Path(), c.pseq)
 	c.mu.Unlock()
 
-	// The body may be tens of MiB: write it without holding c.mu so a slow
-	// disk cannot stall heartbeats, leases, the sweeper and SSE fan-out
-	// (or induce the very heartbeat timeouts it would then have to sweep).
+	// The body may be tens of MiB: write and validate it without holding
+	// c.mu so a slow disk or a large decode cannot stall heartbeats,
+	// leases, the sweeper and SSE fan-out (or induce the very heartbeat
+	// timeouts it would then have to sweep).
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return PushResponse{}, fmt.Errorf("coord: %w", err)
 	}
+	f, verr := r.l.Validate(u, tmp)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -712,40 +483,28 @@ func (c *Coordinator) Push(runID string, unitID int, workerID string, attempt in
 		return PushResponse{}, fmt.Errorf("coord: coordinator is shut down")
 	default:
 	}
-	// Re-check: a rival completion, a sweep, or a merge may have settled
-	// the unit or the run while the file was being written.
-	if resp, settled := c.settledPushLocked(r, u, workerID); settled {
-		os.Remove(tmp)
+	// Re-check: a rival completion, a sweep, a split or a merge may have
+	// settled the unit or the run while the file was being handled.
+	if resp, settled := c.settledPushLocked(r, u, workerID, attempt, tmp); settled {
 		return resp, nil
 	}
-	f, verr := c.validateUnitFile(r, u, tmp)
+	name := c.workerName(r, unitID, workerID)
 	if verr != nil {
 		os.Remove(tmp)
-		current := u.state == dispatch.ShardRunning && u.worker == workerID && u.attempt() == attempt
-		if current {
-			c.failUnitLocked(r, u, attempt, workerName(c, workerID, u), verr)
+		if g := r.leases[unitID]; g != nil && g.worker == workerID && g.attempt == attempt {
+			c.failLocked(r, u, attempt, name, verr)
 		}
 		return PushResponse{Wire: WireVersion, Accepted: false, Reason: verr.Error()}, nil
 	}
-	if err := os.Rename(tmp, u.path); err != nil {
+	if err := os.Rename(tmp, u.Path()); err != nil {
 		os.Remove(tmp)
 		return PushResponse{}, fmt.Errorf("coord: %w", err)
 	}
-	u.state = dispatch.ShardDone
-	u.cellCount = f.CellCount()
-	name := workerName(c, workerID, u)
-	r.jr.Done(u.id, attempt, name, u.path, u.cellCount)
-	c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressDone, Shard: u.id, Attempt: attempt, Worker: name, File: u.path, Cells: u.cellCount})
-	// The unit may still sit in the pending queue (reassigned, then the
-	// original worker finished first); drop it so nobody re-leases it.
-	for i, p := range r.pending {
-		if p == u {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			break
-		}
-	}
-	u.worker, u.workerName = "", ""
-	if r.doneCount() == r.total() {
+	// The unit may still be leased to someone else (reassigned, then the
+	// original worker finished first); that lease is moot now.
+	delete(r.leases, unitID)
+	r.l.Complete(u, attempt, name, u.Path(), f)
+	if r.l.Finished() {
 		if err := c.mergeLocked(r); err != nil {
 			return PushResponse{}, err
 		}
@@ -754,43 +513,34 @@ func (c *Coordinator) Push(runID string, unitID int, workerID string, attempt in
 }
 
 // settledPushLocked reports whether a push for the unit is already moot
-// — a duplicate of a completed unit, or a run no longer running — and
-// the response to acknowledge it with. Caller holds c.mu.
-func (c *Coordinator) settledPushLocked(r *run, u *unit, workerID string) (PushResponse, bool) {
-	if u.state == dispatch.ShardDone || r.state == runMerged {
-		r.duplicates++
-		c.opts.Logf("coord: run %s: unit %d: duplicate result from %s discarded", r.id, u.id, workerID)
+// — a duplicate of a settled unit, or a run no longer running — and the
+// response to acknowledge it with; a duplicate's file at path is
+// discarded. Caller holds c.mu.
+func (c *Coordinator) settledPushLocked(r *run, u *dispatch.Unit, workerID string, attempt int, path string) (PushResponse, bool) {
+	if r.l.Settled(u) {
+		r.l.Discard(u, attempt, c.workerName(r, u.ID(), workerID), path)
 		return PushResponse{Wire: WireVersion, Accepted: false, Duplicate: true}, true
 	}
 	if r.state != runRunning {
+		if path != "" {
+			os.Remove(path)
+		}
 		return PushResponse{Wire: WireVersion, Accepted: false, Reason: "run " + r.state}, true
 	}
 	return PushResponse{}, false
 }
 
-// attempt returns the unit's current attempt number.
-func (u *unit) attempt() int { return u.attempts }
-
 // workerName resolves a display name for a worker id: the registered
 // name while the worker is alive, the lease's recorded name after it
-// was dropped, the raw id as a last resort.
-func workerName(c *Coordinator, workerID string, u *unit) string {
+// was dropped, the raw id as a last resort. Caller holds c.mu.
+func (c *Coordinator) workerName(r *run, unitID int, workerID string) string {
 	if w, ok := c.workers[workerID]; ok {
 		return w.name
 	}
-	if u.worker == workerID && u.workerName != "" {
-		return u.workerName
+	if g := r.leases[unitID]; g != nil && g.worker == workerID {
+		return g.name
 	}
 	return workerID
-}
-
-// validateUnitFile applies the dispatcher's validation gates to a
-// candidate result file for the unit.
-func (c *Coordinator) validateUnitFile(r *run, u *unit, path string) (*shard.File, error) {
-	if u.kind == "shard" {
-		return dispatch.ValidateShardFile(path, r.spec, u.index, r.params, r.runNames)
-	}
-	return dispatch.ValidateBatchFile(path, r.spec, u.cells, r.params, r.runNames)
 }
 
 // ReportFail records a worker's failed attempt at its leased unit. A
@@ -803,80 +553,42 @@ func (c *Coordinator) ReportFail(runID string, unitID int, req FailRequest) erro
 	if !ok {
 		return ErrUnknownRun
 	}
-	u := r.unitByID(unitID)
+	u := r.l.Unit(unitID)
 	if u == nil {
 		return fmt.Errorf("coord: run %s has no unit %d", runID, unitID)
 	}
-	if r.state != runRunning || u.state != dispatch.ShardRunning ||
-		u.worker != req.WorkerID || u.attempts != req.Attempt {
+	g := r.leases[unitID]
+	if r.state != runRunning || g == nil || g.worker != req.WorkerID || g.attempt != req.Attempt {
 		return nil // stale: the sweeper or a rival already settled this attempt
 	}
-	c.failUnitLocked(r, u, req.Attempt, workerName(c, req.WorkerID, u), fmt.Errorf("%s", req.Error))
+	c.failLocked(r, u, req.Attempt, c.workerName(r, unitID, req.WorkerID), fmt.Errorf("%s", req.Error))
 	return nil
 }
 
-// failUnitLocked journals a failed attempt and requeues the unit, or
-// fails the run when the attempt budget is exhausted. Caller holds c.mu.
-func (c *Coordinator) failUnitLocked(r *run, u *unit, attempt int, worker string, ferr error) {
-	r.jr.Fail(u.id, attempt, worker, ferr)
-	c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressFailed, Shard: u.id, Attempt: attempt, Worker: worker, Err: ferr.Error()})
-	u.worker, u.workerName = "", ""
-	if u.attempts >= c.opts.MaxAttempts {
-		c.opts.Logf("coord: run %s: unit %d failed %d times; failing run: %v", r.id, u.id, u.attempts, ferr)
-		c.terminalLocked(r, runFailed, fmt.Sprintf("unit %d: %d attempts exhausted: %v", u.id, u.attempts, ferr))
-		return
+// failLocked ends the unit's lease as a failed attempt and acts on the
+// ledger's verdict: requeue, split (already queued), or fail the run
+// when the attempt budget is exhausted. Caller holds c.mu.
+func (c *Coordinator) failLocked(r *run, u *dispatch.Unit, attempt int, worker string, ferr error) {
+	delete(r.leases, u.ID())
+	switch verdict, _ := r.l.Fail(u, attempt, worker, ferr); verdict {
+	case dispatch.FailExhausted:
+		c.opts.Logf("coord: run %s: unit %d failed %d times; failing run: %v", r.id, u.ID(), attempt, ferr)
+		c.terminalLocked(r, runFailed, fmt.Sprintf("unit %d: %d attempts exhausted: %v", u.ID(), attempt, ferr))
+	case dispatch.FailRequeue:
+		r.l.Requeue(u)
+		c.wakeLocked()
+	case dispatch.FailSplit:
+		c.wakeLocked()
 	}
-	u.state = dispatch.ShardPending
-	r.pending = append(r.pending, u)
-	c.wakeLocked()
 }
 
-func (r *run) unitByID(id int) *unit {
-	for _, u := range r.units {
-		if u.id == id {
-			return u
-		}
-	}
-	return nil
-}
-
-// mergeLocked merges a complete cover and journals the result. Caller
-// holds c.mu.
+// mergeLocked merges a complete cover into merged.json and ends the run.
+// Caller holds c.mu.
 func (c *Coordinator) mergeLocked(r *run) error {
-	var (
-		merged *shard.File
-		err    error
-	)
-	files := make([]*shard.File, 0, len(r.units))
-	for _, u := range r.units {
-		f, rerr := shard.ReadFile(u.path)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		files = append(files, f)
-	}
-	if err == nil {
-		if r.balance == dispatch.BalanceRoundRobin {
-			merged, err = shard.Merge(files)
-		} else {
-			var dups int
-			merged, dups, err = shard.MergeBatches(files)
-			r.duplicates += dups
-		}
-	}
-	if err != nil {
+	if _, err := r.l.Merge(filepath.Join(r.dir, "merged.json")); err != nil {
 		c.terminalLocked(r, runFailed, fmt.Sprintf("merge: %v", err))
 		return fmt.Errorf("coord: run %s: merge: %w", r.id, err)
 	}
-	if err := merged.WriteFileAs(filepath.Join(r.dir, "merged.json"), c.opts.Codec); err != nil {
-		c.terminalLocked(r, runFailed, fmt.Sprintf("merge: %v", err))
-		return fmt.Errorf("coord: run %s: %w", r.id, err)
-	}
-	r.mergedAt, r.mergedCell = true, merged.CellCount()
-	r.jr.Merged(r.total(), r.mergedCell)
-	c.emit(r, dispatch.ProgressEvent{Kind: dispatch.ProgressMerged, Shards: r.total(), Shard: -1, Cells: r.mergedCell})
-	c.opts.Logf("coord: run %s: merged %d units (%d cells)", r.id, r.total(), r.mergedCell)
 	c.terminalLocked(r, runMerged, "")
 	return nil
 }
@@ -933,24 +645,22 @@ func (c *Coordinator) sweep(now time.Time) {
 	}
 	for _, rid := range c.order {
 		r := c.runs[rid]
-		for _, u := range r.units {
+		ids := slices.Sorted(maps.Keys(r.leases))
+		for _, id := range ids {
 			if r.state != runRunning {
-				// failUnitLocked may exhaust a unit's attempt budget and
-				// fail the whole run mid-loop, closing its journal; the
-				// run's remaining expired leases are moot then — touching
-				// them would fail against a nil journal.
+				// failLocked may exhaust a unit's attempt budget and fail
+				// the whole run mid-loop, closing its journal; the run's
+				// remaining expired leases are moot then.
 				break
 			}
-			if u.state != dispatch.ShardRunning {
-				continue
-			}
-			if name, isLost := lost[u.worker]; isLost {
-				c.failUnitLocked(r, u, u.attempts, name,
+			g := r.leases[id]
+			if name, isLost := lost[g.worker]; isLost {
+				c.failLocked(r, r.l.Unit(id), g.attempt, name,
 					fmt.Errorf("worker %q lost: heartbeat timeout", name))
 				continue
 			}
-			if c.opts.LeaseTimeout > 0 && now.Sub(u.leasedAt) > c.opts.LeaseTimeout {
-				c.failUnitLocked(r, u, u.attempts, u.workerName,
+			if c.opts.LeaseTimeout > 0 && now.Sub(g.leasedAt) > c.opts.LeaseTimeout {
+				c.failLocked(r, r.l.Unit(id), g.attempt, g.name,
 					fmt.Errorf("lease expired after %s", c.opts.LeaseTimeout))
 			}
 		}
@@ -1009,12 +719,13 @@ func (c *Coordinator) Status(runID string) (RunStatus, error) {
 }
 
 func (c *Coordinator) statusLocked(r *run) RunStatus {
+	st, spec := r.l.Stats(), r.l.Spec()
 	return RunStatus{
-		RunID: r.id, Selection: r.spec.Selection, Shards: r.spec.Shards,
-		Balance: r.balance, State: r.state,
-		Done: r.doneCount(), Total: r.total(),
-		Resumed: r.resumed, Duplicates: r.duplicates,
-		MergedCells: r.mergedCell, Failure: r.failure,
+		RunID: r.id, Selection: spec.Selection, Shards: spec.Shards,
+		Balance: r.l.Balance(), State: r.state,
+		Done: st.Done, Total: st.Total,
+		Resumed: st.Resumed, Duplicates: st.Duplicates,
+		MergedCells: st.MergedCells, Failure: r.failure,
 	}
 }
 
@@ -1048,18 +759,12 @@ func (c *Coordinator) StatusText() string {
 		case st.State == runMerged && st.Duplicates > 0:
 			note = fmt.Sprintf("%d duplicate(s) discarded", st.Duplicates)
 		case st.State == runRunning:
-			running := 0
-			for _, u := range r.units {
-				if u.state == dispatch.ShardRunning {
-					running++
-				}
-			}
-			if running > 0 {
-				note = fmt.Sprintf("%d in flight", running)
+			if len(r.leases) > 0 {
+				note = fmt.Sprintf("%d in flight", len(r.leases))
 			}
 		}
 		rows = append(rows, []string{
-			st.RunID, st.Selection, fmt.Sprintf("%d", st.Shards), r.balance, st.State,
+			st.RunID, st.Selection, fmt.Sprintf("%d", st.Shards), st.Balance, st.State,
 			fmt.Sprintf("%d/%d", st.Done, st.Total), note,
 		})
 	}

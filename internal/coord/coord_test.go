@@ -217,6 +217,10 @@ func TestSubmitRejectsNonsense(t *testing.T) {
 	if _, err := rig.Client.Submit(ctx, coord.SubmitRequest{Selection: "fig5", Shards: 2, Balance: "magic"}); err == nil {
 		t.Error("submit accepted an unknown balance")
 	}
+	// The Go API validates the balance itself, not only the HTTP decoder.
+	if _, err := rig.Coordinator().Submit(coord.SubmitRequest{Selection: "fig5", Shards: 2, Balance: "magic"}); err == nil {
+		t.Error("Coordinator.Submit accepted an unknown balance")
+	}
 	runs, err := rig.Client.Runs(ctx)
 	if err != nil {
 		t.Fatalf("Runs: %v", err)

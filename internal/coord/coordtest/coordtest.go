@@ -295,8 +295,10 @@ func (w *inprocWorker) Run(ctx context.Context, t dispatch.Task) error {
 		err error
 	)
 	if t.Cells != "" {
+		// A lease's cell spec names every run in canonical order, so its
+		// sets are already aligned to the selection's runs.
 		var cells [][]int
-		cells, err = alignCells(t.Spec.Selection, t.Cells)
+		_, cells, err = shard.ParseCellSpec(t.Cells)
 		if err == nil {
 			f, err = experiment.RunBatchCached(t.Spec.Selection, t.Spec.Params, 1, cells, nil)
 		}
@@ -307,30 +309,4 @@ func (w *inprocWorker) Run(ctx context.Context, t dispatch.Task) error {
 		return err
 	}
 	return f.WriteFile(t.Out)
-}
-
-// alignCells maps a cell spec's per-name sets onto the selection's
-// canonical run order, as the CLI's -cells path does.
-func alignCells(selection, spec string) ([][]int, error) {
-	runNames, err := experiment.SelectionRuns(selection)
-	if err != nil {
-		return nil, err
-	}
-	names, sets, err := shard.ParseCellSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	byName := make(map[string]int, len(runNames))
-	for i, n := range runNames {
-		byName[n] = i
-	}
-	cells := make([][]int, len(runNames))
-	for i, n := range names {
-		ri, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("coordtest: cell spec names unknown run %q", n)
-		}
-		cells[ri] = sets[i]
-	}
-	return cells, nil
 }

@@ -1,13 +1,13 @@
 package dispatch
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -78,15 +78,6 @@ func (s Spec) normalised() (Spec, []byte, []string, error) {
 		return Spec{}, nil, nil, fmt.Errorf("dispatch: encode params: %w", err)
 	}
 	return s, params, runNames, nil
-}
-
-// Normalised returns the spec with every default resolved, its compact
-// canonical params encoding (the bytes the journal plan event records),
-// and the selection's canonical run names. Exported so other drivers of
-// the dispatch protocol (the coordinator service in internal/coord)
-// normalise a run exactly the way Run does.
-func (s Spec) Normalised() (Spec, []byte, []string, error) {
-	return s.normalised()
 }
 
 // baseArgs returns the ioschedbench run flags shared by every worker
@@ -179,9 +170,9 @@ type Options struct {
 	// ProgressVersion): plan, batch, resumed, cached, attempt, steal,
 	// done, fail, partial and merged events mirroring the journal,
 	// suitable for live status displays (feed them to a Tracker) without
-	// parsing log lines. Events are delivered from multiple goroutines,
-	// so the handler must be safe for concurrent use. nil disables the
-	// stream.
+	// parsing log lines. Events arrive in journal order from one
+	// goroutine per dispatch; a handler shared between dispatches must
+	// be safe for concurrent use. nil disables the stream.
 	Progress func(ProgressEvent)
 	// PartialEvery, when > 0, periodically merges the shards completed so
 	// far into <Dir>/partial.json — a provisional partial cover file that
@@ -249,74 +240,16 @@ type Result struct {
 	Attempts []Attempt
 }
 
-// batchInfo describes one unit of the dispatch plan. In round-robin mode
-// a unit is a classic shard (kind "shard", cells nil); in cost mode it is
-// a cell batch (kind "cost", or "split" for a retry's re-split child).
-type batchInfo struct {
-	id     int
-	kind   string
-	parent int
-	// cells[ri] holds run ri's assigned global cell indices, ascending;
-	// nil means the classic round-robin share of shard id.
-	cells [][]int
-	// spec is shard.FormatCellSpec over cells; "" for classic shards.
-	spec string
-	// ncells counts the batch's cells across all runs (its output file's
-	// CellCount); 0 when unknown (round-robin without a plan).
-	ncells int
-	// weight is the predicted cost, steering steal-target choice.
-	weight float64
-	// path is the canonical output file (shard<i>.json / batch<i>.json).
-	// Steal attempts write path.s<attempt> so copies never collide.
-	path string
-}
-
-// noun names the unit in log lines: classic shards keep their historical
-// spelling.
-func (b *batchInfo) noun() string {
-	if b.kind == "shard" {
-		return "shard"
-	}
-	return "batch"
-}
-
-// batchState is the coordinator's mutable view of one batch.
-type batchState struct {
-	*batchInfo
-	done  bool
-	split bool
-	// file and filePath are the winning validated output.
-	file     *shard.File
-	filePath string
-	// running counts in-flight attempts (can be 2 under stealing).
-	running  int
-	attempts int
-	// failedOn records the pool indices of workers whose attempt at this
-	// batch failed, so retries prefer a different worker — a single dead
-	// host must not burn a batch's whole attempt budget while healthy
-	// workers idle.
-	failedOn map[int]bool
-	started  time.Time
-}
-
-func newBatchState(b *batchInfo) *batchState {
-	return &batchState{batchInfo: b, failedOn: make(map[int]bool)}
-}
-
-// task and outcome flow between the coordinator and the worker loops.
-type task struct {
-	b       *batchInfo
-	attempt int
-	steal   bool
-	out     string
-}
-
+// outcome is one finished attempt, sent from its goroutine to the
+// coordinator loop.
 type outcome struct {
-	task
+	Task
+	u         *Unit
+	attempt   int
+	steal     bool
 	workerIdx int
-	worker    string
-	// file is the decoded, validated shard file of a successful attempt;
-	// the driver merges these directly rather than re-reading the paths.
+	// file is the decoded, validated file of a successful attempt; the
+	// ledger merges these directly rather than re-reading the paths.
 	file *shard.File
 	err  error
 }
@@ -337,10 +270,6 @@ type outcome struct {
 // Run fails if any shard exhausts its attempts, if the context is
 // cancelled, or if the directory's journal belongs to a different run.
 func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Result, error) {
-	spec, params, runNames, err := spec.normalised()
-	if err != nil {
-		return nil, err
-	}
 	balance, err := normalisedBalance(opts.Balance)
 	if err != nil {
 		return nil, err
@@ -353,20 +282,9 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("dispatch: no workers")
 	}
-	maxAttempts := opts.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
-	}
-	emit := func(e ProgressEvent) {
-		if opts.Progress != nil {
-			e.Version = ProgressVersion
-			e.Time = time.Now()
-			opts.Progress(e)
-		}
 	}
 	if opts.PartialEvery > 0 && opts.Dir == "" {
 		return nil, fmt.Errorf("dispatch: PartialEvery needs a persistent Dir to write partial merges into")
@@ -382,11 +300,12 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 		}
 		tempDir = true
 		defer os.RemoveAll(dir)
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-
-	jr, done, prior, err := OpenJournal(filepath.Join(dir, JournalFileName), spec, params, balance)
+	l, err := OpenLedger(LedgerConfig{
+		Spec: spec, Balance: balance, Dir: dir, MaxAttempts: opts.MaxAttempts,
+		Cache: opts.Cache, Codec: codec, Now: time.Now, Emit: opts.Progress,
+		Logf: func(format string, args ...any) { logf("dispatch: "+format, args...) },
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -394,208 +313,20 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 	// success path below closes explicitly so journal write errors are
 	// never swallowed (losing resume state silently would betray the
 	// journal's contract).
-	defer jr.Close()
+	defer l.Close()
 
-	res := &Result{Dir: dir}
-	// deposit feeds a validated shard file into the cell cache; failures
-	// are logged, never fatal — the cache accelerates runs, it does not
-	// gate them.
-	deposit := func(f *shard.File) {
-		if opts.Cache == nil {
-			return
-		}
-		if err := experiment.DepositFile(opts.Cache, f, spec.Params); err != nil {
-			logf("dispatch: cache deposit for shard %d: %v", f.Index, err)
-		}
-	}
-
-	// states holds every live batch of the realised plan; files mirrors
-	// them by shard index in round-robin mode only (the partial merge and
-	// shard.Merge need the dense slice).
-	var states []*batchState
-	var files []*shard.File
-	nextID := 0
-
-	if balance == BalanceRoundRobin {
-		files = make([]*shard.File, spec.Shards)
-		paths := make([]string, spec.Shards)
-		for i := range paths {
-			paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
-		}
-		res.ShardPaths = paths
-		// Predicted per-shard cell counts feed the batch progress events
-		// (and the Tracker's cell-weighted ETA); classic mode works
-		// without them, so a plan failure here is not fatal.
-		var ncells []int
-		if plan, perr := experiment.PlanSelection(spec.Selection, spec.Params); perr == nil {
-			if assign, aerr := (shard.RoundRobin{}).Split(plan.Grids, spec.Shards); aerr == nil {
-				ncells = make([]int, spec.Shards)
-				for ri := range assign {
-					for _, part := range assign[ri] {
-						ncells[part]++
-					}
-				}
-			}
-		}
-		emit(ProgressEvent{Kind: ProgressPlan, Shards: spec.Shards, Shard: -1})
-		for i := 0; i < spec.Shards; i++ {
-			b := &batchInfo{id: i, kind: "shard", parent: -1, path: paths[i]}
-			if ncells != nil {
-				b.ncells = ncells[i]
-				b.weight = float64(ncells[i])
-			}
-			emit(ProgressEvent{Kind: ProgressBatch, Shard: i, Cells: b.ncells})
-			if p, ok := done[i]; ok {
-				vp := p
-				if vp == "" {
-					vp = paths[i]
-				}
-				if f, verr := ValidateShardFile(vp, spec, i, params, runNames); verr == nil {
-					files[i] = f
-					res.ShardPaths[i] = vp
-					res.Resumed++
-					deposit(f)
-					logf("dispatch: shard %d/%d already complete (journal), skipping", i, spec.Shards)
-					emit(ProgressEvent{Kind: ProgressResumed, Shard: i, File: vp})
-					continue
-				} else {
-					logf("dispatch: journal marks shard %d done but its file is invalid (%v); re-running", i, verr)
-				}
-			}
-			if f := cachedShardFile(opts.Cache, spec, i, paths[i], params, runNames, opts.Codec, logf); f != nil {
-				files[i] = f
-				res.Cached++
-				jr.Cached(i, paths[i])
-				logf("dispatch: shard %d/%d satisfied from the cell cache, not queued", i, spec.Shards)
-				emit(ProgressEvent{Kind: ProgressCached, Shard: i, File: paths[i]})
-				continue
-			}
-			states = append(states, newBatchState(b))
-		}
-		nextID = spec.Shards
-	} else {
-		plan, err := experiment.PlanSelection(spec.Selection, spec.Params)
-		if err != nil {
-			return nil, err
-		}
-		costs := refineCosts(prior, plan)
-		covered := make([]map[int]bool, len(plan.Names))
-		for ri := range covered {
-			covered[ri] = make(map[int]bool)
-		}
-		type resumedBatch struct {
-			id   int
-			path string
-			file *shard.File
-		}
-		var resumed []resumedBatch
-		if prior != nil {
-			nextID = len(prior.ShardStates)
-			for _, sh := range prior.ShardStates {
-				if sh.Superseded {
-					continue
-				}
-				if sh.State == ShardDone {
-					if f, verr := ValidateBatchFile(sh.File, spec, nil, params, runNames); verr == nil {
-						resumed = append(resumed, resumedBatch{sh.Index, sh.File, f})
-						for ri, set := range f.Batch.Cells {
-							for _, g := range set {
-								covered[ri][g] = true
-							}
-						}
-						continue
-					} else {
-						logf("dispatch: journal marks batch %d done but its file is invalid (%v); re-planning its cells", sh.Index, verr)
-					}
-				}
-				// The batch is owed no longer: a fresh cost-packing over
-				// the still-uncovered cells replaces it.
-				jr.Batch(sh.Index, "dropped", -1, sh.Spec, sh.Cells, sh.Weight)
-			}
-		}
-		batches, err := planBatches(plan, costs, covered, spec.Shards, dir, &nextID)
-		if err != nil {
-			return nil, err
-		}
-		emit(ProgressEvent{Kind: ProgressPlan, Shards: nextID, Shard: -1})
-		for _, rb := range resumed {
-			st := newBatchState(&batchInfo{id: rb.id, kind: "cost", parent: -1, path: rb.path, ncells: rb.file.CellCount()})
-			st.done, st.file, st.filePath = true, rb.file, rb.path
-			states = append(states, st)
-			res.Resumed++
-			deposit(rb.file)
-			logf("dispatch: batch %d already complete (journal), skipping", rb.id)
-			emit(ProgressEvent{Kind: ProgressResumed, Shard: rb.id, File: rb.path})
-		}
-		for _, b := range batches {
-			jr.Batch(b.id, b.kind, -1, b.spec, b.ncells, b.weight)
-			emit(ProgressEvent{Kind: ProgressBatch, Shard: b.id, Cells: b.ncells})
-			st := newBatchState(b)
-			if f := cachedBatchFile(opts.Cache, spec, b, params, runNames, opts.Codec, logf); f != nil {
-				st.done, st.file, st.filePath = true, f, b.path
-				res.Cached++
-				jr.Cached(b.id, b.path)
-				logf("dispatch: batch %d satisfied from the cell cache, not queued", b.id)
-				emit(ProgressEvent{Kind: ProgressCached, Shard: b.id, File: b.path})
-			}
-			states = append(states, st)
-		}
-	}
-
-	var queue []*batchState
-	for _, st := range states {
-		if !st.done {
-			queue = append(queue, st)
-		}
-	}
-	res.Ran = len(queue)
-
-	if len(queue) > 0 {
-		if err := run(ctx, spec, workers, opts, maxAttempts, logf, emit, deposit,
-			params, runNames, jr, dir, &states, queue, &nextID, files, res); err != nil {
+	res := &Result{Dir: dir, Ran: len(l.pending)}
+	if !l.Finished() {
+		if err := run(ctx, l, workers, opts, res); err != nil {
 			return nil, err
 		}
 	}
-
-	var merged *shard.File
-	if balance == BalanceRoundRobin {
-		for _, st := range states {
-			if st.done {
-				res.ShardPaths[st.id] = st.filePath
-			}
-		}
-		merged, err = shard.Merge(files)
-		if err != nil {
-			return nil, err
-		}
-		res.Shards = spec.Shards
-		jr.Merged(spec.Shards, merged.CellCount())
-		logf("dispatch: merged %d shards (%d cells) for %q", spec.Shards, merged.CellCount(), spec.Selection)
-		emit(ProgressEvent{Kind: ProgressMerged, Shards: spec.Shards, Shard: -1, Cells: merged.CellCount()})
-	} else {
-		sort.Slice(states, func(i, j int) bool { return states[i].id < states[j].id })
-		var bfiles []*shard.File
-		res.ShardPaths = nil
-		for _, st := range states {
-			if st.split {
-				continue // its children carry the cells
-			}
-			if !st.done || st.file == nil {
-				return nil, fmt.Errorf("dispatch: internal: batch %d never completed", st.id)
-			}
-			bfiles = append(bfiles, st.file)
-			res.ShardPaths = append(res.ShardPaths, st.filePath)
-		}
-		var dups int
-		merged, dups, err = shard.MergeBatches(bfiles)
-		if err != nil {
-			return nil, err
-		}
-		res.Duplicates += dups
-		res.Shards = len(bfiles)
-		jr.Merged(len(bfiles), merged.CellCount())
-		logf("dispatch: merged %d batches (%d cells) for %q", len(bfiles), merged.CellCount(), spec.Selection)
-		emit(ProgressEvent{Kind: ProgressMerged, Shards: len(bfiles), Shard: -1, Cells: merged.CellCount()})
+	merged, err := l.Merge("")
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range l.mergeUnits() {
+		res.ShardPaths = append(res.ShardPaths, u.filePath)
 	}
 	// The cover is complete: a stale auto-partial file would only invite
 	// re-rendering a subset of a finished sweep. Unconditional — a resume
@@ -604,315 +335,117 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 	if err := os.Remove(filepath.Join(dir, partialFileName)); err != nil && !os.IsNotExist(err) {
 		logf("dispatch: removing %s: %v", partialFileName, err)
 	}
-	if err := jr.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		return nil, fmt.Errorf("dispatch: journal: %w", err)
 	}
-	res.Merged = merged
+	st := l.Stats()
+	res.Merged, res.Shards = merged, len(res.ShardPaths)
+	res.Resumed, res.Cached, res.Retries, res.Steals, res.Duplicates = st.Resumed, st.Cached, st.Retries, st.Steals, st.Duplicates
 	if tempDir {
 		res.Dir, res.ShardPaths = "", nil
 	}
 	return res, nil
 }
 
-// PlannedBatch is one unit of a cost-balanced decomposition as produced
-// by PlanCostBatches: a set of grid cells per canonical run, its formatted
-// cell spec, cell count and predicted weight. Exported so other drivers of
-// the dispatch journal schema (the coordinator service in internal/coord)
-// plan batches exactly the way the in-process dispatcher does.
-type PlannedBatch struct {
-	ID     int
-	Cells  [][]int
-	Spec   string
-	NCells int
-	Weight float64
-}
-
-// PlanCostBatches cost-packs the selection's not-yet-covered cells into up
-// to parts batches of near-equal predicted cost, numbering them from
-// startID, and returns the batches plus the next free id. Shared-key
-// groups are packed once through their representative (its members copy
-// the assignment), so fig6/fig7's single computation is never priced
-// twice; parts that end up empty are dropped rather than dispatched.
-func PlanCostBatches(plan *experiment.RunPlan, costs [][]float64, covered []map[int]bool,
-	parts, startID int) ([]PlannedBatch, int, error) {
-	masked := make([][]float64, len(costs))
-	for ri := range costs {
-		masked[ri] = make([]float64, len(costs[ri]))
-		if plan.Groups[ri] != ri {
-			continue // shared-key member: its representative carries the cost
-		}
-		for g, c := range costs[ri] {
-			if !covered[ri][g] {
-				masked[ri][g] = c
-			}
-		}
-	}
-	assign, err := shard.CostPacked{Costs: masked}.Split(plan.Grids, parts)
-	if err != nil {
-		return nil, startID, err
-	}
-	for ri := range assign {
-		if plan.Groups[ri] != ri {
-			assign[ri] = assign[plan.Groups[ri]]
-		}
-	}
-	var out []PlannedBatch
-	for p := 0; p < parts; p++ {
-		cells := make([][]int, len(plan.Names))
-		ncells := 0
-		weight := 0.0
-		for ri := range plan.Names {
-			for g, part := range assign[ri] {
-				if part != p || covered[ri][g] {
-					continue
-				}
-				cells[ri] = append(cells[ri], g)
-				ncells++
-				if plan.Groups[ri] == ri {
-					weight += costs[ri][g]
-				}
-			}
-		}
-		if ncells == 0 {
-			continue
-		}
-		spec, err := shard.FormatCellSpec(plan.Names, cells)
-		if err != nil {
-			return nil, startID, err
-		}
-		out = append(out, PlannedBatch{
-			ID: startID, Cells: cells, Spec: spec, NCells: ncells, Weight: weight,
-		})
-		startID++
-	}
-	return out, startID, nil
-}
-
-// planBatches adapts PlanCostBatches to the dispatcher's batchInfo,
-// assigning each batch its output path inside dir.
-func planBatches(plan *experiment.RunPlan, costs [][]float64, covered []map[int]bool,
-	parts int, dir string, nextID *int) ([]*batchInfo, error) {
-	planned, next, err := PlanCostBatches(plan, costs, covered, parts, *nextID)
-	if err != nil {
-		return nil, err
-	}
-	*nextID = next
-	var out []*batchInfo
-	for _, b := range planned {
-		out = append(out, &batchInfo{
-			id: b.ID, kind: "cost", parent: -1,
-			cells: b.Cells, spec: b.Spec, ncells: b.NCells, weight: b.Weight,
-			path: filepath.Join(dir, fmt.Sprintf("batch%d.json", b.ID)),
-		})
-	}
-	return out, nil
-}
-
-// splitBatch halves a failed batch's cells into two child batches (walked
-// in run/cell order), inheriting the parent's attempt count and failure
-// history so the attempt budget still bounds the lineage. Returns nil if
-// the batch cannot be split.
-func splitBatch(st *batchState, attempt int, runNames []string, dir string, nextID *int) []*batchState {
-	if st.cells == nil || st.ncells < 2 {
-		return nil
-	}
-	half := st.ncells / 2
-	a := make([][]int, len(st.cells))
-	b := make([][]int, len(st.cells))
-	n := 0
-	for ri, set := range st.cells {
-		for _, g := range set {
-			if n < half {
-				a[ri] = append(a[ri], g)
-			} else {
-				b[ri] = append(b[ri], g)
-			}
-			n++
-		}
-	}
-	var out []*batchState
-	for _, cells := range [][][]int{a, b} {
-		spec, err := shard.FormatCellSpec(runNames, cells)
-		if err != nil {
-			return nil
-		}
-		id := *nextID
-		*nextID++
-		nc := 0
-		for _, set := range cells {
-			nc += len(set)
-		}
-		c := &batchInfo{
-			id: id, kind: "split", parent: st.id,
-			cells: cells, spec: spec, ncells: nc, weight: st.weight / 2,
-			path: filepath.Join(dir, fmt.Sprintf("batch%d.json", id)),
-		}
-		cst := newBatchState(c)
-		cst.attempts = attempt
-		for wi := range st.failedOn {
-			cst.failedOn[wi] = true
-		}
-		out = append(out, cst)
-	}
-	return out
-}
-
-// run drains the queue through the worker pool: a pull-based work queue
-// where the coordinator hands tasks to idle workers explicitly (one
-// channel per worker) rather than letting workers race on a shared
-// queue. That is what lets a retry prefer a worker that has not already
-// failed the batch — a single dead worker cannot consume a batch's whole
-// attempt budget while healthy workers sit idle — and what lets idle
-// workers steal a second copy of a straggling batch once the queue
-// drains (Options.Steal). First completion wins; late duplicates are
-// discarded without journaling. A failed cost batch with no copy still
-// running is re-split into two child batches, so a retry re-runs half
-// the work per worker instead of all of it.
-func run(ctx context.Context, spec Spec, workers []Worker, opts Options, maxAttempts int,
-	logf func(string, ...any), emit func(ProgressEvent), deposit func(*shard.File),
-	params []byte, runNames []string,
-	jr *Journal, dir string, statesAll *[]*batchState, queue []*batchState,
-	nextID *int, files []*shard.File, res *Result) error {
-
+// run drains the ledger's queue through the worker pool: a pull-based
+// work queue where the coordinator loop hands each attempt to an idle
+// worker explicitly rather than letting workers race on a shared queue.
+// That is what lets a retry prefer a worker that has not already failed
+// the unit — a single dead worker cannot consume a unit's whole attempt
+// budget while healthy workers sit idle — and what lets idle workers
+// steal a second copy of a straggling batch once the queue drains
+// (Options.Steal).
+func run(ctx context.Context, l *Ledger, workers []Worker, opts Options, res *Result) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	feeds := make([]chan task, len(workers))
 	results := make(chan outcome)
-	requeue := make(chan *batchState, len(queue)*maxAttempts*2+len(workers)+1)
+	// Sized so a delayed requeue never blocks: at most one per failed
+	// attempt of every queued unit and its split children.
+	requeue := make(chan *Unit, len(l.pending)*l.maxAttempts*2+len(workers)+1)
 	var wg sync.WaitGroup
-	for i, w := range workers {
-		feeds[i] = make(chan task, 1)
-		wg.Add(1)
-		go func(wi int, w Worker) {
-			defer wg.Done()
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case t := <-feeds[wi]:
-					o := outcome{task: t, workerIdx: wi, worker: w.Name()}
-					o.file, o.err = runAttempt(runCtx, w, spec, t, params, runNames, opts.AttemptTimeout)
-					select {
-					case results <- o:
-					case <-runCtx.Done():
-						return
-					}
-				}
-			}
-		}(i, w)
-	}
 
-	byID := make(map[int]*batchState, len(*statesAll))
-	for _, st := range *statesAll {
-		byID[st.id] = st
+	// failedOn records the pool indices of workers whose attempt at a unit
+	// failed, so retries prefer a different worker.
+	failedOn := make(map[*Unit]map[int]bool)
+	freshWorker := func(u *Unit, idle []int) int {
+		for ii, wi := range idle {
+			if !failedOn[u][wi] {
+				return ii
+			}
+		}
+		return -1
 	}
 	idle := make([]int, len(workers))
 	for i := range idle {
 		idle[i] = i
 	}
-	pending := append([]*batchState(nil), queue...)
-	remaining := len(queue)
-
-	// assign hands one attempt (or steal) to worker wi; the coordinator
-	// journals and emits at assignment time, so the journal's attempt
-	// order is the assignment order.
-	assign := func(st *batchState, wi int, steal bool) {
-		st.attempts++
-		st.running++
-		if st.started.IsZero() {
-			st.started = time.Now()
-		}
-		att := st.attempts
-		out := st.path
-		name := workers[wi].Name()
-		if steal {
-			// Steal copies write a suffixed path: the canonical path stays
-			// owned by regular attempts, so by-hand merges over canonical
-			// names keep working whatever the race outcome.
-			out = fmt.Sprintf("%s.s%d", st.path, att)
-			res.Steals++
-			jr.Steal(st.id, att, name)
-			logf("dispatch: %s %d stolen by idle %s (attempt %d/%d)", st.noun(), st.id, name, att, maxAttempts)
-			emit(ProgressEvent{Kind: ProgressSteal, Shard: st.id, Attempt: att, Worker: name})
-		} else {
-			jr.Attempt(st.id, att, name)
-			logf("dispatch: %s %d attempt %d/%d on %s", st.noun(), st.id, att, maxAttempts, name)
-			emit(ProgressEvent{Kind: ProgressAttempt, Shard: st.id, Attempt: att, Worker: name})
-		}
-		feeds[wi] <- task{b: st.batchInfo, attempt: att, steal: steal, out: out}
+	// assign starts an attempt at u on idle worker ii; its goroutine
+	// reports back on results.
+	assign := func(u *Unit, ii int, steal bool) {
+		wi := idle[ii]
+		idle = slices.Delete(idle, ii, ii+1)
+		t, att := l.Start(u, workers[wi].Name(), steal)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := outcome{Task: t, u: u, attempt: att, steal: steal, workerIdx: wi}
+			o.file, o.err = runAttempt(runCtx, workers[wi], l, u, t, opts.AttemptTimeout)
+			select {
+			case results <- o:
+			case <-runCtx.Done():
+			}
+		}()
 	}
 
-	// tryAssign hands queued batches to idle workers, preferring for each
-	// a worker that has not failed it yet; batches whose only fresh
-	// workers are busy stay queued until one frees up. With the queue
-	// drained and Steal on, leftover idle workers take a second copy of
-	// the heaviest single-copy straggler.
+	// tryAssign hands queued units to idle workers, preferring for each a
+	// worker that has not failed it yet; units whose only fresh workers
+	// are busy stay queued until one frees up. With the queue drained and
+	// Steal on, leftover idle workers take a second copy of the heaviest
+	// single-copy straggler (ties: earliest started, then lowest id).
 	tryAssign := func() {
-		for len(idle) > 0 {
-			assigned := false
-			for pi := 0; pi < len(pending) && !assigned; pi++ {
-				st := pending[pi]
-				pick := -1
-				for ii, wi := range idle {
-					if !st.failedOn[wi] {
-						pick = ii
-						break
-					}
-				}
-				if pick == -1 && len(st.failedOn) >= len(workers) {
+		for assigned := true; assigned && len(idle) > 0; {
+			assigned = false
+			for _, u := range l.pending {
+				pick := freshWorker(u, idle)
+				if pick == -1 && len(failedOn[u]) >= len(workers) {
 					pick = 0 // every worker failed it once; anyone may retry
 				}
-				if pick == -1 {
-					continue
+				if pick != -1 {
+					assign(u, pick, false)
+					assigned = true
+					break
 				}
-				wi := idle[pick]
-				idle = append(idle[:pick], idle[pick+1:]...)
-				pending = append(pending[:pi], pending[pi+1:]...)
-				assign(st, wi, false)
-				assigned = true
-			}
-			if !assigned {
-				break
 			}
 		}
-		if !opts.Steal || len(pending) > 0 {
+		if !opts.Steal || len(l.pending) > 0 {
 			return
 		}
 		for len(idle) > 0 {
-			var target *batchState
+			var target *Unit
 			pick := -1
-			for _, st := range byID {
-				if st.done || st.split || st.running != 1 || st.attempts >= maxAttempts {
+			for _, u := range l.units {
+				if u.done || u.split || len(u.inflight) != 1 || u.attempts >= l.maxAttempts {
 					continue
 				}
-				wpick := -1
-				for ii, wi := range idle {
-					if !st.failedOn[wi] {
-						wpick = ii
-						break
-					}
-				}
+				wpick := freshWorker(u, idle)
 				if wpick == -1 {
 					continue
 				}
-				if target == nil || st.weight > target.weight ||
-					(st.weight == target.weight && (st.started.Before(target.started) ||
-						(st.started.Equal(target.started) && st.id < target.id))) {
-					target, pick = st, wpick
+				if target == nil || u.weight > target.weight ||
+					(u.weight == target.weight && u.started.Before(target.started)) {
+					target, pick = u, wpick
 				}
 			}
 			if target == nil {
 				return
 			}
-			wi := idle[pick]
-			idle = append(idle[:pick], idle[pick+1:]...)
-			assign(target, wi, true)
+			assign(target, pick, true)
 		}
 	}
 
 	// The auto-partial ticker shares the coordinator loop, so it reads the
-	// files slice race-free between completions.
+	// ledger race-free between completions.
 	var partialTick <-chan time.Time
 	if opts.PartialEvery > 0 {
 		ticker := time.NewTicker(opts.PartialEvery)
@@ -920,130 +453,99 @@ func run(ctx context.Context, spec Spec, workers []Worker, opts Options, maxAtte
 		partialTick = ticker.C
 	}
 	partialSaved := -1 // done-count at the last successful write
+	// savePartial merges the validated shard files completed so far into
+	// partial.json.
 	savePartial := func() {
-		done := 0
-		for _, f := range files {
-			if f != nil {
-				done++
+		var have []*shard.File
+		for _, u := range l.units {
+			if u.done {
+				have = append(have, u.file)
 			}
 		}
-		if done == partialSaved {
-			// Nothing completed since the last write: re-merging would
-			// only rewrite identical bytes from the coordinator loop.
+		if len(have) == partialSaved || len(have) == 0 || len(have) == len(l.units) {
+			// Nothing new since the last write, nothing yet, or the final
+			// merge is about to supersede the cover.
 			return
 		}
-		path, present, cells, err := writePartial(opts.Dir, files, opts.Codec)
+		path := filepath.Join(opts.Dir, partialFileName)
+		cover, err := shard.MergePartial(have)
+		if err == nil {
+			// Write-then-rename: the file is documented as renderable at
+			// any moment, so a concurrent "merge -partial" must never
+			// observe a truncated in-place rewrite.
+			if err = cover.File.WriteFileAs(path+".tmp", opts.Codec); err == nil {
+				err = os.Rename(path+".tmp", path)
+			}
+		}
 		if err != nil {
 			// A failed provisional write must not kill the sweep it
 			// observes; the next tick retries. It must stay visible even
 			// when only the progress stream is watched (the CLI's
 			// -progress mode discards Logf), so it is also emitted as a
 			// partial event carrying the error.
-			logf("dispatch: partial merge: %v", err)
-			emit(ProgressEvent{Kind: ProgressPartial, Shard: -1, Err: err.Error()})
+			l.logf("partial merge: %v", err)
+			l.emit(ProgressEvent{Kind: ProgressPartial, Shard: -1, Err: err.Error()})
 			return
 		}
-		partialSaved = done
-		if path == "" {
-			return
-		}
-		jr.Partial(path, present, cells)
-		logf("dispatch: partial merge: %d/%d shards (%d cells) written to %s", present, spec.Shards, cells, path)
-		emit(ProgressEvent{Kind: ProgressPartial, Shards: present, Shard: -1, File: path, Cells: cells})
+		partialSaved = len(have)
+		present, cells := len(cover.Present), cover.CellsHave()
+		l.jr.write(journalEvent{Event: "partial", File: path, Shards: present, Cells: cells})
+		l.logf("partial merge: %d/%d shards (%d cells) written to %s", present, l.spec.Shards, cells, path)
+		l.emit(ProgressEvent{Kind: ProgressPartial, Shards: present, Shard: -1, File: path, Cells: cells})
 	}
 
 	tryAssign()
 	var fatal error
-	for remaining > 0 && fatal == nil {
+	for !l.Finished() && fatal == nil {
 		select {
 		case <-ctx.Done():
 			fatal = ctx.Err()
 		case <-partialTick:
 			savePartial()
-		case st := <-requeue:
-			pending = append(pending, st)
+		case u := <-requeue:
+			l.Requeue(u)
 			tryAssign()
 		case o := <-results:
 			idle = append(idle, o.workerIdx)
-			st := byID[o.b.id]
-			st.running--
-			a := Attempt{Shard: o.b.id, Attempt: o.attempt, Steal: o.steal, Worker: o.worker}
+			worker := workers[o.workerIdx].Name()
+			a := Attempt{Shard: o.u.id, Attempt: o.attempt, Steal: o.steal, Worker: worker}
 			if o.err != nil {
 				a.Err = o.err.Error()
 			}
 			res.Attempts = append(res.Attempts, a)
-			if st.done {
-				// A concurrent copy already won. The outcome — success or
-				// failure — concerns a duplicate and is discarded without
-				// journaling: the batch's record ends at its done event.
-				if o.err == nil {
-					res.Duplicates++
-					logf("dispatch: %s %d duplicate completion (attempt %d on %s) discarded", o.b.noun(), o.b.id, o.attempt, o.worker)
-					if o.out != st.filePath {
-						os.Remove(o.out)
-					}
-				}
-				tryAssign()
-				continue
-			}
 			if o.err == nil {
-				st.done, st.file, st.filePath = true, o.file, o.out
-				if files != nil {
-					files[o.b.id] = o.file
-				}
-				deposit(o.file)
-				jr.Done(o.b.id, o.attempt, o.worker, o.out, o.file.CellCount())
-				logf("dispatch: %s %d complete (attempt %d on %s)", o.b.noun(), o.b.id, o.attempt, o.worker)
-				emit(ProgressEvent{Kind: ProgressDone, Shard: o.b.id, Attempt: o.attempt, Worker: o.worker, File: o.out, Cells: o.file.CellCount()})
-				remaining--
+				l.Complete(o.u, o.attempt, worker, o.Out, o.file)
 				tryAssign()
 				continue
 			}
-			jr.Fail(o.b.id, o.attempt, o.worker, o.err)
-			emit(ProgressEvent{Kind: ProgressFailed, Shard: o.b.id, Attempt: o.attempt, Worker: o.worker, Err: o.err.Error()})
-			st.failedOn[o.workerIdx] = true
-			if st.running > 0 {
-				// A concurrent copy is still in flight; it may yet win, so
-				// nothing is re-queued.
-				logf("dispatch: %s %d attempt %d on %s failed; a concurrent copy is still running: %v",
-					o.b.noun(), o.b.id, o.attempt, o.worker, o.err)
-				tryAssign()
-				continue
+			verdict, children := l.Fail(o.u, o.attempt, worker, o.err)
+			if failedOn[o.u] == nil {
+				failedOn[o.u] = make(map[int]bool)
 			}
-			if o.attempt >= maxAttempts {
+			failedOn[o.u][o.workerIdx] = true
+			switch verdict {
+			case FailExhausted:
 				fatal = fmt.Errorf("dispatch: shard %d failed all %d attempts, last on %s: %w",
-					o.b.id, o.attempt, o.worker, o.err)
+					o.u.id, o.attempt, worker, o.err)
 				continue
-			}
-			res.Retries++
-			if children := splitBatch(st, o.attempt, runNames, dir, nextID); children != nil {
-				st.split = true
-				remaining++
-				logf("dispatch: batch %d attempt %d on %s failed; re-splitting %d cells into batches %d+%d: %v",
-					st.id, o.attempt, o.worker, st.ncells, children[0].id, children[1].id, o.err)
+			case FailSplit:
 				for _, c := range children {
-					jr.Batch(c.id, c.kind, c.parent, c.spec, c.ncells, c.weight)
-					emit(ProgressEvent{Kind: ProgressBatch, Shard: c.id, Cells: c.ncells})
-					byID[c.id] = c
-					*statesAll = append(*statesAll, c)
-					pending = append(pending, c)
+					failedOn[c] = maps.Clone(failedOn[o.u])
 				}
-				tryAssign()
-				continue
+			case FailRequeue:
+				if opts.RetryDelay > 0 {
+					go func(u *Unit) {
+						select {
+						case <-time.After(opts.RetryDelay):
+							requeue <- u
+						case <-runCtx.Done():
+						}
+					}(o.u)
+				} else {
+					l.Requeue(o.u)
+				}
 			}
-			logf("dispatch: %s %d attempt %d on %s failed, retrying: %v", o.b.noun(), o.b.id, o.attempt, o.worker, o.err)
-			if opts.RetryDelay > 0 {
-				go func(st *batchState) {
-					select {
-					case <-time.After(opts.RetryDelay):
-						requeue <- st
-					case <-runCtx.Done():
-					}
-				}(st)
-			} else {
-				pending = append(pending, st)
-				tryAssign()
-			}
+			tryAssign()
 		}
 	}
 	cancel()
@@ -1051,103 +553,9 @@ func run(ctx context.Context, spec Spec, workers []Worker, opts Options, maxAtte
 	return fatal
 }
 
-// writePartial merges the validated shard files completed so far into the
-// dispatch directory's partial.json and returns its path, present-shard
-// count and covered cells. It writes nothing — returning "" — when no
-// shard has completed yet or the cover is already complete (the final
-// merge is about to supersede it).
-func writePartial(dir string, files []*shard.File, codec string) (string, int, int, error) {
-	var have []*shard.File
-	for _, f := range files {
-		if f != nil {
-			have = append(have, f)
-		}
-	}
-	if len(have) == 0 || len(have) == len(files) {
-		return "", 0, 0, nil
-	}
-	cover, err := shard.MergePartial(have)
-	if err != nil {
-		return "", 0, 0, err
-	}
-	// Write-then-rename: the file is documented as renderable at any
-	// moment, so a concurrent "merge -partial" must never observe a
-	// truncated in-place rewrite.
-	path := filepath.Join(dir, partialFileName)
-	tmp := path + ".tmp"
-	if err := cover.File.WriteFileAs(tmp, codec); err != nil {
-		return "", 0, 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return "", 0, 0, err
-	}
-	return path, len(cover.Present), cover.CellsHave(), nil
-}
-
-// cachedShardFile tries to satisfy shard index from the cell cache: it
-// builds the file purely from cached cells (experiment.CachedShard),
-// writes it to the shard path, and re-validates it from disk exactly
-// like a worker's output. Any gap or failure returns nil — the shard is
-// queued normally. A nil cache returns nil immediately.
-func cachedShardFile(cache *cellcache.Store, spec Spec, index int, path string,
-	params []byte, runNames []string, codec string, logf func(string, ...any)) *shard.File {
-	if cache == nil {
-		return nil
-	}
-	f, ok, err := experiment.CachedShard(cache, spec.Selection, spec.Params, spec.Shards, index)
-	if err != nil {
-		logf("dispatch: cache probe for shard %d: %v", index, err)
-		return nil
-	}
-	if !ok {
-		return nil
-	}
-	if err := f.WriteFileAs(path, codec); err != nil {
-		logf("dispatch: writing cached shard %d: %v", index, err)
-		return nil
-	}
-	// The cached file passes the exact gate a worker's file must pass, so
-	// a cache bug is a re-queued shard, never a silently merged one.
-	vf, err := ValidateShardFile(path, spec, index, params, runNames)
-	if err != nil {
-		logf("dispatch: cached shard %d failed validation (%v); re-running", index, err)
-		return nil
-	}
-	return vf
-}
-
-// cachedBatchFile is cachedShardFile's cost-mode counterpart: it tries to
-// satisfy one planned batch purely from the cell cache and re-validates
-// the written file like any worker output.
-func cachedBatchFile(cache *cellcache.Store, spec Spec, b *batchInfo,
-	params []byte, runNames []string, codec string, logf func(string, ...any)) *shard.File {
-	if cache == nil {
-		return nil
-	}
-	f, ok, err := experiment.CachedBatch(cache, spec.Selection, spec.Params, b.cells)
-	if err != nil {
-		logf("dispatch: cache probe for batch %d: %v", b.id, err)
-		return nil
-	}
-	if !ok {
-		return nil
-	}
-	if err := f.WriteFileAs(b.path, codec); err != nil {
-		logf("dispatch: writing cached batch %d: %v", b.id, err)
-		return nil
-	}
-	vf, err := ValidateBatchFile(b.path, spec, b.cells, params, runNames)
-	if err != nil {
-		logf("dispatch: cached batch %d failed validation (%v); re-running", b.id, err)
-		return nil
-	}
-	return vf
-}
-
 // runAttempt runs one attempt under the per-attempt timeout and validates
 // the produced file, returning its decoded form on success.
-func runAttempt(ctx context.Context, w Worker, spec Spec, t task,
-	params []byte, runNames []string, timeout time.Duration) (*shard.File, error) {
+func runAttempt(ctx context.Context, w Worker, l *Ledger, u *Unit, t Task, timeout time.Duration) (*shard.File, error) {
 	actx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -1156,122 +564,16 @@ func runAttempt(ctx context.Context, w Worker, spec Spec, t task,
 	}
 	// Drop any partial file a previous attempt left, so validation can
 	// never accept stale output.
-	if err := os.Remove(t.out); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(t.Out); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	var f *shard.File
-	err := w.Run(actx, Task{Spec: spec, Index: t.b.id, Cells: t.b.spec, Out: t.out})
+	err := w.Run(actx, t)
 	if err == nil {
-		if t.b.cells != nil {
-			f, err = ValidateBatchFile(t.out, spec, t.b.cells, params, runNames)
-		} else {
-			f, err = ValidateShardFile(t.out, spec, t.b.id, params, runNames)
-		}
+		f, err = l.Validate(u, t.Out)
 	}
 	if err != nil && actx.Err() != nil && ctx.Err() == nil {
 		return nil, fmt.Errorf("dispatch: attempt exceeded the %v timeout: %w", timeout, err)
 	}
 	return f, err
-}
-
-// validateRunFile holds the validation gates shared by shard and batch
-// files: a decodable file of exactly this run — right selection and
-// params, the selection's canonical runs, and the grid and payload layout
-// the registry derives from the params (experiment.ValidateRuns).
-func validateRunFile(path string, spec Spec, params []byte, runNames []string) (*shard.File, error) {
-	f, err := shard.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if f.Selection != spec.Selection {
-		return nil, fmt.Errorf("dispatch: %s records selection %q, want %q", path, f.Selection, spec.Selection)
-	}
-	var got bytes.Buffer
-	if err := json.Compact(&got, f.Params); err != nil {
-		return nil, fmt.Errorf("dispatch: %s params: %w", path, err)
-	}
-	if !bytes.Equal(got.Bytes(), params) {
-		return nil, fmt.Errorf("dispatch: %s was produced by a different run (params mismatch: %s)",
-			path, shard.DiffParams(params, got.Bytes()))
-	}
-	if len(f.Runs) != len(runNames) {
-		return nil, fmt.Errorf("dispatch: %s holds %d runs, want %d", path, len(f.Runs), len(runNames))
-	}
-	for i, r := range f.Runs {
-		if r.Experiment != runNames[i] {
-			return nil, fmt.Errorf("dispatch: %s run %d is %q, want %q", path, i, r.Experiment, runNames[i])
-		}
-	}
-	if err := experiment.ValidateRuns(f, spec.Params); err != nil {
-		return nil, fmt.Errorf("dispatch: %s: %w", path, err)
-	}
-	return f, nil
-}
-
-// ValidateShardFile accepts a worker's output only if it is a valid
-// classic shard file of exactly this run and index with every owned cell
-// present exactly once (File.ValidateCells), and returns the decoded file
-// so the driver never parses a shard twice. Anything else counts as a
-// failed attempt and is retried.
-func ValidateShardFile(path string, spec Spec, index int, params []byte, runNames []string) (*shard.File, error) {
-	f, err := validateRunFile(path, spec, params, runNames)
-	if err != nil {
-		return nil, err
-	}
-	if f.Batch != nil {
-		return nil, fmt.Errorf("dispatch: %s is a cell-batch file, want shard %d/%d", path, index, spec.Shards)
-	}
-	if f.Shards != spec.Shards || f.Index != index {
-		return nil, fmt.Errorf("dispatch: %s records shard %d/%d, want %d/%d",
-			path, f.Index, f.Shards, index, spec.Shards)
-	}
-	if err := f.ValidateCells(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ValidateBatchFile is ValidateShardFile's counterpart for cell-batch
-// files. With cells non-nil the file's batch header must record exactly
-// those per-run sets — a worker that computed the wrong cells is a failed
-// attempt, not a mergeable file; with cells nil the header is accepted as
-// recorded (resume trusts the journaled plan it re-validates against).
-func ValidateBatchFile(path string, spec Spec, cells [][]int, params []byte, runNames []string) (*shard.File, error) {
-	f, err := validateRunFile(path, spec, params, runNames)
-	if err != nil {
-		return nil, err
-	}
-	if f.Batch == nil {
-		return nil, fmt.Errorf("dispatch: %s is not a cell-batch file", path)
-	}
-	if f.Shards != 1 || f.Index != 0 {
-		return nil, fmt.Errorf("dispatch: %s records shard %d/%d, want a 1/0 batch", path, f.Index, f.Shards)
-	}
-	if cells != nil {
-		if len(f.Batch.Cells) != len(cells) {
-			return nil, fmt.Errorf("dispatch: %s records %d cell sets, want %d", path, len(f.Batch.Cells), len(cells))
-		}
-		for ri := range cells {
-			if !equalInts(f.Batch.Cells[ri], cells[ri]) {
-				return nil, fmt.Errorf("dispatch: %s run %d records cells %q, want %q",
-					path, ri, shard.FormatRanges(f.Batch.Cells[ri]), shard.FormatRanges(cells[ri]))
-			}
-		}
-	}
-	if err := f.ValidateCells(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

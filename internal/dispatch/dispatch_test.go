@@ -404,27 +404,27 @@ func TestValidateShardFile(t *testing.T) {
 	if err := f.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	vf, err := ValidateShardFile(path, spec, 0, params, runNames)
+	vf, err := validateFile(path, spec, 0, params, runNames, nil)
 	if err != nil {
 		t.Fatalf("valid shard rejected: %v", err)
 	}
 	if vf == nil || vf.CellCount() != f.CellCount() {
 		t.Fatalf("validation did not return the decoded file: %+v", vf)
 	}
-	if _, err := ValidateShardFile(path, spec, 1, params, runNames); err == nil {
+	if _, err := validateFile(path, spec, 1, params, runNames, nil); err == nil {
 		t.Error("wrong index accepted")
 	}
 	var otherParams bytes.Buffer
 	if err := json.Compact(&otherParams, []byte(`{"seed": 2}`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateShardFile(path, spec, 0, otherParams.Bytes(), runNames); err == nil {
+	if _, err := validateFile(path, spec, 0, otherParams.Bytes(), runNames, nil); err == nil {
 		t.Error("params mismatch accepted")
 	}
-	if _, err := ValidateShardFile(path, spec, 0, params, []string{"fig5", "fig6"}); err == nil {
+	if _, err := validateFile(path, spec, 0, params, []string{"fig5", "fig6"}, nil); err == nil {
 		t.Error("missing run accepted")
 	}
-	if _, err := ValidateShardFile(filepath.Join(dir, "absent.json"), spec, 0, params, runNames); err == nil {
+	if _, err := validateFile(filepath.Join(dir, "absent.json"), spec, 0, params, runNames, nil); err == nil {
 		t.Error("missing file accepted")
 	}
 }

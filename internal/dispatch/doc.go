@@ -27,9 +27,19 @@
 //
 // Failure handling is therefore entirely mechanical: any attempt that
 // errors, times out, or leaves a file that fails validation is simply
-// re-queued, up to Options.MaxAttempts per shard. Dispatched output is
-// byte-identical to the unsharded run — enforced by this package's tests
-// and the dispatch-equivalence CI job.
+// re-queued (a failed cost batch re-split), up to Options.MaxAttempts
+// per unit. Dispatched output is byte-identical to the unsharded run —
+// enforced by this package's tests and the dispatch-equivalence CI job.
+//
+// # Lifecycle
+//
+// The unit lifecycle — plan or resume, attempt and steal starts,
+// validation, first completion wins, fail → requeue | split, merge — is
+// written once, as Ledger, and its journal lines and progress events
+// with it. Run is a Ledger plus worker goroutines, a pick/steal policy,
+// RetryDelay and the partial ticker; internal/coord drives one Ledger per
+// run over HTTP. A Ledger is single-goroutine and takes its clock as a
+// parameter, so tests drive it step by step.
 //
 // # Workers
 //
@@ -47,9 +57,11 @@
 // Every dispatch appends structured events (plan, attempt, fail, done,
 // partial, merged) to a JSONL journal in its working directory. A re-run
 // with the same directory resumes: shards the journal marks done are
-// re-validated from their files and skipped, and only missing or invalid
-// shards are executed. The journal also rejects reuse of a directory by
-// a different run (selection, shard count or params mismatch).
+// re-validated from their files and skipped, only missing or invalid
+// shards are executed, and attempt numbers continue from the journal's;
+// a balanced run re-plans the cells of its unfinished batches. The
+// journal also rejects reuse of a directory by a different run
+// (selection, shard count, params or balance mismatch).
 // ReadJournal decodes any journal — live, finished or dead — into its
 // per-shard states, missing indices and failure log; the CLI's "status"
 // subcommand is that reader plus formatting.

@@ -1,18 +1,14 @@
 package dispatch
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 )
 
-// JournalFileName is the journal's name inside the dispatch directory.
-// Exported so other drivers of the same journal schema (the coordinator
-// service in internal/coord) place their journals where the status
-// reader and resume logic expect them.
+// JournalFileName is the journal's name inside a dispatch directory or a
+// coordinator run directory.
 const JournalFileName = "dispatch.journal"
 
 // partialFileName is the auto-partial-merge output's name inside the
@@ -61,162 +57,50 @@ type journalEvent struct {
 	Cells int `json:"cells,omitempty"`
 }
 
-// Journal appends events to the dispatch journal file. Safe for
-// concurrent use; write errors are sticky and reported by Close, so a
-// full disk cannot silently disable resumability. Exported so the
-// coordinator service (internal/coord) writes the same schema through
-// the same code instead of forking it.
-type Journal struct {
-	mu     sync.Mutex
+// journal appends events to the dispatch journal file for its ledger's
+// goroutine. Write errors are sticky and reported by Close, so a full
+// disk cannot silently disable resumability. Every line takes its time
+// from the injected clock.
+type journal struct {
 	f      *os.File
 	enc    *json.Encoder
+	now    func() time.Time
 	closed bool
 	err    error
 }
 
-// OpenJournal opens (or creates) the journal at path for the given run
-// and returns it with the recorded file path of every shard/batch
-// already journaled done, plus the decoded prior state (nil on a fresh
-// journal) for cost re-planning.
-//
-// An existing journal must carry a plan event matching the run —
-// selection, shard count, compact params and balance — otherwise the
-// directory belongs to a different run and OpenJournal refuses it rather
-// than mix shard sets. Decoding is delegated to ReadJournal, the one
-// decoder of the journal schema, so resume and the status reader can
-// never disagree about what a journal says.
-func OpenJournal(path string, spec Spec, params []byte, balance string) (*Journal, map[int]string, *JournalState, error) {
-	done := make(map[int]string)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, nil, fmt.Errorf("dispatch: journal: %w", err)
-	}
-	resuming := err == nil && len(bytes.TrimSpace(data)) > 0
-	var prior *JournalState
-	if resuming {
-		st, err := ReadJournal(path)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%w; use a fresh directory", err)
-		}
-		var recorded bytes.Buffer
-		if len(st.Params) > 0 {
-			if err := json.Compact(&recorded, st.Params); err != nil {
-				return nil, nil, nil, fmt.Errorf("dispatch: journal %s: plan params: %w", path, err)
-			}
-		}
-		if st.Selection != spec.Selection || st.Shards != spec.Shards ||
-			!bytes.Equal(recorded.Bytes(), params) {
-			return nil, nil, nil, fmt.Errorf(
-				"dispatch: journal %s records a different run (selection %q, %d shards); use a fresh directory",
-				path, st.Selection, st.Shards)
-		}
-		if normalBalance(st.Balance) != normalBalance(balance) {
-			return nil, nil, nil, fmt.Errorf(
-				"dispatch: journal %s records a %s-balanced run, this dispatch asks for %s; use a fresh directory",
-				path, normalBalance(st.Balance), normalBalance(balance))
-		}
-		for _, sh := range st.ShardStates {
-			if sh.State == ShardDone {
-				done[sh.Index] = sh.File
-			}
-		}
-		prior = st
-	}
+// openJournal opens (or creates) the journal at path for appending.
+func openJournal(path string, now func() time.Time) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("dispatch: journal: %w", err)
+		return nil, fmt.Errorf("dispatch: journal: %w", err)
 	}
-	j := &Journal{f: f, enc: json.NewEncoder(f)}
-	if !resuming {
-		e := journalEvent{Event: "plan", V: JournalVersion, Selection: spec.Selection, Shards: spec.Shards, Params: params}
-		if normalBalance(balance) != BalanceRoundRobin {
-			// Recorded only for balanced plans, so round-robin journals
-			// keep their historical bytes.
-			e.Balance = normalBalance(balance)
-		}
-		j.write(e)
-	}
-	return j, done, prior, nil
+	return &journal{f: f, enc: json.NewEncoder(f), now: now}, nil
 }
 
-// normalBalance resolves the default spelling: "" means round-robin.
-func normalBalance(b string) string {
-	if b == "" {
-		return BalanceRoundRobin
+// plan records the run a fresh journal belongs to. The balance is
+// recorded only for balanced plans, so round-robin journals keep their
+// historical bytes.
+func (j *journal) plan(spec Spec, params []byte, balance string) {
+	e := journalEvent{Event: "plan", V: JournalVersion, Selection: spec.Selection, Shards: spec.Shards, Params: params}
+	if balance != BalanceRoundRobin {
+		e.Balance = balance
 	}
-	return b
+	j.write(e)
 }
 
-func (j *Journal) write(e journalEvent) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e.Time = time.Now().UTC().Format(time.RFC3339Nano)
+func (j *journal) write(e journalEvent) {
+	e.Time = j.now().UTC().Format(time.RFC3339Nano)
 	if err := j.enc.Encode(e); err != nil && j.err == nil {
 		j.err = err
 	}
 }
 
-// Attempt records the start of an attempt at a shard or batch.
-func (j *Journal) Attempt(shard, attempt int, worker string) {
-	j.write(journalEvent{Event: "attempt", Shard: &shard, Attempt: attempt, Worker: worker})
-}
-
-// Steal records a work-stealing attempt: a second concurrent try at a
-// straggling batch by an idle worker. A compatible v1 addition — old
-// readers skip it, at worst under-counting attempts.
-func (j *Journal) Steal(shard, attempt int, worker string) {
-	j.write(journalEvent{Event: "steal", Shard: &shard, Attempt: attempt, Worker: worker})
-}
-
-// Batch records one planned cell batch of a balanced dispatch: its id
-// (the "shard" field — batches and shards share the id space), kind
-// ("cost" for a planned batch, "split" for a retry's re-split child,
-// "dropped" for a batch a resume re-planned away), parent batch id for
-// splits (-1 = none), cell spec, cell count and predicted weight. A
-// compatible v1 addition.
-func (j *Journal) Batch(id int, kind string, parent int, spec string, ncells int, weight float64) {
-	e := journalEvent{Event: "batch", Shard: &id, Kind: kind, Spec: spec, Cells: ncells, Weight: weight}
-	if parent >= 0 {
-		e.Parent = &parent
-	}
-	j.write(e)
-}
-
-// Fail records a failed attempt.
-func (j *Journal) Fail(shard, attempt int, worker string, err error) {
-	j.write(journalEvent{Event: "fail", Shard: &shard, Attempt: attempt, Worker: worker, Error: err.Error()})
-}
-
-// Done records a completed shard or batch and its validated output file.
-func (j *Journal) Done(shard, attempt int, worker, file string, cells int) {
-	j.write(journalEvent{Event: "done", Shard: &shard, Attempt: attempt, Worker: worker, File: file, Cells: cells})
-}
-
-// Cached records a shard satisfied from the cell cache without running.
-// It is an additional event type within schema version 1 (the spec allows
-// adding types without a bump; old readers skip it): resume treats it
-// exactly like "done" — the file is on disk and validated.
-func (j *Journal) Cached(shard int, file string) {
-	j.write(journalEvent{Event: "cached", Shard: &shard, File: file})
-}
-
-// Merged records the final merge of all shards or batches.
-func (j *Journal) Merged(shards, cells int) {
-	j.write(journalEvent{Event: "merged", Shards: shards, Cells: cells})
-}
-
-// Partial records an auto-partial-merge output covering present shards.
-func (j *Journal) Partial(file string, present, cells int) {
-	j.write(journalEvent{Event: "partial", File: file, Shards: present, Cells: cells})
-}
-
 // Close flushes the journal and reports the first write error, if any.
-// It is idempotent: the driver closes explicitly on its success path (so
-// a failed journal surfaces as a dispatch error) and again via defer on
-// the error paths.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// It is idempotent: a driver closes explicitly on its success path (so
+// a failed journal surfaces as an error) and again via defer on the
+// error paths.
+func (j *journal) Close() error {
 	if !j.closed {
 		j.closed = true
 		if err := j.f.Close(); err != nil && j.err == nil {

@@ -1,0 +1,333 @@
+package dispatch
+
+// The ledger driven directly: no goroutines, no workers, no HTTP — a fake
+// clock and files written by the experiment registry at tiny params. Each
+// script walks one lifecycle path and, after every step, checks the
+// invariants both drivers rely on.
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/experiment"
+	"repro/internal/shard"
+)
+
+// ledgerRig drives one run's ledger across reopens and checks it.
+type ledgerRig struct {
+	t       *testing.T
+	cfg     LedgerConfig
+	l       *Ledger
+	highest map[int]int // highest attempt ever started per unit id
+}
+
+func newLedgerRig(t *testing.T, balance string, shards, maxAttempts int) *ledgerRig {
+	t.Helper()
+	clock := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	r := &ledgerRig{t: t, highest: map[int]int{}, cfg: LedgerConfig{
+		Spec: Spec{
+			Selection: experiment.ExpFig5, Shards: shards,
+			Params: experiment.ShardParams{Systems: 2, Seed: 1, GAPopulation: 4, GAGenerations: 2},
+		},
+		Balance: balance, Dir: t.TempDir(), MaxAttempts: maxAttempts,
+		Now: func() time.Time { clock = clock.Add(time.Second); return clock },
+	}}
+	r.reopen()
+	return r
+}
+
+// reopen closes the current ledger (if any) and opens the run again.
+func (r *ledgerRig) reopen() {
+	r.t.Helper()
+	if r.l != nil {
+		if err := r.l.Close(); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	l, err := OpenLedger(r.cfg)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.l = l
+	r.check()
+}
+
+// start begins an attempt at u, checking attempt numbers never go back.
+func (r *ledgerRig) start(u *Unit, steal bool) (Task, int) {
+	r.t.Helper()
+	task, att := r.l.Start(u, "w", steal)
+	if att <= r.highest[u.id] {
+		r.t.Fatalf("unit %d: attempt %d after attempt %d", u.id, att, r.highest[u.id])
+	}
+	r.highest[u.id] = att
+	r.check()
+	return task, att
+}
+
+// compute writes the task's file as an honest worker would.
+func (r *ledgerRig) compute(task Task) *shard.File {
+	r.t.Helper()
+	var (
+		f   *shard.File
+		err error
+	)
+	if task.Cells == "" {
+		f, err = experiment.RunShard(task.Spec.Selection, task.Spec.Params, 1, task.Spec.Shards, task.Index)
+	} else {
+		var cells [][]int
+		if _, cells, err = shard.ParseCellSpec(task.Cells); err == nil {
+			f, err = experiment.RunBatchCached(task.Spec.Selection, task.Spec.Params, 1, cells, nil)
+		}
+	}
+	if err == nil {
+		err = f.WriteFile(task.Out)
+	}
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return f
+}
+
+// complete computes and validates an attempt and records it.
+func (r *ledgerRig) complete(u *Unit, task Task, att int) bool {
+	r.t.Helper()
+	r.compute(task)
+	f, err := r.l.Validate(u, task.Out)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	won := r.l.Complete(u, att, "w", task.Out, f)
+	r.check()
+	return won
+}
+
+func (r *ledgerRig) fail(u *Unit, att int) (Verdict, []*Unit) {
+	r.t.Helper()
+	v, children := r.l.Fail(u, att, "w", errors.New("injected failure"))
+	r.check()
+	return v, children
+}
+
+// drain runs every queued unit to completion.
+func (r *ledgerRig) drain() {
+	r.t.Helper()
+	for u := r.l.Next(); u != nil; u = r.l.Next() {
+		task, att := r.start(u, false)
+		r.complete(u, task, att)
+	}
+}
+
+// check asserts the journal on disk reads back as the live ledger: the
+// same state and attempt count per unit (a split child counts its
+// parent's attempts too: the budget bounds the lineage), every other
+// journaled entry superseded, no settled unit queued, and no (unit,
+// attempt) pair journaled twice.
+func (r *ledgerRig) check() {
+	r.t.Helper()
+	path := filepath.Join(r.cfg.Dir, JournalFileName)
+	st, err := ReadJournal(path)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	var lineage func(i int) int
+	lineage = func(i int) int {
+		if sh := st.ShardStates[i]; sh.Parent >= 0 {
+			return sh.Attempts + lineage(sh.Parent)
+		}
+		return st.ShardStates[i].Attempts
+	}
+	for _, sh := range st.ShardStates {
+		u := r.l.Unit(sh.Index)
+		if u == nil {
+			if !sh.Superseded {
+				r.t.Fatalf("journal owes unit %d, the ledger does not know it", sh.Index)
+			}
+			continue
+		}
+		if sh.State != u.state || lineage(sh.Index) != u.attempts || sh.Superseded != u.split {
+			r.t.Fatalf("unit %d: journal says %s/%d attempts/superseded %v, ledger %s/%d/%v",
+				sh.Index, sh.State, lineage(sh.Index), sh.Superseded, u.state, u.attempts, u.split)
+		}
+	}
+	for _, u := range r.l.units {
+		if u.id >= len(st.ShardStates) {
+			r.t.Fatalf("ledger unit %d missing from the journal", u.id)
+		}
+	}
+	for _, u := range r.l.pending {
+		if r.l.Settled(u) {
+			r.t.Fatalf("settled unit %d is still queued", u.id)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	seen := map[[2]int]bool{}
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		var e journalEvent
+		if json.Unmarshal(sc.Bytes(), &e) != nil || (e.Event != "attempt" && e.Event != "steal") {
+			continue
+		}
+		key := [2]int{*e.Shard, e.Attempt}
+		if seen[key] {
+			r.t.Fatalf("journal repeats unit %d attempt %d", key[0], key[1])
+		}
+		seen[key] = true
+	}
+}
+
+// merge merges the finished run, checking each unit is merged once and
+// the result is byte-identical to the unsharded run.
+func (r *ledgerRig) merge() {
+	r.t.Helper()
+	if !r.l.Finished() {
+		r.t.Fatalf("run not finished: %+v", r.l.Stats())
+	}
+	units := r.l.mergeUnits()
+	for i := 1; i < len(units); i++ {
+		if units[i].id <= units[i-1].id {
+			r.t.Fatalf("unit %d merged out of order or twice", units[i].id)
+		}
+	}
+	merged, err := r.l.Merge("")
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.check()
+	ref, err := experiment.RunShard(r.cfg.Spec.Selection, r.cfg.Spec.Params, 1, 1, 0)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	got, err := merged.Encode()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	want, err := ref.Encode()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		r.t.Fatal("merge differs from the unsharded run")
+	}
+	if err := r.l.Close(); err != nil {
+		r.t.Fatal(err)
+	}
+}
+
+// TestLedgerShards: done; fail → requeue; a reopen that restores the
+// attempt count; a duplicate completion after a steal wins.
+func TestLedgerShards(t *testing.T) {
+	r := newLedgerRig(t, BalanceRoundRobin, 3, 3)
+	u0 := r.l.Next()
+	task, att := r.start(u0, false)
+	if !r.complete(u0, task, att) {
+		t.Fatal("first completion lost")
+	}
+	u1 := r.l.Next()
+	_, att = r.start(u1, false)
+	if v, _ := r.fail(u1, att); v != FailRequeue {
+		t.Fatalf("verdict %v, want FailRequeue", v)
+	}
+	r.l.Requeue(u1)
+
+	r.reopen()
+	if st := r.l.Stats(); st.Resumed != 1 || st.Done != 1 || r.l.Unit(1).attempts != 1 {
+		t.Fatalf("after reopen: %+v, unit 1 attempts %d", st, r.l.Unit(1).attempts)
+	}
+	u1 = r.l.Unit(1)
+	task, att = r.start(u1, false)
+	r.complete(u1, task, att)
+
+	u2 := r.l.Next()
+	slow, slowAtt := r.start(u2, false)
+	stolen, stolenAtt := r.start(u2, true)
+	if !r.complete(u2, stolen, stolenAtt) {
+		t.Fatal("stolen copy lost the race it finished first")
+	}
+	if r.complete(u2, slow, slowAtt) {
+		t.Fatal("late copy won over a done unit")
+	}
+	if st := r.l.Stats(); st.Duplicates != 1 || st.Steals != 1 {
+		t.Fatalf("stats %+v, want 1 duplicate and 1 steal", st)
+	}
+	r.merge()
+}
+
+// TestLedgerBatches: fail → split; a reopen mid-split that drops the
+// unfinished children and re-plans their cells; merge.
+func TestLedgerBatches(t *testing.T) {
+	r := newLedgerRig(t, BalanceCost, 2, 3)
+	b0 := r.l.Next()
+	_, att := r.start(b0, false)
+	v, children := r.fail(b0, att)
+	if v != FailSplit || len(children) != 2 || children[0].attempts != att {
+		t.Fatalf("verdict %v, children %d: want a split inheriting the attempt count", v, len(children))
+	}
+	b1 := r.l.Next()
+	task, att := r.start(b1, false)
+	r.complete(b1, task, att)
+	c0 := r.l.Next()
+	task, att = r.start(c0, false)
+	r.complete(c0, task, att)
+
+	r.reopen()
+	if st := r.l.Stats(); st.Resumed != 2 || st.Done != 2 || r.l.Next() == nil {
+		t.Fatalf("after reopen: %+v; want the two done batches resumed and the rest re-planned", st)
+	}
+	r.drain()
+	r.merge()
+}
+
+// TestLedgerExhaust: the budget runs out, the run fails, and a reopen
+// grants one more attempt numbered after the journaled ones.
+func TestLedgerExhaust(t *testing.T) {
+	r := newLedgerRig(t, BalanceRoundRobin, 1, 2)
+	u := r.l.Next()
+	_, att := r.start(u, false)
+	if v, _ := r.fail(u, att); v != FailRequeue {
+		t.Fatalf("verdict %v, want FailRequeue", v)
+	}
+	r.l.Requeue(u)
+	_, att = r.start(u, false)
+	if v, _ := r.fail(u, att); v != FailExhausted {
+		t.Fatalf("verdict %v, want FailExhausted", v)
+	}
+	r.reopen()
+	if got := r.l.Unit(0).attempts; got != 2 {
+		t.Fatalf("restored attempts %d, want 2", got)
+	}
+	r.drain()
+	r.merge()
+}
+
+// TestLedgerLateCompletion: an attempt failed and re-queued (a lease
+// that expired) still completes first — the coordinator's stale push.
+// It wins, and the re-queued unit is never started again.
+func TestLedgerLateCompletion(t *testing.T) {
+	r := newLedgerRig(t, BalanceRoundRobin, 2, 3)
+	u := r.l.Next()
+	task, att := r.start(u, false)
+	if v, _ := r.fail(u, att); v != FailRequeue {
+		t.Fatalf("verdict %v, want FailRequeue", v)
+	}
+	r.l.Requeue(u)
+	r.compute(task)
+	f, err := r.l.Validate(u, task.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.l.Complete(u, att, "w", task.Out, f) {
+		t.Fatal("the first completion lost")
+	}
+	r.check()
+	r.drain()
+	r.merge()
+}

@@ -89,3 +89,36 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeJSON hammers the v1 JSON decoder, the streaming reader every
+// JSON shard file goes through. The contract under fuzzing: decoding
+// never panics, and anything it accepts re-encodes to a fixed point —
+// encode it as v1, decode and encode again, and the bytes are stable.
+// The checked-in corpus seeds a valid typed file, a truncation, an
+// unknown payload field and a wrong-typed payload field.
+func FuzzDecodeJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if IsBinary(data) {
+			return // FuzzDecodeBinary covers the v2 container
+		}
+		decoded, err := Decode(data)
+		if err != nil {
+			return
+		}
+		js, err := decoded.Encode()
+		if err != nil {
+			t.Fatalf("decoded file does not re-encode: %v", err)
+		}
+		again, err := Decode(js)
+		if err != nil {
+			t.Fatalf("re-encoded file does not decode: %v", err)
+		}
+		js2, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js, js2) {
+			t.Fatal("re-encoding an accepted file is not a fixed point")
+		}
+	})
+}
