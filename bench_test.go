@@ -25,22 +25,18 @@ import (
 	"repro/internal/timing"
 )
 
-// benchConfig is a reduced experiment configuration so a full -bench=. run
+// benchParams is a reduced experiment configuration so a full -bench=. run
 // finishes in minutes; the CLI regenerates the figures at any scale.
-func benchConfig() experiment.Config {
-	cfg := experiment.Default()
-	cfg.Systems = 5
-	cfg.GA.Population = 20
-	cfg.GA.Generations = 15
-	return cfg
+func benchParams() experiment.ShardParams {
+	return experiment.ShardParams{Systems: 5, Seed: 1, GAPopulation: 20, GAGenerations: 15}
 }
 
 // BenchmarkFig5Schedulability regenerates Figure 5 (schedulable fraction
 // of FPS-offline / FPS-online / GPIOCP / static / GA across utilisations).
 func BenchmarkFig5Schedulability(b *testing.B) {
-	cfg := benchConfig()
+	rc := benchParams().Context(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Fig5(cfg); err != nil {
+		if _, err := experiment.Run(experiment.ExpFig5, rc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -83,28 +79,19 @@ func BenchmarkGASolveParallel(b *testing.B) {
 }
 
 // BenchmarkFig6Psi and BenchmarkFig7Upsilon regenerate Figures 6 and 7
-// (the runner computes both metrics in one pass; each bench reports one).
-func BenchmarkFig6Psi(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		psi, _, err := experiment.Fig6And7(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(psi.Points) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
+// (each run computes the shared cell grid and aggregates one metric).
+func BenchmarkFig6Psi(b *testing.B) { benchFigQ(b, experiment.ExpFig6) }
 
-func BenchmarkFig7Upsilon(b *testing.B) {
-	cfg := benchConfig()
+func BenchmarkFig7Upsilon(b *testing.B) { benchFigQ(b, experiment.ExpFig7) }
+
+func benchFigQ(b *testing.B, name string) {
+	rc := benchParams().Context(0)
 	for i := 0; i < b.N; i++ {
-		_, ups, err := experiment.Fig6And7(cfg)
+		res, err := experiment.Run(name, rc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(ups.Points) == 0 {
+		if len(res.(*experiment.FigQResult).Points) == 0 {
 			b.Fatal("empty result")
 		}
 	}
@@ -124,10 +111,9 @@ func BenchmarkTable1ResourceModel(b *testing.B) {
 // BenchmarkMotivationNoC regenerates the Section I experiment (remote
 // write jitter over the mesh vs the pre-loaded controller).
 func BenchmarkMotivationNoC(b *testing.B) {
-	cfg := experiment.DefaultMotivation()
-	cfg.Writes = 50
+	rc := experiment.ShardParams{Seed: 1, MotivationWrites: 50}.Context(0)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Motivation(cfg); err != nil {
+		if _, err := experiment.Run(experiment.ExpMotivation, rc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -268,13 +254,15 @@ func BenchmarkSystemGeneration(b *testing.B) {
 // BenchmarkMultiDeviceScaling measures the partitioned-controller scaling
 // study (schedulability and accuracy vs device count).
 func BenchmarkMultiDeviceScaling(b *testing.B) {
-	cfg := benchConfig()
+	p := benchParams()
+	p.MultiDeviceU, p.MultiDeviceCounts = 0.8, []int{1, 2, 4}
+	rc := p.Context(0)
 	for i := 0; i < b.N; i++ {
-		points, err := experiment.MultiDevice(cfg, 0.8, []int{1, 2, 4})
+		points, err := experiment.Run(experiment.ExpMultiDevice, rc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(points) != 3 {
+		if len(points.(experiment.MultiDeviceResult)) != 3 {
 			b.Fatal("bad result")
 		}
 	}

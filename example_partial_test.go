@@ -33,12 +33,13 @@ func ExampleMergeShardFilesPartial() {
 		cover.CellsHave(), cover.CellsTotal(), cover.Missing)
 
 	// Provisional Figure 5 over the present cells, with per-point coverage.
-	res, cov, err := iosched.Fig5FromCellsPartial(params.Config(), cover.File.Runs[0].Cells)
+	res, cov, err := iosched.ExperimentFromCellsPartial("fig5", params, cover.File.Runs[0].Cells)
 	if err != nil {
 		log.Fatal(err)
 	}
+	_, rows := res.Rows() // one row per utilisation point
 	fmt.Printf("provisional points: %d, first point covers %s systems\n",
-		len(res.Points), cov.Point(0))
+		len(rows), cov.Point(0))
 
 	// The last shard arrives: the grown cover is complete and
 	// byte-identical to the strict merge of all three files.

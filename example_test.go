@@ -68,13 +68,14 @@ func ExampleRunExperimentShard() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := iosched.Fig5FromCells(params.Config(), merged.Runs[0].Cells)
+	res, err := iosched.ExperimentFromCells("fig5", params, merged.Runs[0].Cells)
 	if err != nil {
 		log.Fatal(err)
 	}
-	x, series := res.Series()
+	// One row per utilisation point; a "U" column, then one per method.
+	headers, rows := res.Rows()
 	fmt.Printf("merged %d cells: %d utilisation points x %d methods\n",
-		merged.CellCount(), len(x), len(series))
+		merged.CellCount(), len(rows), len(headers)-1)
 	// Output:
 	// shard 0/3 holds 20 cells
 	// shard 1/3 holds 20 cells
@@ -84,8 +85,8 @@ func ExampleRunExperimentShard() {
 
 // ExampleRunExperiment drives the experiment registry generically: list
 // the registered studies, run one by name, and render its table — the
-// workflow that replaces the per-figure entry points, and the one a
-// newly registered experiment (docs/EXPERIMENTS.md) joins automatically.
+// workflow every experiment, including a newly registered one
+// (docs/EXPERIMENTS.md), runs through.
 func ExampleRunExperiment() {
 	params := iosched.ShardParams{Systems: 3, Seed: 1}
 

@@ -126,15 +126,11 @@ func FPSOfflineSimulation(b *testing.B) {
 // trajectory's parallel_speedup field.
 func Fig5(parallelism int) func(*testing.B) {
 	return func(b *testing.B) {
-		cfg := experiment.Default()
-		cfg.Systems = 5
-		cfg.GA.Population = 20
-		cfg.GA.Generations = 15
-		cfg.Parallelism = parallelism
+		rc := experiment.ShardParams{Systems: 5, Seed: 1, GAPopulation: 20, GAGenerations: 15}.Context(parallelism)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.Fig5(cfg); err != nil {
+			if _, err := experiment.Run(experiment.ExpFig5, rc); err != nil {
 				b.Fatal(err)
 			}
 		}

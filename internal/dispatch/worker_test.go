@@ -18,8 +18,8 @@ import (
 // workerMain, which accepts the ioschedbench shard flags
 // (Spec.WorkerArgs' contract) and evaluates the shard in-process. That
 // exercises LocalProcWorker and CmdWorker as real subprocesses without
-// building the CLI; the dispatch-equivalence CI job covers the real
-// binary end to end.
+// building the CLI; cmd/ioschedbench's TestCLIEndToEnd covers the real
+// CLI end to end.
 const workerEmulateEnv = "DISPATCH_WORKER_EMULATE"
 
 func TestMain(m *testing.M) {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/exec"
+	"repro/internal/quality"
 	"repro/internal/sched"
 	"repro/internal/sched/ga"
 	"repro/internal/sched/staticsched"
@@ -47,7 +48,7 @@ func AblationVariants() []AblationVariant {
 				if err != nil {
 					return 0, 0, err
 				}
-				psi, ups := ds.Metrics(cfg.curve())
+				psi, ups := ds.Metrics(quality.Linear{})
 				return psi, ups, nil
 			},
 		}
@@ -58,7 +59,7 @@ func AblationVariants() []AblationVariant {
 			Run: func(cfg Config, seed int64, ts *taskmodel.TaskSet) (float64, float64, error) {
 				opts := cfg.GA
 				opts.Seed = seed
-				opts.Curve = cfg.curve()
+				opts.Curve = quality.Linear{}
 				// The runner parallelises across systems; keep the solver
 				// serial so the pools do not nest.
 				opts.Parallelism = 1
@@ -153,31 +154,14 @@ func ablationAggregate(cfg Config, at func(o, i int) []qOutcome, has func(o, i i
 	return results
 }
 
-// Ablation runs every variant on the same systems at utilisation u. The
-// systems are fanned across the worker pool as a 1 × Systems grid (every
-// variant sees system s before system s+1 in the aggregates, so results
-// are identical at every cfg.Parallelism). A zero u selects the default
-// study utilisation (0.6, matching ShardParams semantics).
-//
-// Deprecated: use Run(ExpAblation, …); this forwards to it.
-func Ablation(cfg Config, u float64) ([]AblationResult, error) {
-	rc := contextFor(cfg)
-	rc.Params.AblationU = u
-	res, err := Run(ExpAblation, rc)
-	if err != nil {
-		return nil, err
-	}
-	return res.(AblationStudy), nil
-}
-
 // AblationStudy is the ablation experiment's registry result: one row
 // per studied variant.
 type AblationStudy []AblationResult
 
-// Rows renders the study as a text table.
-func (rs AblationStudy) Rows() ([]string, [][]string) { return AblationRows(rs) }
-
-// ablationExperiment is the design-choice study as a registry entry.
+// ablationExperiment is the design-choice study as a registry entry:
+// every variant runs on the same systems at the study utilisation, as
+// one 1 × Systems grid, so each variant's aggregates see system s before
+// system s+1.
 type ablationExperiment struct{}
 
 func (ablationExperiment) Name() string { return ExpAblation }
@@ -215,8 +199,8 @@ func (ablationExperiment) DefaultParams(p ShardParams) ShardParams {
 	return p
 }
 
-// AblationRows renders the study as a text table.
-func AblationRows(rs []AblationResult) ([]string, [][]string) {
+// Rows renders the study as a text table.
+func (rs AblationStudy) Rows() ([]string, [][]string) {
 	headers := []string{"variant", "schedulable", "mean Psi", "mean Upsilon"}
 	var rows [][]string
 	for _, r := range rs {

@@ -19,10 +19,8 @@
 // results from any subset with an exact Coverage report — the same
 // Aggregate hook on every path, restricted to the present cells, so
 // partial output converges byte-identically to the full run's once the
-// cover completes. The per-figure entry points (Fig5, Fig5Cells,
-// Fig5FromCells, Fig5FromCellsPartial and their siblings) remain as
-// deprecated wrappers over the engines, pinned byte-identical by the
-// registry-equivalence tests.
+// cover completes. The engines are the only way to run an experiment;
+// a RunContext comes from ShardParams.Context.
 //
 // Every experiment is deterministic given its seed: cells derive their
 // randomness from their (experiment, point, system) grid path via

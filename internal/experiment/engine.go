@@ -1,15 +1,13 @@
 package experiment
 
 // The generic experiment engines: one implementation of run / shard /
-// aggregate / partial-aggregate that drives any registered Experiment,
-// subsuming the per-figure entry points (Fig5, Fig5Cells, Fig5FromCells,
-// Fig5FromCellsPartial and their nineteen siblings — kept as thin
-// deprecated wrappers). The determinism invariants hold by construction:
-// every cell draws randomness only from its grid path (the experiment's
-// CellSeed/Cell hooks), payloads round-trip losslessly through the
-// experiment's codec, and FromCells/FromCellsPartial re-enter the exact
-// Aggregate hook the in-process Run uses — partial output is the full
-// run's aggregation restricted to the present cells.
+// aggregate / partial-aggregate that drives any registered Experiment.
+// The determinism invariants hold by construction: every cell draws
+// randomness only from its grid path (the experiment's CellSeed/Cell
+// hooks), payloads round-trip losslessly through the experiment's codec,
+// and FromCells/FromCellsPartial re-enter the exact Aggregate hook the
+// in-process Run uses — partial output is the full run's aggregation
+// restricted to the present cells.
 
 import (
 	"context"
@@ -54,8 +52,7 @@ func Run(name string, rc RunContext) (Result, error) {
 
 // RunCells evaluates the selected cells of the named experiment's grid
 // (nil selects all) and returns them as shard cells with their derived
-// seeds recorded — the generic engine under the legacy *Cells functions
-// and the shard workflow.
+// seeds recorded — the engine under the shard workflow.
 func RunCells(name string, rc RunContext, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
 	e, err := get(name)
 	if err != nil {

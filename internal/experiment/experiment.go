@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/gen"
-	"repro/internal/quality"
 	"repro/internal/sched"
 	"repro/internal/sched/fps"
 	"repro/internal/sched/ga"
@@ -39,8 +38,6 @@ type Config struct {
 	GA ga.Options
 	// Gen is the task-set generator configuration.
 	Gen gen.Config
-	// Curve is the quality model (nil = linear, the paper's curve).
-	Curve quality.Curve
 }
 
 // Default returns the scaled-down configuration used by tests, benches and
@@ -51,7 +48,6 @@ func Default() Config {
 		Seed:    1,
 		GA:      ga.DefaultOptions(),
 		Gen:     gen.PaperConfig(),
-		Curve:   quality.Linear{},
 	}
 }
 
@@ -62,13 +58,6 @@ func PaperScale() Config {
 	c.Systems = 1000
 	c.GA = ga.PaperOptions()
 	return c
-}
-
-func (c *Config) curve() quality.Curve {
-	if c.Curve == nil {
-		return quality.Linear{}
-	}
-	return c.Curve
 }
 
 // Seed-stream tags keeping the runners' derived randomness disjoint.
@@ -251,23 +240,9 @@ func fig5Aggregate(cfg Config, us []float64, at func(o, i int) fig5Outcome, has 
 	return res
 }
 
-// Fig5 regenerates Figure 5: the fraction of schedulable systems per
-// utilisation for FPS-offline, FPS-online, GPIOCP, static and GA. The
-// systems × utilisation-point grid is fanned across the worker pool; each
-// cell generates its system from a derived sub-seed and the verdicts are
-// aggregated in grid order, so the result is identical at every
-// cfg.Parallelism.
-//
-// Deprecated: use Run(ExpFig5, …); this forwards to it.
-func Fig5(cfg Config) (*Fig5Result, error) {
-	res, err := Run(ExpFig5, contextFor(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Fig5Result), nil
-}
-
-// fig5Experiment is Figure 5 as a registry entry.
+// fig5Experiment is Figure 5 as a registry entry: the fraction of
+// schedulable systems per utilisation for FPS-offline, FPS-online,
+// GPIOCP, static and GA.
 type fig5Experiment struct{}
 
 func (fig5Experiment) Name() string { return ExpFig5 }

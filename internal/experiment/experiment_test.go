@@ -7,14 +7,10 @@ import (
 	"testing"
 )
 
-// fastConfig keeps the integration tests quick while preserving enough
+// fastParams keeps the integration tests quick while preserving enough
 // samples for the qualitative assertions.
-func fastConfig() Config {
-	cfg := Default()
-	cfg.Systems = 12
-	cfg.GA.Population = 16
-	cfg.GA.Generations = 10
-	return cfg
+func fastParams() ShardParams {
+	return ShardParams{Systems: 12, Seed: 1, GAPopulation: 16, GAGenerations: 10}
 }
 
 func TestFig5Utils(t *testing.T) {
@@ -56,11 +52,11 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	cfg := fastConfig()
-	res, err := Fig5(cfg)
+	out, err := Run(ExpFig5, fastParams().Context(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.(*Fig5Result)
 	if len(res.Points) != 15 {
 		t.Fatalf("points = %d", len(res.Points))
 	}
@@ -108,11 +104,16 @@ func TestFig6And7ShapesMatchPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	cfg := fastConfig()
-	psi, ups, err := Fig6And7(cfg)
+	rc := fastParams().Context(0)
+	psiRes, err := Run(ExpFig6, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	upsRes, err := Run(ExpFig7, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	psi, ups := psiRes.(*FigQResult), upsRes.(*FigQResult)
 	if len(psi.Points) != 5 || len(ups.Points) != 5 {
 		t.Fatalf("points = %d/%d", len(psi.Points), len(ups.Points))
 	}
@@ -146,10 +147,12 @@ func TestFig6And7ShapesMatchPaper(t *testing.T) {
 }
 
 func TestFig6And7RejectsMultiDevice(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Gen.Devices = 2
-	if _, _, err := Fig6And7(cfg); err == nil {
-		t.Fatal("multi-device config accepted")
+	rc := fastParams().Context(0)
+	rc.Config.Gen.Devices = 2
+	for _, name := range []string{ExpFig6, ExpFig7} {
+		if _, err := Run(name, rc); err == nil {
+			t.Fatalf("%s: multi-device config accepted", name)
+		}
 	}
 }
 
@@ -165,12 +168,11 @@ func TestTable1RowsRender(t *testing.T) {
 }
 
 func TestMotivationControllerIsExact(t *testing.T) {
-	cfg := DefaultMotivation()
-	cfg.Writes = 40
-	res, err := Motivation(cfg)
+	out, err := Run(ExpMotivation, ShardParams{Seed: 1, MotivationWrites: 40}.Context(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.(*MotivationResult)
 	// The pre-loaded controller is always exact; the remote design pays
 	// contention-dependent jitter under cross-traffic.
 	if res.Controller.ExactFraction() != 1 {
@@ -195,9 +197,11 @@ func TestMotivationControllerIsExact(t *testing.T) {
 }
 
 func TestMotivationRejectsZeroWrites(t *testing.T) {
-	cfg := DefaultMotivation()
-	cfg.Writes = 0
-	if _, err := Motivation(cfg); err == nil {
+	// Params spell zero writes as the default, so set the resolved
+	// configuration directly.
+	rc := ShardParams{Seed: 1}.Context(0)
+	rc.Motivation.Writes = 0
+	if _, err := Run(ExpMotivation, rc); err == nil {
 		t.Fatal("zero writes accepted")
 	}
 }
@@ -206,12 +210,14 @@ func TestAblationVariantsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	cfg := fastConfig()
-	cfg.Systems = 6
-	res, err := Ablation(cfg, 0.6)
+	p := fastParams()
+	p.Systems = 6
+	p.AblationU = 0.6
+	out, err := Run(ExpAblation, p.Context(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.(AblationStudy)
 	if len(res) != len(AblationVariants()) {
 		t.Fatalf("variants = %d", len(res))
 	}
@@ -234,7 +240,7 @@ func TestAblationVariantsRun(t *testing.T) {
 	if near.MeanUpsilon < paper.MeanUpsilon-0.02 {
 		t.Errorf("near-ideal Υ %g < paper Υ %g", near.MeanUpsilon, paper.MeanUpsilon)
 	}
-	h, rows := AblationRows(res)
+	h, rows := res.Rows()
 	if len(h) != 4 || len(rows) != len(res) {
 		t.Errorf("rows shape %dx%d", len(h), len(rows))
 	}
@@ -248,18 +254,17 @@ func TestDefaultAndPaperScaleConfigs(t *testing.T) {
 	if p.Systems != 1000 || p.GA.Population != 300 || p.GA.Generations != 500 {
 		t.Errorf("paper scale = %+v", p)
 	}
-	if d.curve() == nil {
-		t.Error("default curve missing")
-	}
 }
 
 func TestMultiDeviceScaling(t *testing.T) {
-	cfg := fastConfig()
-	cfg.Systems = 15
-	points, err := MultiDevice(cfg, 0.8, []int{1, 2, 4})
+	p := fastParams()
+	p.Systems = 15
+	p.MultiDeviceU, p.MultiDeviceCounts = 0.8, []int{1, 2, 4}
+	out, err := Run(ExpMultiDevice, p.Context(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	points := out.(MultiDeviceResult)
 	if len(points) != 3 {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -271,11 +276,12 @@ func TestMultiDeviceScaling(t *testing.T) {
 	if points[2].MeanPsi < 0.75 {
 		t.Errorf("4-device Ψ = %g, expected high at low per-device load", points[2].MeanPsi)
 	}
-	h, rows := MultiDeviceRows(points)
+	h, rows := points.Rows()
 	if len(h) != 4 || len(rows) != 3 {
 		t.Errorf("rows shape %dx%d", len(h), len(rows))
 	}
-	if _, err := MultiDevice(cfg, 0.5, []int{0}); err == nil {
+	p.MultiDeviceU, p.MultiDeviceCounts = 0.5, []int{0}
+	if _, err := Run(ExpMultiDevice, p.Context(0)); err == nil {
 		t.Error("zero devices accepted")
 	}
 }
@@ -287,45 +293,22 @@ func TestRunnersParallelismInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	cfg := fastConfig()
-	cfg.Systems = 5
-	cfg.GA.Population = 12
-	cfg.GA.Generations = 8
-
-	at := func(par int) Config {
-		c := cfg
-		c.Parallelism = par
-		return c
-	}
-	refFig5, err := Fig5(at(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refPsi, refUps, err := Fig6And7(at(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	refAbl, err := Ablation(at(1), 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refMD, err := MultiDevice(at(1), 0.8, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
+	p := ShardParams{Systems: 5, Seed: 1, GAPopulation: 12, GAGenerations: 8,
+		AblationU: 0.6, MultiDeviceU: 0.8, MultiDeviceCounts: []int{1, 2, 4}}
+	names := []string{ExpFig5, ExpFig6, ExpFig7, ExpAblation, ExpMultiDevice}
+	ref := map[string]Result{}
+	for _, name := range names {
+		res, err := Run(name, p.Context(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[name] = res
 	}
 	for _, par := range []int{2, runtime.NumCPU()} {
-		if got, err := Fig5(at(par)); err != nil || !reflect.DeepEqual(refFig5, got) {
-			t.Errorf("Fig5 at parallelism %d differs from serial (err=%v)", par, err)
-		}
-		gotPsi, gotUps, err := Fig6And7(at(par))
-		if err != nil || !reflect.DeepEqual(refPsi, gotPsi) || !reflect.DeepEqual(refUps, gotUps) {
-			t.Errorf("Fig6And7 at parallelism %d differs from serial (err=%v)", par, err)
-		}
-		if got, err := Ablation(at(par), 0.6); err != nil || !reflect.DeepEqual(refAbl, got) {
-			t.Errorf("Ablation at parallelism %d differs from serial (err=%v)", par, err)
-		}
-		if got, err := MultiDevice(at(par), 0.8, []int{1, 2, 4}); err != nil || !reflect.DeepEqual(refMD, got) {
-			t.Errorf("MultiDevice at parallelism %d differs from serial (err=%v)", par, err)
+		for _, name := range names {
+			if got, err := Run(name, p.Context(par)); err != nil || !reflect.DeepEqual(ref[name], got) {
+				t.Errorf("%s at parallelism %d differs from serial (err=%v)", name, par, err)
+			}
 		}
 	}
 }
@@ -333,16 +316,13 @@ func TestRunnersParallelismInvariant(t *testing.T) {
 // TestMotivationParallelismInvariant covers the remaining runner: the two
 // fanned-out design simulations report identically at every parallelism.
 func TestMotivationParallelismInvariant(t *testing.T) {
-	cfg := DefaultMotivation()
-	cfg.Writes = 30
-	cfg.Parallelism = 1
-	ref, err := Motivation(cfg)
+	p := ShardParams{Seed: 1, MotivationWrites: 30}
+	ref, err := Run(ExpMotivation, p.Context(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, runtime.NumCPU()} {
-		cfg.Parallelism = par
-		got, err := Motivation(cfg)
+		got, err := Run(ExpMotivation, p.Context(par))
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

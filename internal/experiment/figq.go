@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
+	"repro/internal/quality"
 	"repro/internal/sched"
 	"repro/internal/sched/fps"
 	"repro/internal/sched/gpiocp"
@@ -31,67 +32,17 @@ type FigQResult struct {
 	Points []FigQPoint
 }
 
-// Fig6And7 regenerates Figures 6 and 7 in one pass: for every generated
-// system each offline method is run, and the achieved Ψ and Υ are averaged
-// per method over its schedulable systems. (The paper reports the methods'
-// I/O performance "among 1000 schedulable systems"; averaging per method
-// keeps every method's sample as large as possible and is recorded in
-// docs/EXPERIMENTS.md.) The GA contributes its best-Ψ front point to
-// Figure 6 and its best-Υ point to Figure 7, exactly as the paper
-// describes.
-//
-// The runner requires the single-device configuration the paper uses for
-// these experiments.
-//
-// Deprecated: use Run(ExpFig6, …) and Run(ExpFig7, …); this forwards to
-// the shared cell grid and both aggregations.
-func Fig6And7(cfg Config) (*FigQResult, *FigQResult, error) {
-	rc := contextFor(cfg)
-	// The two figures share one cell grid: compute it once, aggregate it
-	// under each name — exactly what a sharded "all" run records.
-	cells, _, err := RunCells(ExpFig6, rc, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	psi, ups, cov, err := figqPair(rc, cells)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !cov.Complete() {
-		return nil, nil, fmt.Errorf("fig6/7: experiment: %d cells for a %dx%d grid",
-			len(cells), len(FigQUtils()), rc.Config.Systems)
-	}
-	return psi, ups, nil
-}
-
-// figqPair decodes the shared cell grid once and aggregates both
-// figures in one pass — the pair-returning fast path under the legacy
-// Fig6And7* wrappers (the per-name engines decode per figure). It uses
-// the exact decode and aggregation hooks of the registry entries, so
-// the results are identical to the generic path's.
-func figqPair(rc RunContext, cells []shard.Cell) (*FigQResult, *FigQResult, Coverage, error) {
-	e := figqExperiment{psi: true}
-	g, err := e.Grid(rc)
-	if err != nil {
-		return nil, nil, Coverage{}, err
-	}
-	at, has, cov, err := decodeCells(e, g, cells)
-	if err != nil {
-		return nil, nil, Coverage{}, fmt.Errorf("fig6/7: %w", err)
-	}
-	if cov.Complete() {
-		// A complete set aggregates as the full grid, exactly like the
-		// generic FromCells path (nil predicate).
-		has = nil
-	}
-	psi, ups := figqAggregate(rc.Config, FigQUtils(),
-		func(o, i int) figqOutcome { return *at(o, i).(*figqOutcome) }, has)
-	return psi, ups, cov, nil
-}
-
 // figqExperiment is Figure 6 (psi true) or Figure 7 (psi false) as a
 // registry entry. The two entries share one cell key — and so one cell
-// computation — because every payload carries both metrics.
+// computation — because every payload carries both metrics: for every
+// generated system each offline method is run, and the achieved Ψ and Υ
+// are averaged per method over its schedulable systems. (The paper
+// reports the methods' I/O performance "among 1000 schedulable systems";
+// averaging per method keeps every method's sample as large as possible
+// and is recorded in docs/EXPERIMENTS.md.) The GA contributes its best-Ψ
+// front point to Figure 6 and its best-Υ point to Figure 7, exactly as
+// the paper describes. Both figures require the single-device
+// configuration the paper uses for these experiments (figqCheck).
 type figqExperiment struct{ psi bool }
 
 func (e figqExperiment) Name() string {
@@ -171,7 +122,7 @@ type figqOutcome struct {
 // generated from the cell's derived sub-seed and every offline method is
 // measured on it.
 func figqCell(cfg Config, us []float64, ui, s int) (figqOutcome, error) {
-	curve := cfg.curve()
+	curve := quality.Linear{}
 	u := us[ui]
 	ts, err := cfg.Gen.System(exec.RNG(cfg.Seed, streamFigQ, int64(ui), int64(s), subGen), u)
 	if err != nil {

@@ -118,24 +118,12 @@ func motivationAggregate(at func(o, i int) motivationOutcome) *MotivationResult 
 	}
 }
 
-// Motivation runs the experiment: it reproduces the paper's introduction
-// argument that on-chip communication latency and contention make remote
-// I/O instigation inaccurate, while a dedicated pre-loaded controller
-// achieves exact instants. The two simulated designs share nothing, so
-// they are fanned across the worker pool as a 1 × 2 grid and their
-// reports collected in a fixed order.
-//
-// Deprecated: use Run(ExpMotivation, …); this forwards to it.
-func Motivation(cfg MotivationConfig) (*MotivationResult, error) {
-	res, err := Run(ExpMotivation, motivationContext(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return res.(*MotivationResult), nil
-}
-
 // motivationExperiment is the Section I latency experiment as a registry
-// entry.
+// entry. It reproduces the paper's introduction argument that on-chip
+// communication latency and contention make remote I/O instigation
+// inaccurate, while a dedicated pre-loaded controller achieves exact
+// instants. The two simulated designs share nothing, so they are the two
+// cells of a 1 × 2 grid.
 type motivationExperiment struct{}
 
 func (motivationExperiment) Name() string { return ExpMotivation }
@@ -204,9 +192,11 @@ func motivationRemote(cfg MotivationConfig, expected []timing.Cycle) (*trace.Rep
 	dst := noc.Coord{X: cfg.Mesh.Width - 1, Y: cfg.Mesh.Height - 1}
 	base := cfg.Mesh.UncontendedLatency(src, dst)
 
+	// The writes are told apart by their payload tag, not their source:
+	// a random cross-traffic flow may also run from src to dst.
 	observed := make([]timing.Cycle, 0, cfg.Writes)
 	if err := mesh.Attach(dst, func(p *noc.Packet) {
-		if p.Src == src {
+		if _, ok := p.Payload.(ioWrite); ok {
 			observed = append(observed, p.Delivered)
 		}
 	}); err != nil {
@@ -218,7 +208,7 @@ func motivationRemote(cfg MotivationConfig, expected []timing.Cycle) (*trace.Rep
 	for _, ideal := range expected {
 		send := ideal - base
 		k.At(send, func() {
-			mesh.Inject(&noc.Packet{Src: src, Dst: dst, Priority: 1})
+			mesh.Inject(&noc.Packet{Src: src, Dst: dst, Priority: 1, Payload: ioWrite{}})
 		})
 	}
 	// Cross-traffic: equal-priority flows crossing the I/O route.
@@ -243,6 +233,9 @@ func motivationRemote(cfg MotivationConfig, expected []timing.Cycle) (*trace.Rep
 	}
 	return remote, base, nil
 }
+
+// ioWrite is the payload tag of the remote design's I/O write packets.
+type ioWrite struct{}
 
 // motivationController simulates the pre-loaded controller generating the
 // same waveform from its scheduling table, next to the device.

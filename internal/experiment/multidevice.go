@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
+	"repro/internal/quality"
 	"repro/internal/sched"
 	"repro/internal/sched/staticsched"
 	"repro/internal/shard"
@@ -18,37 +19,18 @@ type MultiDevicePoint struct {
 	MeanUpsilon float64
 }
 
-// MultiDevice studies the fully-partitioned controller's headline scaling
+// MultiDeviceResult is the scaling study's registry result: one row per
+// device count.
+type MultiDeviceResult []MultiDevicePoint
+
+// multiDeviceExperiment is the partitioned scaling study as a registry
+// entry. It studies the fully-partitioned controller's headline scaling
 // property: at a fixed total utilisation, spreading the I/O tasks across
 // more devices (one controller processor each, Section III's "global I/O
 // controller with a fully-partitioned I/O scheduling model") removes
 // inter-task contention, so the fraction of exactly timing-accurate jobs
 // climbs towards 1. The static scheduler is used; each partition is
-// scheduled independently. A zero u or empty deviceCounts selects the
-// defaults (U=0.8 over 1,2,4,8 devices, matching ShardParams
-// semantics).
-//
-// Deprecated: use Run(ExpMultiDevice, …); this forwards to it.
-func MultiDevice(cfg Config, u float64, deviceCounts []int) ([]MultiDevicePoint, error) {
-	rc := contextFor(cfg)
-	rc.Params.MultiDeviceU = u
-	rc.Params.MultiDeviceCounts = deviceCounts
-	res, err := Run(ExpMultiDevice, rc)
-	if err != nil {
-		return nil, err
-	}
-	return res.(MultiDeviceResult), nil
-}
-
-// MultiDeviceResult is the scaling study's registry result: one row per
-// device count.
-type MultiDeviceResult []MultiDevicePoint
-
-// Rows renders the study as a text table.
-func (ps MultiDeviceResult) Rows() ([]string, [][]string) { return MultiDeviceRows(ps) }
-
-// multiDeviceExperiment is the partitioned scaling study as a registry
-// entry.
+// scheduled independently.
 type multiDeviceExperiment struct{}
 
 func (multiDeviceExperiment) Name() string { return ExpMultiDevice }
@@ -113,7 +95,7 @@ func multiDeviceCell(cfg Config, u float64, deviceCounts []int, di, s int) (qOut
 	if err != nil {
 		return qOutcome{}, nil
 	}
-	psi, ups := ds.Metrics(cfg.curve())
+	psi, ups := ds.Metrics(quality.Linear{})
 	return qOutcome{Psi: psi, Ups: ups, OK: true}, nil
 }
 
@@ -146,8 +128,8 @@ func multiDeviceAggregate(cfg Config, deviceCounts []int, at func(o, i int) qOut
 	return out
 }
 
-// MultiDeviceRows renders the study as a text table.
-func MultiDeviceRows(points []MultiDevicePoint) ([]string, [][]string) {
+// Rows renders the study as a text table.
+func (points MultiDeviceResult) Rows() ([]string, [][]string) {
 	headers := []string{"devices", "schedulable", "mean Psi", "mean Upsilon"}
 	var rows [][]string
 	for _, p := range points {

@@ -7,14 +7,9 @@ package experiment
 // exact Coverage report. It re-enters the same Aggregate hook the
 // complete FromCells path uses with a presence predicate, so a complete
 // cell set produces results identical to the full run's: partial output
-// converges to, never diverges from, the final figures. The per-figure
-// *FromCellsPartial functions survive below as thin deprecated wrappers.
+// converges to, never diverges from, the final figures.
 
-import (
-	"fmt"
-
-	"repro/internal/shard"
-)
+import "fmt"
 
 // Coverage reports how much of a run's grid a partial cell set covers.
 type Coverage struct {
@@ -47,77 +42,4 @@ func (c Coverage) String() string {
 // table annotations.
 func (c Coverage) Point(p int) string {
 	return fmt.Sprintf("%d/%d", c.PointHave[p], c.Inner)
-}
-
-// Fig5FromCellsPartial rebuilds a provisional Figure 5 result from any
-// subset of the grid's cells: every rate is computed over the present
-// systems at its point, and the coverage names exactly what is missing.
-// A complete subset returns the same result as Fig5FromCells.
-//
-// Deprecated: use FromCellsPartial(ExpFig5, …); this forwards to it.
-func Fig5FromCellsPartial(cfg Config, cells []shard.Cell) (*Fig5Result, Coverage, error) {
-	res, cov, err := FromCellsPartial(ExpFig5, contextFor(cfg), cells)
-	if err != nil {
-		return nil, Coverage{}, err
-	}
-	return res.(*Fig5Result), cov, nil
-}
-
-// FigQFromCellsPartial rebuilds provisional Figure 6 (Ψ) and Figure 7 (Υ)
-// results from any subset of the shared grid's cells. A complete subset
-// returns the same results as FigQFromCells.
-//
-// Deprecated: use FromCellsPartial(ExpFig6, …) and FromCellsPartial(
-// ExpFig7, …); this forwards to their shared decode and aggregation.
-func FigQFromCellsPartial(cfg Config, cells []shard.Cell) (*FigQResult, *FigQResult, Coverage, error) {
-	return figqPair(contextFor(cfg), cells)
-}
-
-// MotivationFromCellsPartial reports the motivation experiment's coverage
-// for any subset of its 1 × 2 design grid. The experiment is a two-design
-// comparison, so a provisional result only exists once both designs are
-// present — until then the result is nil and the coverage says which half
-// is done.
-//
-// Deprecated: use FromCellsPartial(ExpMotivation, …); this forwards to
-// it.
-func MotivationFromCellsPartial(cfg MotivationConfig, cells []shard.Cell) (*MotivationResult, Coverage, error) {
-	res, cov, err := FromCellsPartial(ExpMotivation, motivationContext(cfg), cells)
-	if err != nil {
-		return nil, Coverage{}, err
-	}
-	if res == nil {
-		return nil, cov, nil
-	}
-	return res.(*MotivationResult), cov, nil
-}
-
-// AblationFromCellsPartial rebuilds a provisional ablation study from any
-// subset of its 1 × Systems grid: every variant's means run over the
-// present systems. A complete subset returns the same results as
-// AblationFromCells.
-//
-// Deprecated: use FromCellsPartial(ExpAblation, …); this forwards to it.
-func AblationFromCellsPartial(cfg Config, cells []shard.Cell) ([]AblationResult, Coverage, error) {
-	res, cov, err := FromCellsPartial(ExpAblation, contextFor(cfg), cells)
-	if err != nil {
-		return nil, Coverage{}, err
-	}
-	return res.(AblationStudy), cov, nil
-}
-
-// MultiDeviceFromCellsPartial rebuilds a provisional scaling study from
-// any subset of its device-counts × systems grid. A complete subset
-// returns the same results as MultiDeviceFromCells.
-//
-// Deprecated: use FromCellsPartial(ExpMultiDevice, …); this forwards to
-// it.
-func MultiDeviceFromCellsPartial(cfg Config, deviceCounts []int, cells []shard.Cell) ([]MultiDevicePoint, Coverage, error) {
-	rc := contextFor(cfg)
-	rc.Params.MultiDeviceCounts = deviceCounts
-	res, cov, err := FromCellsPartial(ExpMultiDevice, rc, cells)
-	if err != nil {
-		return nil, Coverage{}, err
-	}
-	return res.(MultiDeviceResult), cov, nil
 }

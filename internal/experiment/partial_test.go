@@ -31,29 +31,34 @@ func TestPartialAggregatorsConvergeToComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	p := shardParamsFast()
-	cfg := p.Config()
-	mcfg := p.Motivation()
-	mdU, mdCounts := p.ResolvedMultiDevice()
-
-	t.Run("fig5", func(t *testing.T) {
-		cells, g, err := Fig5Cells(cfg, nil)
+	rc := shardParamsFast().Context(0)
+	// complete runs name's full grid and checks that the partial path
+	// over every cell equals FromCells; it returns the cells and grid.
+	complete := func(t *testing.T, name string) ([]shard.Cell, shard.Grid) {
+		t.Helper()
+		cells, g, err := RunCells(name, rc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := Fig5FromCells(cfg, cells)
+		ref, err := FromCells(name, rc, cells)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, cov, err := Fig5FromCellsPartial(cfg, cells)
+		got, cov, err := FromCellsPartial(name, rc, cells)
 		if err != nil || !cov.Complete() || !reflect.DeepEqual(ref, got) {
 			t.Fatalf("complete partial differs (cov=%v, err=%v)", cov, err)
 		}
+		return cells, g
+	}
+
+	t.Run("fig5", func(t *testing.T) {
+		cells, g := complete(t, ExpFig5)
 		sub := partialSubset(cells, g, 3, 0, 2)
-		res, cov, err := Fig5FromCellsPartial(cfg, sub)
+		out, cov, err := FromCellsPartial(ExpFig5, rc, sub)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := out.(*Fig5Result)
 		if cov.Complete() || cov.Have != len(sub) || cov.Total != g.Cells() {
 			t.Fatalf("coverage = %+v for %d of %d cells", cov, len(sub), g.Cells())
 		}
@@ -75,24 +80,14 @@ func TestPartialAggregatorsConvergeToComplete(t *testing.T) {
 	})
 
 	t.Run("figq", func(t *testing.T) {
-		cells, g, err := FigQCells(cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refPsi, refUps, err := FigQFromCells(cfg, cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPsi, gotUps, cov, err := FigQFromCellsPartial(cfg, cells)
-		if err != nil || !cov.Complete() ||
-			!reflect.DeepEqual(refPsi, gotPsi) || !reflect.DeepEqual(refUps, gotUps) {
-			t.Fatalf("complete partial differs (cov=%v, err=%v)", cov, err)
-		}
+		cells, g := complete(t, ExpFig6)
+		complete(t, ExpFig7)
 		sub := partialSubset(cells, g, 4, 1)
-		psi, _, cov, err := FigQFromCellsPartial(cfg, sub)
+		out, cov, err := FromCellsPartial(ExpFig6, rc, sub)
 		if err != nil || cov.Complete() || cov.Have != len(sub) {
 			t.Fatalf("subset coverage = %+v, err=%v", cov, err)
 		}
+		psi := out.(*FigQResult)
 		for pi, point := range psi.Points {
 			n := 0
 			for _, m := range FigQMethods {
@@ -105,20 +100,9 @@ func TestPartialAggregatorsConvergeToComplete(t *testing.T) {
 	})
 
 	t.Run("motivation", func(t *testing.T) {
-		cells, g, err := MotivationCells(mcfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := MotivationFromCells(mcfg, cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, cov, err := MotivationFromCellsPartial(mcfg, cells)
-		if err != nil || !cov.Complete() || !reflect.DeepEqual(ref, got) {
-			t.Fatalf("complete partial differs (cov=%v, err=%v)", cov, err)
-		}
+		cells, g := complete(t, ExpMotivation)
 		half := partialSubset(cells, g, 2, 0)
-		res, cov, err := MotivationFromCellsPartial(mcfg, half)
+		res, cov, err := FromCellsPartial(ExpMotivation, rc, half)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,24 +112,13 @@ func TestPartialAggregatorsConvergeToComplete(t *testing.T) {
 	})
 
 	t.Run("ablation", func(t *testing.T) {
-		cells, g, err := AblationCells(cfg, p.ResolvedAblationU(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := AblationFromCells(cfg, cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, cov, err := AblationFromCellsPartial(cfg, cells)
-		if err != nil || !cov.Complete() || !reflect.DeepEqual(ref, got) {
-			t.Fatalf("complete partial differs (cov=%v, err=%v)", cov, err)
-		}
+		cells, g := complete(t, ExpAblation)
 		sub := partialSubset(cells, g, 2, 1)
-		res, cov, err := AblationFromCellsPartial(cfg, sub)
+		res, cov, err := FromCellsPartial(ExpAblation, rc, sub)
 		if err != nil || cov.Complete() {
 			t.Fatalf("subset coverage = %+v, err=%v", cov, err)
 		}
-		for _, r := range res {
+		for _, r := range res.(AblationStudy) {
 			if r.Schedulable.Trials != cov.Have {
 				t.Fatalf("variant %q trials = %d, want %d", r.Name, r.Schedulable.Trials, cov.Have)
 			}
@@ -153,24 +126,13 @@ func TestPartialAggregatorsConvergeToComplete(t *testing.T) {
 	})
 
 	t.Run("multidevice", func(t *testing.T) {
-		cells, g, err := MultiDeviceCells(cfg, mdU, mdCounts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := MultiDeviceFromCells(cfg, mdCounts, cells)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, cov, err := MultiDeviceFromCellsPartial(cfg, mdCounts, cells)
-		if err != nil || !cov.Complete() || !reflect.DeepEqual(ref, got) {
-			t.Fatalf("complete partial differs (cov=%v, err=%v)", cov, err)
-		}
+		cells, g := complete(t, ExpMultiDevice)
 		sub := partialSubset(cells, g, 3, 0)
-		res, cov, err := MultiDeviceFromCellsPartial(cfg, mdCounts, sub)
+		res, cov, err := FromCellsPartial(ExpMultiDevice, rc, sub)
 		if err != nil || cov.Complete() {
 			t.Fatalf("subset coverage = %+v, err=%v", cov, err)
 		}
-		for di, r := range res {
+		for di, r := range res.(MultiDeviceResult) {
 			if r.Schedulable.Trials != cov.PointHave[di] {
 				t.Fatalf("point %d trials = %d, want %d", di, r.Schedulable.Trials, cov.PointHave[di])
 			}
@@ -179,27 +141,26 @@ func TestPartialAggregatorsConvergeToComplete(t *testing.T) {
 }
 
 func TestPartialAggregatorsRejectBadSets(t *testing.T) {
-	mcfg := DefaultMotivation()
-	mcfg.Writes = 10
-	cells, _, err := MotivationCells(mcfg, nil)
+	rc := ShardParams{Seed: 1, MotivationWrites: 10}.Context(0)
+	cells, _, err := RunCells(ExpMotivation, rc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := MotivationFromCellsPartial(mcfg, []shard.Cell{cells[0], cells[0]}); err == nil {
+	if _, _, err := FromCellsPartial(ExpMotivation, rc, []shard.Cell{cells[0], cells[0]}); err == nil {
 		t.Error("duplicate cell accepted")
 	}
 	oob := cells[0]
 	oob.System = 7
-	if _, _, err := MotivationFromCellsPartial(mcfg, []shard.Cell{oob}); err == nil {
+	if _, _, err := FromCellsPartial(ExpMotivation, rc, []shard.Cell{oob}); err == nil {
 		t.Error("out-of-range cell accepted")
 	}
 	bad := cells[0]
 	bad.Data = []byte(`{"report":`)
-	if _, _, err := MotivationFromCellsPartial(mcfg, []shard.Cell{bad}); err == nil {
+	if _, _, err := FromCellsPartial(ExpMotivation, rc, []shard.Cell{bad}); err == nil {
 		t.Error("corrupt payload accepted")
 	}
 	// The empty subset is a valid (if useless) partial cover.
-	if _, cov, err := MotivationFromCellsPartial(mcfg, nil); err != nil || cov.Have != 0 {
+	if _, cov, err := FromCellsPartial(ExpMotivation, rc, nil); err != nil || cov.Have != 0 {
 		t.Errorf("empty subset: cov=%+v err=%v", cov, err)
 	}
 }

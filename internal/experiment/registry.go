@@ -20,32 +20,26 @@ import (
 )
 
 // RunContext carries the resolved configuration the experiment hooks
-// see. The engines build it from normalised ShardParams (Context); the
-// legacy wrappers build it from their caller's Config/MotivationConfig
-// directly, so library callers keep access to knobs ShardParams cannot
-// express (a custom quality Curve or generator).
+// see. ShardParams.Context builds it from normalised params.
 //
 // Config and Motivation are authoritative for what they cover (systems,
-// seed, GA budget, curve, parallelism; the motivation mesh); Params
-// carries the experiment-specific extras (ablation utilisation,
-// multi-device axis) through its Resolved* helpers.
+// seed, GA budget, parallelism; the motivation mesh); Params carries the
+// experiment-specific extras (ablation utilisation, multi-device axis)
+// through its Resolved* helpers.
 type RunContext struct {
 	Params     ShardParams
 	Config     Config
 	Motivation MotivationConfig
 	// Cache, when non-nil, is consulted before any cell is computed and
-	// receives every cell computed (engine.go's frontier evaluation). It
-	// is sound only when Config and Motivation are derived from Params —
-	// the cache key is built from Params, so a context carrying knobs
-	// Params cannot express (a custom Curve or generator) must leave it
-	// nil. Context never sets it; callers opt in explicitly, and the
-	// legacy contextFor/motivationContext wrappers never do.
+	// receives every cell computed (engine.go's frontier evaluation). The
+	// cache key is built from Params, so it is sound only while Config
+	// and Motivation are what Params resolves to. Context never sets it;
+	// callers opt in explicitly.
 	Cache *cellcache.Store
 }
 
-// WithCache returns the context with the cell cache attached. Use only
-// on contexts built by ShardParams.Context, whose Config/Motivation are
-// fully described by Params (see Cache).
+// WithCache returns the context with the cell cache attached (see
+// Cache).
 func (rc RunContext) WithCache(c *cellcache.Store) RunContext {
 	rc.Cache = c
 	return rc
@@ -61,26 +55,6 @@ func (p ShardParams) Context(parallelism int) RunContext {
 	mcfg := p.Motivation()
 	mcfg.Parallelism = parallelism
 	return RunContext{Params: p, Config: cfg, Motivation: mcfg}
-}
-
-// contextFor adapts a library Config to a RunContext for the legacy
-// sweep wrappers: Config is taken verbatim (custom Curve and Gen
-// included), Params resolves to the defaults of everything else.
-func contextFor(cfg Config) RunContext {
-	p := ShardParams{Seed: cfg.Seed}.Normalised()
-	mcfg := DefaultMotivation()
-	mcfg.Seed = cfg.Seed
-	mcfg.Parallelism = cfg.Parallelism
-	return RunContext{Params: p, Config: cfg, Motivation: mcfg}
-}
-
-// motivationContext adapts a MotivationConfig for the legacy motivation
-// wrappers; only the motivation hooks read it.
-func motivationContext(mcfg MotivationConfig) RunContext {
-	var rc RunContext
-	rc.Motivation = mcfg
-	rc.Config.Parallelism = mcfg.Parallelism
-	return rc
 }
 
 // Codec is an experiment's versioned cell-payload codec. Version

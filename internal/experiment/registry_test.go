@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -60,7 +59,7 @@ func TestRegistryCanonicalOrder(t *testing.T) {
 
 // mustJSON renders a result for byte comparison; registry equivalence is
 // asserted on encoded bytes, not DeepEqual, because byte identity is the
-// contract the CLI diff jobs rely on.
+// contract the CLI end-to-end diffs rely on.
 func mustJSON(t *testing.T, v any) string {
 	t.Helper()
 	data, err := json.Marshal(v)
@@ -68,225 +67,6 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(data)
-}
-
-// TestLegacyEntryPointsMatchGenericPath is the registry-equivalence
-// suite: every legacy per-figure entry point — the in-process runners,
-// the *Cells evaluators, and the *FromCells / *FromCellsPartial
-// aggregators — produces results byte-identical to its generic
-// registry-path equivalent, for parallelism ∈ {1, NumCPU} and the cells
-// assembled from shard counts ∈ {1, 3}.
-func TestLegacyEntryPointsMatchGenericPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration experiment")
-	}
-	p := shardParamsFast()
-	for _, par := range []int{1, runtime.NumCPU()} {
-		par := par
-		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
-			rc := p.Context(par)
-			cfg := rc.Config
-			mcfg := rc.Motivation
-
-			// In-process runners vs the generic Run engine.
-			legacyFig5, err := Fig5(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			genericFig5, err := Run(ExpFig5, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mustJSON(t, legacyFig5) != mustJSON(t, genericFig5) {
-				t.Error("Fig5 differs from Run(fig5)")
-			}
-			legacyPsi, legacyUps, err := Fig6And7(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			genericPsi, err := Run(ExpFig6, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			genericUps, err := Run(ExpFig7, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mustJSON(t, legacyPsi) != mustJSON(t, genericPsi) || mustJSON(t, legacyUps) != mustJSON(t, genericUps) {
-				t.Error("Fig6And7 differs from Run(fig6)/Run(fig7)")
-			}
-			legacyMot, err := Motivation(mcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			genericMot, err := Run(ExpMotivation, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mustJSON(t, legacyMot) != mustJSON(t, genericMot) {
-				t.Error("Motivation differs from Run(motivation)")
-			}
-			legacyAbl, err := Ablation(cfg, p.ResolvedAblationU())
-			if err != nil {
-				t.Fatal(err)
-			}
-			genericAbl, err := Run(ExpAblation, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mustJSON(t, legacyAbl) != mustJSON(t, genericAbl) {
-				t.Error("Ablation differs from Run(ablation)")
-			}
-			mdU, mdCounts := p.ResolvedMultiDevice()
-			legacyMD, err := MultiDevice(cfg, mdU, mdCounts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			genericMD, err := Run(ExpMultiDevice, rc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mustJSON(t, legacyMD) != mustJSON(t, genericMD) {
-				t.Error("MultiDevice differs from Run(multidevice)")
-			}
-
-			// Cell evaluators: legacy *Cells vs generic RunCells, encoded.
-			type cellsFn struct {
-				name    string
-				legacy  func() ([]shard.Cell, shard.Grid, error)
-				generic string
-			}
-			for _, cf := range []cellsFn{
-				{"Fig5Cells", func() ([]shard.Cell, shard.Grid, error) { return Fig5Cells(cfg, nil) }, ExpFig5},
-				{"FigQCells", func() ([]shard.Cell, shard.Grid, error) { return FigQCells(cfg, nil) }, ExpFig6},
-				{"MotivationCells", func() ([]shard.Cell, shard.Grid, error) { return MotivationCells(mcfg, nil) }, ExpMotivation},
-				{"AblationCells", func() ([]shard.Cell, shard.Grid, error) { return AblationCells(cfg, p.ResolvedAblationU(), nil) }, ExpAblation},
-				{"MultiDeviceCells", func() ([]shard.Cell, shard.Grid, error) { return MultiDeviceCells(cfg, mdU, mdCounts, nil) }, ExpMultiDevice},
-			} {
-				lc, lg, err := cf.legacy()
-				if err != nil {
-					t.Fatalf("%s: %v", cf.name, err)
-				}
-				gc, gg, err := RunCells(cf.generic, rc, nil)
-				if err != nil {
-					t.Fatalf("RunCells(%s): %v", cf.generic, err)
-				}
-				if lg != gg || mustJSON(t, lc) != mustJSON(t, gc) {
-					t.Errorf("%s cells differ from RunCells(%s)", cf.name, cf.generic)
-				}
-			}
-
-			// Aggregators over merged cell sets from 1-shard and 3-shard
-			// decompositions: legacy FromCells / FromCellsPartial vs the
-			// generic engines.
-			for _, shards := range []int{1, 3} {
-				files := make([]*shard.File, shards)
-				for i := range files {
-					f, err := RunShard(ExpAll, p, par, shards, i)
-					if err != nil {
-						t.Fatalf("shards=%d index=%d: %v", shards, i, err)
-					}
-					files[i] = f
-				}
-				merged, err := shard.Merge(files)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				byName := map[string][]shard.Cell{}
-				for _, r := range merged.Runs {
-					byName[r.Experiment] = r.Cells
-				}
-
-				if l, err := Fig5FromCells(cfg, byName[ExpFig5]); err != nil {
-					t.Fatal(err)
-				} else if g, err := FromCells(ExpFig5, rc, byName[ExpFig5]); err != nil || mustJSON(t, l) != mustJSON(t, g) {
-					t.Errorf("shards=%d: Fig5FromCells differs from FromCells (err=%v)", shards, err)
-				}
-				lp, lu, err := FigQFromCells(cfg, byName[ExpFig6])
-				if err != nil {
-					t.Fatal(err)
-				}
-				gp, err := FromCells(ExpFig6, rc, byName[ExpFig6])
-				if err != nil {
-					t.Fatal(err)
-				}
-				gu, err := FromCells(ExpFig7, rc, byName[ExpFig7])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mustJSON(t, lp) != mustJSON(t, gp) || mustJSON(t, lu) != mustJSON(t, gu) {
-					t.Errorf("shards=%d: FigQFromCells differs from FromCells", shards)
-				}
-				if l, err := MotivationFromCells(mcfg, byName[ExpMotivation]); err != nil {
-					t.Fatal(err)
-				} else if g, err := FromCells(ExpMotivation, rc, byName[ExpMotivation]); err != nil || mustJSON(t, l) != mustJSON(t, g) {
-					t.Errorf("shards=%d: MotivationFromCells differs from FromCells (err=%v)", shards, err)
-				}
-				if l, err := AblationFromCells(cfg, byName[ExpAblation]); err != nil {
-					t.Fatal(err)
-				} else if g, err := FromCells(ExpAblation, rc, byName[ExpAblation]); err != nil || mustJSON(t, l) != mustJSON(t, g) {
-					t.Errorf("shards=%d: AblationFromCells differs from FromCells (err=%v)", shards, err)
-				}
-				if l, err := MultiDeviceFromCells(cfg, mdCounts, byName[ExpMultiDevice]); err != nil {
-					t.Fatal(err)
-				} else if g, err := FromCells(ExpMultiDevice, rc, byName[ExpMultiDevice]); err != nil || mustJSON(t, l) != mustJSON(t, g) {
-					t.Errorf("shards=%d: MultiDeviceFromCells differs from FromCells (err=%v)", shards, err)
-				}
-
-				// Partial aggregators over the shard-0 subset.
-				sub := map[string][]shard.Cell{}
-				for _, r := range files[0].Runs {
-					sub[r.Experiment] = r.Cells
-				}
-				if l, lcov, err := Fig5FromCellsPartial(cfg, sub[ExpFig5]); err != nil {
-					t.Fatal(err)
-				} else if g, gcov, err := FromCellsPartial(ExpFig5, rc, sub[ExpFig5]); err != nil ||
-					mustJSON(t, l) != mustJSON(t, g) || !reflect.DeepEqual(lcov, gcov) {
-					t.Errorf("shards=%d: Fig5FromCellsPartial differs from FromCellsPartial (err=%v)", shards, err)
-				}
-				lpp, lup, lcov, err := FigQFromCellsPartial(cfg, sub[ExpFig6])
-				if err != nil {
-					t.Fatal(err)
-				}
-				gpp, gcov, err := FromCellsPartial(ExpFig6, rc, sub[ExpFig6])
-				if err != nil {
-					t.Fatal(err)
-				}
-				gup, _, err := FromCellsPartial(ExpFig7, rc, sub[ExpFig7])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mustJSON(t, lpp) != mustJSON(t, gpp) || mustJSON(t, lup) != mustJSON(t, gup) || !reflect.DeepEqual(lcov, gcov) {
-					t.Errorf("shards=%d: FigQFromCellsPartial differs from FromCellsPartial", shards)
-				}
-				lm, lmcov, err := MotivationFromCellsPartial(mcfg, sub[ExpMotivation])
-				if err != nil {
-					t.Fatal(err)
-				}
-				gm, gmcov, err := FromCellsPartial(ExpMotivation, rc, sub[ExpMotivation])
-				if err != nil || !reflect.DeepEqual(lmcov, gmcov) {
-					t.Fatalf("shards=%d: motivation partial coverage differs (err=%v)", shards, err)
-				}
-				if (lm == nil) != (gm == nil) {
-					t.Errorf("shards=%d: motivation partial nil-ness differs: legacy=%v generic=%v", shards, lm, gm)
-				} else if lm != nil && mustJSON(t, lm) != mustJSON(t, gm) {
-					t.Errorf("shards=%d: MotivationFromCellsPartial differs from FromCellsPartial", shards)
-				}
-				if l, lcov, err := AblationFromCellsPartial(cfg, sub[ExpAblation]); err != nil {
-					t.Fatal(err)
-				} else if g, gcov, err := FromCellsPartial(ExpAblation, rc, sub[ExpAblation]); err != nil ||
-					mustJSON(t, l) != mustJSON(t, g) || !reflect.DeepEqual(lcov, gcov) {
-					t.Errorf("shards=%d: AblationFromCellsPartial differs from FromCellsPartial (err=%v)", shards, err)
-				}
-				if l, lcov, err := MultiDeviceFromCellsPartial(cfg, mdCounts, sub[ExpMultiDevice]); err != nil {
-					t.Fatal(err)
-				} else if g, gcov, err := FromCellsPartial(ExpMultiDevice, rc, sub[ExpMultiDevice]); err != nil ||
-					mustJSON(t, l) != mustJSON(t, g) || !reflect.DeepEqual(lcov, gcov) {
-					t.Errorf("shards=%d: MultiDeviceFromCellsPartial differs from FromCellsPartial (err=%v)", shards, err)
-				}
-			}
-		})
-	}
 }
 
 // TestTailQRegistryOnly: the new experiment is reachable exclusively
@@ -459,5 +239,41 @@ func TestNormalisedIsRegistryDriven(t *testing.T) {
 	aj, bj := mustJSON(t, a), mustJSON(t, b)
 	if aj != bj {
 		t.Errorf("spellings normalise differently:\n%s\n%s", aj, bj)
+	}
+}
+
+// TestSeedSweep runs every reproducible grid experiment at tiny params
+// over seeds 1..64 (1..16 under -short): each run must succeed and
+// re-aggregate byte-identically from its cells. Seeds 5, 6, 8, 21, 31,
+// 37, 39, 40, 43, 49, 60 and 61 are regression cases: the motivation
+// experiment once counted a cross-traffic flow that happened to run from
+// the I/O source to the device as remote writes.
+func TestSeedSweep(t *testing.T) {
+	seeds := int64(64)
+	if testing.Short() {
+		seeds = 16
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		rc := ShardParams{Systems: 2, Seed: seed, GAPopulation: 4, GAGenerations: 2, MotivationWrites: 20}.Context(0)
+		for _, name := range ReproducibleGridExperiments() {
+			res, err := Run(name, rc)
+			if err != nil {
+				t.Errorf("seed %d: Run(%s): %v", seed, name, err)
+				continue
+			}
+			cells, _, err := RunCells(name, rc, nil)
+			if err != nil {
+				t.Errorf("seed %d: RunCells(%s): %v", seed, name, err)
+				continue
+			}
+			got, err := FromCells(name, rc, cells)
+			if err != nil {
+				t.Errorf("seed %d: FromCells(%s): %v", seed, name, err)
+				continue
+			}
+			if mustJSON(t, res) != mustJSON(t, got) {
+				t.Errorf("seed %d: %s from cells differs from Run", seed, name)
+			}
+		}
 	}
 }

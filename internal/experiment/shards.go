@@ -4,10 +4,8 @@ package experiment
 // computation and a grid-order aggregation (see engine.go), so any cell
 // subset can be evaluated by an independent process and re-aggregated
 // later. This file is the bridge to internal/shard: ShardParams is the
-// run parameterisation recorded in every shard file, RunShard drives
-// whole sharded runs through the registry, and the per-figure *Cells /
-// *FromCells functions survive as thin deprecated wrappers over the
-// generic engines.
+// run parameterisation recorded in every shard file, and RunShard drives
+// whole sharded runs through the registry.
 //
 // The invariant, inherited from the execution engine and enforced by the
 // shard-equivalence tests: for any shard count and any parallelism,
@@ -333,121 +331,4 @@ func (s *selectionFile) fill(cells func(e Experiment, g shard.Grid, sel CellSele
 		})
 	}
 	return true, nil
-}
-
-// The per-figure shard entry points, superseded by the generic engines.
-
-// Fig5Cells evaluates the selected cells of the Figure 5 grid
-// (utilisation points × systems) and returns them as shard cells.
-//
-// Deprecated: use RunCells(ExpFig5, …); this forwards to it.
-func Fig5Cells(cfg Config, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
-	return RunCells(ExpFig5, contextFor(cfg), sel)
-}
-
-// Fig5FromCells rebuilds the Figure 5 result from a complete (merged)
-// cell set, via the same aggregation the in-process runner uses.
-//
-// Deprecated: use FromCells(ExpFig5, …); this forwards to it.
-func Fig5FromCells(cfg Config, cells []shard.Cell) (*Fig5Result, error) {
-	res, err := FromCells(ExpFig5, contextFor(cfg), cells)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*Fig5Result), nil
-}
-
-// FigQCells evaluates the selected cells of the Figures 6/7 grid. One
-// cell set serves both figures: each payload carries every offline
-// method's (Ψ, Υ) outcome.
-//
-// Deprecated: use RunCells(ExpFig6, …); this forwards to it.
-func FigQCells(cfg Config, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
-	return RunCells(ExpFig6, contextFor(cfg), sel)
-}
-
-// FigQFromCells rebuilds the Figure 6 (Ψ) and Figure 7 (Υ) results from a
-// complete cell set.
-//
-// Deprecated: use FromCells(ExpFig6, …) and FromCells(ExpFig7, …); this
-// forwards to their shared decode and aggregation.
-func FigQFromCells(cfg Config, cells []shard.Cell) (*FigQResult, *FigQResult, error) {
-	rc := contextFor(cfg)
-	psi, ups, cov, err := figqPair(rc, cells)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !cov.Complete() {
-		return nil, nil, fmt.Errorf("fig6/7: experiment: %d cells for a %dx%d grid",
-			len(cells), len(FigQUtils()), rc.Config.Systems)
-	}
-	return psi, ups, nil
-}
-
-// MotivationCells evaluates the selected cells of the motivation
-// experiment's 1 × 2 design grid.
-//
-// Deprecated: use RunCells(ExpMotivation, …); this forwards to it.
-func MotivationCells(cfg MotivationConfig, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
-	return RunCells(ExpMotivation, motivationContext(cfg), sel)
-}
-
-// MotivationFromCells rebuilds the motivation result from a complete cell
-// set.
-//
-// Deprecated: use FromCells(ExpMotivation, …); this forwards to it.
-func MotivationFromCells(cfg MotivationConfig, cells []shard.Cell) (*MotivationResult, error) {
-	res, err := FromCells(ExpMotivation, motivationContext(cfg), cells)
-	if err != nil {
-		return nil, err
-	}
-	return res.(*MotivationResult), nil
-}
-
-// AblationCells evaluates the selected cells of the ablation study's
-// 1 × Systems grid at utilisation u (0 selects the 0.6 default,
-// matching ShardParams semantics).
-//
-// Deprecated: use RunCells(ExpAblation, …); this forwards to it.
-func AblationCells(cfg Config, u float64, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
-	rc := contextFor(cfg)
-	rc.Params.AblationU = u
-	return RunCells(ExpAblation, rc, sel)
-}
-
-// AblationFromCells rebuilds the ablation study from a complete cell set.
-//
-// Deprecated: use FromCells(ExpAblation, …); this forwards to it.
-func AblationFromCells(cfg Config, cells []shard.Cell) ([]AblationResult, error) {
-	res, err := FromCells(ExpAblation, contextFor(cfg), cells)
-	if err != nil {
-		return nil, err
-	}
-	return res.(AblationStudy), nil
-}
-
-// MultiDeviceCells evaluates the selected cells of the partitioned
-// scaling study's device-counts × systems grid (a zero u or empty
-// deviceCounts selects the defaults, matching ShardParams semantics).
-//
-// Deprecated: use RunCells(ExpMultiDevice, …); this forwards to it.
-func MultiDeviceCells(cfg Config, u float64, deviceCounts []int, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
-	rc := contextFor(cfg)
-	rc.Params.MultiDeviceU = u
-	rc.Params.MultiDeviceCounts = deviceCounts
-	return RunCells(ExpMultiDevice, rc, sel)
-}
-
-// MultiDeviceFromCells rebuilds the scaling study from a complete cell
-// set.
-//
-// Deprecated: use FromCells(ExpMultiDevice, …); this forwards to it.
-func MultiDeviceFromCells(cfg Config, deviceCounts []int, cells []shard.Cell) ([]MultiDevicePoint, error) {
-	rc := contextFor(cfg)
-	rc.Params.MultiDeviceCounts = deviceCounts
-	res, err := FromCells(ExpMultiDevice, rc, cells)
-	if err != nil {
-		return nil, err
-	}
-	return res.(MultiDeviceResult), nil
 }

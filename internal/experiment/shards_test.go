@@ -25,29 +25,15 @@ func TestShardMergeEquivalence(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	p := shardParamsFast()
-	cfg := p.Config()
-	mcfg := p.Motivation()
-	mdU, mdCounts := p.ResolvedMultiDevice()
-
-	refFig5, err := Fig5(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refPsi, refUps, err := Fig6And7(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refMot, err := Motivation(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refAbl, err := Ablation(cfg, p.ResolvedAblationU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refMD, err := MultiDevice(cfg, mdU, mdCounts)
-	if err != nil {
-		t.Fatal(err)
+	rc := p.Context(0)
+	names := []string{ExpFig5, ExpFig6, ExpFig7, ExpMotivation, ExpAblation, ExpMultiDevice}
+	ref := map[string]Result{}
+	for _, name := range names {
+		res, err := Run(name, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[name] = res
 	}
 
 	for _, n := range []int{1, 3, 8} {
@@ -90,23 +76,18 @@ func TestShardMergeEquivalence(t *testing.T) {
 			t.Fatalf("N=%d: merged %d runs, want %d: %v", n, len(byName), want, Names())
 		}
 
-		if got, err := Fig5FromCells(cfg, byName[ExpFig5].Cells); err != nil || !reflect.DeepEqual(refFig5, got) {
-			t.Errorf("N=%d: Fig5 differs from unsharded (err=%v)", n, err)
-		}
-		for _, name := range []string{ExpFig6, ExpFig7} {
-			gotPsi, gotUps, err := FigQFromCells(cfg, byName[name].Cells)
-			if err != nil || !reflect.DeepEqual(refPsi, gotPsi) || !reflect.DeepEqual(refUps, gotUps) {
+		for _, name := range names {
+			if got, err := FromCells(name, rc, byName[name].Cells); err != nil || !reflect.DeepEqual(ref[name], got) {
 				t.Errorf("N=%d: %s differs from unsharded (err=%v)", n, name, err)
 			}
 		}
-		if got, err := MotivationFromCells(mcfg, byName[ExpMotivation].Cells); err != nil || !reflect.DeepEqual(refMot, got) {
-			t.Errorf("N=%d: Motivation differs from unsharded (err=%v)", n, err)
-		}
-		if got, err := AblationFromCells(cfg, byName[ExpAblation].Cells); err != nil || !reflect.DeepEqual(refAbl, got) {
-			t.Errorf("N=%d: Ablation differs from unsharded (err=%v)", n, err)
-		}
-		if got, err := MultiDeviceFromCells(cfg, mdCounts, byName[ExpMultiDevice].Cells); err != nil || !reflect.DeepEqual(refMD, got) {
-			t.Errorf("N=%d: MultiDevice differs from unsharded (err=%v)", n, err)
+		// Figures 6 and 7 share one cell grid: each run's cells must
+		// rebuild the other figure too.
+		for _, pair := range [][2]string{{ExpFig6, ExpFig7}, {ExpFig7, ExpFig6}} {
+			cells, other := byName[pair[0]].Cells, pair[1]
+			if got, err := FromCells(other, rc, cells); err != nil || !reflect.DeepEqual(ref[other], got) {
+				t.Errorf("N=%d: %s from %s cells differs from unsharded (err=%v)", n, other, pair[0], err)
+			}
 		}
 	}
 }
@@ -157,30 +138,29 @@ func TestRunShardValidation(t *testing.T) {
 }
 
 func TestFromCellsRejectsBadSets(t *testing.T) {
-	mcfg := DefaultMotivation()
-	mcfg.Writes = 10
-	cells, _, err := MotivationCells(mcfg, nil)
+	rc := ShardParams{Seed: 1, MotivationWrites: 10}.Context(0)
+	cells, _, err := RunCells(ExpMotivation, rc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d", len(cells))
 	}
-	if _, err := MotivationFromCells(mcfg, cells[:1]); err == nil {
+	if _, err := FromCells(ExpMotivation, rc, cells[:1]); err == nil {
 		t.Error("incomplete cell set accepted")
 	}
 	dup := []shard.Cell{cells[0], cells[0]}
-	if _, err := MotivationFromCells(mcfg, dup); err == nil {
+	if _, err := FromCells(ExpMotivation, rc, dup); err == nil {
 		t.Error("duplicate cell accepted")
 	}
 	oob := []shard.Cell{cells[0], cells[1]}
 	oob[1].System = 7
-	if _, err := MotivationFromCells(mcfg, oob); err == nil {
+	if _, err := FromCells(ExpMotivation, rc, oob); err == nil {
 		t.Error("out-of-range cell accepted")
 	}
 	bad := []shard.Cell{cells[0], cells[1]}
 	bad[1].Data = []byte(`{"report":`)
-	if _, err := MotivationFromCells(mcfg, bad); err == nil {
+	if _, err := FromCells(ExpMotivation, rc, bad); err == nil {
 		t.Error("corrupt payload accepted")
 	}
 }

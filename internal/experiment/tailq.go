@@ -169,7 +169,7 @@ func (tailqExperiment) Cell(rc RunContext, point, system int) (any, error) {
 		}
 		return tailqOutcome{}, fmt.Errorf("tailq u=%.2f system %d: unexpected: %w", u, system, err)
 	}
-	curve := cfg.curve()
+	curve := quality.Linear{}
 	o := tailqOutcome{OK: true, MinUps: 1}
 	// Devices, then each schedule's job order: a fixed iteration order
 	// keeps the float sum reproducible everywhere.

@@ -182,13 +182,6 @@ func (s *Schedule) ResponseBound(task int) (timing.Time, bool) {
 	return worst, found
 }
 
-// FinishTime returns ResponseBound(task).
-//
-// Deprecated: the name suggested an absolute "latest finish instant", but
-// the value has always been the release-relative per-period response
-// bound. Use ResponseBound.
-func (s *Schedule) FinishTime(task int) (timing.Time, bool) { return s.ResponseBound(task) }
-
 // Scheduler produces a schedule for the jobs of one device partition.
 // Implementations must be deterministic given their configuration (any
 // randomness must come from an injected seed or *rand.Rand), and Schedule

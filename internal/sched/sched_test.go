@@ -152,11 +152,6 @@ func TestResponseBound(t *testing.T) {
 	if _, ok := s.ResponseBound(9); ok {
 		t.Error("ResponseBound of absent task should report false")
 	}
-	// The deprecated alias returns the same value.
-	ft, ok := s.FinishTime(0)
-	if !ok || ft != rb {
-		t.Errorf("FinishTime(0) = %v,%v, want alias of ResponseBound %v", ft, ok, rb)
-	}
 }
 
 func TestFreeSlots(t *testing.T) {

@@ -28,7 +28,7 @@
 // (ScheduleAllParallel), the GA evaluates population fitness in parallel
 // chunks (GAOptions.Parallelism), and the experiment runners fan their
 // systems × utilisation grids across a bounded worker pool
-// (ExperimentConfig.Parallelism). The engine's invariant — enforced by
+// (RunExperiment's parallelism). The engine's invariant — enforced by
 // the parallel/serial equivalence tests — is that parallelism only
 // changes wall-clock time, never results: parallelism 1 and NumCPU
 // produce byte-identical schedules, fronts and figures for the same
@@ -44,11 +44,9 @@
 // and a fixed-order aggregation with render hooks. Experiments() lists
 // them, RunExperiment runs one, and RegisterExperiment plugs a new study
 // into running, sharding, dispatch, partial merges and the CLI at once —
-// no per-experiment plumbing anywhere else. The per-figure entry points
-// (Fig5, Fig6And7, the FromCells and FromCellsPartial variants) remain
-// as deprecated wrappers over the same engines. docs/EXPERIMENTS.md
-// walks through adding an experiment, using the tailq study as the
-// worked example.
+// no per-experiment plumbing anywhere else. docs/EXPERIMENTS.md walks
+// through adding an experiment, using the tailq study as the worked
+// example.
 //
 // # Sharding
 //
@@ -94,9 +92,9 @@
 // A paper-scale sweep takes hours; nothing forces the operator to wait
 // for the last shard before seeing anything. MergeShardFilesPartial
 // merges whatever consistent subset of a run's shard files exists into a
-// provisional cover with exact accounting of what is missing; the
-// FromCellsPartial aggregators (Fig5FromCellsPartial, …) render
-// provisional figures over the present cells with per-point coverage.
+// provisional cover with exact accounting of what is missing;
+// ExperimentFromCellsPartial renders provisional figures over the
+// present cells with per-point coverage.
 // DispatchShards streams the same information live: a typed
 // progress-event stream (DispatchOptions.Progress, folded into per-shard
 // state and an ETA by DispatchTracker), periodic auto-partial merges
@@ -414,8 +412,8 @@ func Experiments() []Experiment { return experiment.All() }
 func LookupExperiment(name string) (Experiment, bool) { return experiment.Lookup(name) }
 
 // RegisterExperiment adds a new study to the registry, wiring it into
-// RunExperiment, RunExperimentShard, DispatchShards, the FromCells
-// aggregators and the CLI's selection set at once. Registering a
+// RunExperiment, RunExperimentShard, DispatchShards,
+// ExperimentFromCells[Partial] and the CLI's selection set at once. Registering a
 // duplicate name panics.
 func RegisterExperiment(e Experiment) { experiment.Register(e) }
 
@@ -489,20 +487,6 @@ func ExperimentReproducible(e Experiment) bool { return experiment.Reproducible(
 // shard files.
 func HostFingerprint() string { return experiment.HostFingerprint() }
 
-// Fig5 regenerates Figure 5 (schedulability).
-//
-// Deprecated: use RunExperiment("fig5", …); this forwards to the same
-// engine.
-func Fig5(cfg ExperimentConfig) (*experiment.Fig5Result, error) { return experiment.Fig5(cfg) }
-
-// Fig6And7 regenerates Figures 6 (Ψ) and 7 (Υ).
-//
-// Deprecated: use RunExperiment("fig6", …) and RunExperiment("fig7", …);
-// this forwards to their shared cell grid.
-func Fig6And7(cfg ExperimentConfig) (*experiment.FigQResult, *experiment.FigQResult, error) {
-	return experiment.Fig6And7(cfg)
-}
-
 // Shard/merge workflow: split an experiment's cell grid across processes
 // or machines and reassemble the exact single-process result (see the
 // package comment's Sharding section).
@@ -535,7 +519,7 @@ func ReadShardFile(path string) (*ShardFile, error) { return shard.ReadFile(path
 
 // MergeShardFiles validates that the files form one complete, disjoint
 // cover of a single run's grids and returns the single-shard equivalent
-// (cells complete, in grid order) ready for the FromCells aggregators.
+// (cells complete, in grid order) ready for ExperimentFromCells.
 func MergeShardFiles(files []*ShardFile) (*ShardFile, error) { return shard.Merge(files) }
 
 // Shard files persist in one of two encodings, chosen per file at write
@@ -627,33 +611,13 @@ type (
 // MergeShardFilesPartial merges any mutually-consistent subset of a
 // run's shard files — including partial cover files from an earlier
 // partial merge — without requiring completeness. The cover reports
-// exactly which shards and cells are missing; its File feeds the
-// FromCellsPartial aggregators for provisional figures, and re-merging it
+// exactly which shards and cells are missing; its File feeds
+// ExperimentFromCellsPartial for provisional figures, and re-merging it
 // with the remaining shards converges byte-identically to
 // MergeShardFiles of the full set. The CLI equivalent is
 // "ioschedbench merge -partial".
 func MergeShardFilesPartial(files []*ShardFile) (*ShardPartialCover, error) {
 	return shard.MergePartial(files)
-}
-
-// Fig5FromCellsPartial rebuilds a provisional Figure 5 result from any
-// subset of the grid's cells, with per-point coverage; a complete subset
-// equals Fig5FromCells.
-//
-// Deprecated: use ExperimentFromCellsPartial("fig5", …); this forwards
-// to the same engine.
-func Fig5FromCellsPartial(cfg ExperimentConfig, cells []ShardCell) (*experiment.Fig5Result, ExperimentCoverage, error) {
-	return experiment.Fig5FromCellsPartial(cfg, cells)
-}
-
-// Fig6And7FromCellsPartial rebuilds provisional Figures 6 and 7 results
-// from any subset of their shared grid's cells; a complete subset equals
-// Fig6And7FromCells.
-//
-// Deprecated: use ExperimentFromCellsPartial("fig6", …) and
-// ExperimentFromCellsPartial("fig7", …); this forwards to them.
-func Fig6And7FromCellsPartial(cfg ExperimentConfig, cells []ShardCell) (*experiment.FigQResult, *experiment.FigQResult, ExperimentCoverage, error) {
-	return experiment.FigQFromCellsPartial(cfg, cells)
 }
 
 // Dispatched execution: a fault-tolerant driver that fans the shard
@@ -758,24 +722,6 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 // equivalent is "ioschedbench work".
 func RunCoordinatorWorker(ctx context.Context, cl *CoordinatorClient, name string, w DispatchWorker, opts CoordinatorWorkerOptions) error {
 	return coord.RunWorker(ctx, cl, name, w, opts)
-}
-
-// Fig5FromCells rebuilds the Figure 5 result from a complete (merged)
-// cell set — identical to what Fig5 computes in process.
-//
-// Deprecated: use ExperimentFromCells("fig5", …); this forwards to the
-// same engine.
-func Fig5FromCells(cfg ExperimentConfig, cells []ShardCell) (*experiment.Fig5Result, error) {
-	return experiment.Fig5FromCells(cfg, cells)
-}
-
-// Fig6And7FromCells rebuilds the Figures 6 and 7 results from a complete
-// cell set.
-//
-// Deprecated: use ExperimentFromCells("fig6", …) and
-// ExperimentFromCells("fig7", …); this forwards to them.
-func Fig6And7FromCells(cfg ExperimentConfig, cells []ShardCell) (*experiment.FigQResult, *experiment.FigQResult, error) {
-	return experiment.FigQFromCells(cfg, cells)
 }
 
 // Table1 regenerates Table I (hardware cost model vs paper).

@@ -141,8 +141,7 @@ func TestFacadeShardWorkflow(t *testing.T) {
 		t.Skip("integration experiment")
 	}
 	p := iosched.ShardParams{Systems: 3, Seed: 1, GAPopulation: 10, GAGenerations: 6}
-	cfg := p.Config()
-	want, err := iosched.Fig5(cfg)
+	want, err := iosched.RunExperiment("fig5", p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestFacadeShardWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := iosched.Fig5FromCells(cfg, merged.Runs[0].Cells)
+	got, err := iosched.ExperimentFromCells("fig5", p, merged.Runs[0].Cells)
 	if err != nil {
 		t.Fatal(err)
 	}
