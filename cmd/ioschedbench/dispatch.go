@@ -27,10 +27,10 @@ import (
 //	ioschedbench dispatch -workers 3 -retries 2 [run flags]
 //	ioschedbench dispatch -worker 'ssh h1 ioschedbench {args} -out /dev/stdout' ...
 //
-// Local workers re-execute this binary; -worker templates replace them
-// for remote or wrapped execution. Progress and retries go to stderr;
-// stdout carries only the rendered results, byte-identical to the
-// unsharded run.
+// Local workers each keep a warm "tasks" child of this binary; -worker
+// templates replace them for remote or wrapped execution. Progress and
+// retries go to stderr; stdout carries only the rendered results,
+// byte-identical to the unsharded run.
 func runDispatch(args []string) error {
 	fs := flag.NewFlagSet("dispatch", flag.ExitOnError)
 	rf := registerRunFlags(fs)
@@ -38,7 +38,7 @@ func runDispatch(args []string) error {
 	codecF := registerCodecFlag(fs)
 	var cmds []string
 	var (
-		workers      = fs.Int("workers", 2, "local worker subprocesses (ignored when -worker is given)")
+		workers      = fs.Int("workers", 2, "local workers, each a warm \"tasks\" child of this binary (ignored when -worker is given)")
 		retries      = fs.Int("retries", 2, "retries per shard after its first failed attempt")
 		timeout      = fs.Duration("timeout", 0, "per-attempt time budget (0 = none); an attempt over budget is killed and retried")
 		delay        = fs.Duration("retry-delay", 0, "pause before re-queueing a failed shard")

@@ -76,8 +76,11 @@
 //
 //	ioschedbench dispatch -workers 3 -retries 2 -paperscale -dir sweep/
 //
-// Local workers re-execute this binary; -worker command templates cover
-// remote hosts instead:
+// Each local worker starts this binary once, as a warm "ioschedbench
+// tasks" child, and feeds it one shard or batch at a time (the tasks
+// protocol in docs/DISPATCH.md; it is the worker protocol, not a user
+// command). -worker command templates cover remote hosts instead, run
+// once per unit:
 //
 //	ioschedbench dispatch -shards 8 -retries 2 -dir sweep/ \
 //	    -worker 'ssh host1 ioschedbench {args} -out /dev/stdout' \
@@ -141,10 +144,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/cellcache"
+	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/shard"
 	"repro/internal/textplot"
@@ -202,6 +207,14 @@ func main() {
 				os.Exit(1)
 			}
 			return
+		case dispatch.TasksCommand:
+			// The worker protocol of a warm dispatch.LocalProcWorker
+			// child, not a user command.
+			if err := runTasks(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "ioschedbench: tasks: %v\n", err)
+				os.Exit(1)
+			}
+			return
 		case "submit":
 			if err := runSubmit(os.Args[2:]); err != nil {
 				fmt.Fprintf(os.Stderr, "ioschedbench: submit: %v\n", err)
@@ -210,56 +223,119 @@ func main() {
 			return
 		}
 	}
-	rf := registerRunFlags(flag.CommandLine)
-	cf := registerCacheFlags(flag.CommandLine)
-	var (
-		codecF     = registerCodecFlag(flag.CommandLine)
-		csvDir     = flag.String("csv", "", "directory to write CSV result files into")
-		parallel   = flag.Int("parallel", 0, "worker goroutines (0 = one per CPU, 1 = serial); never changes results")
-		shards     = flag.Int("shards", 0, "split the experiment grids into this many shards (0 = run unsharded)")
-		shardIndex = flag.Int("shard-index", 0, "which shard this process evaluates, in [0,shards)")
-		cellSpec   = flag.String("cells", "", "evaluate exactly these cells (\"fig5=0-2,9;fig6=\") and write a cell-batch file to -out; replaces -shards/-shard-index")
-		out        = flag.String("out", "", "shard cell file to write (required with -shards or -cells; implies -shards 1 alone)")
-	)
-	flag.Parse()
+	if err := runTask(os.Args[1:], false); err != nil {
+		fail(err)
+	}
+}
 
-	params, err := rf.shardParams()
-	if err != nil {
-		fail(err)
-	}
-	codec, err := shard.ParseEncoding(*codecF)
-	if err != nil {
-		fail(err)
-	}
-	cache, err := cf.open()
-	if err != nil {
-		fail(err)
-	}
+// taskArgs is one parsed single-run invocation: the top-level command
+// line, or one line of the tasks loop.
+type taskArgs struct {
+	rf         *runFlags
+	cf         *cacheFlags
+	codec      *string
+	csvDir     *string
+	parallel   *int
+	shards     *int
+	shardIndex *int
+	cells      *string
+	out        *string
+}
 
-	if *cellSpec != "" {
-		if *shards > 0 {
-			fail(fmt.Errorf("-cells and -shards are mutually exclusive"))
+// runTask evaluates one single-run invocation from its arguments: a
+// shard (-shards/-shard-index), a cell batch (-cells) or a rendered
+// sweep. The one-shot command line and every line of the tasks loop run
+// through it, so there is one way to evaluate a shard or batch.
+func runTask(args []string, task bool) error {
+	a, err := parseTask(args, task)
+	if err != nil {
+		return err
+	}
+	return a.run()
+}
+
+// parseTask parses one invocation's flags. A task line (task true) gets
+// flag errors back instead of usage output and an exit, and must write
+// its cell file and nothing else: it needs -out, and -csv or arguments
+// beyond the flags are errors. Rendering is thereby one-shot only, so a
+// tasks child's stdout carries replies only.
+func parseTask(args []string, task bool) (*taskArgs, error) {
+	mode := flag.ExitOnError
+	if task {
+		mode = flag.ContinueOnError
+	}
+	fs := flag.NewFlagSet(os.Args[0], mode)
+	if task {
+		fs.SetOutput(io.Discard)
+	}
+	a := &taskArgs{
+		rf:         registerRunFlags(fs),
+		cf:         registerCacheFlags(fs),
+		codec:      registerCodecFlag(fs),
+		csvDir:     fs.String("csv", "", "directory to write CSV result files into"),
+		parallel:   fs.Int("parallel", 0, "worker goroutines (0 = one per CPU, 1 = serial); never changes results"),
+		shards:     fs.Int("shards", 0, "split the experiment grids into this many shards (0 = run unsharded)"),
+		shardIndex: fs.Int("shard-index", 0, "which shard this process evaluates, in [0,shards)"),
+		cells:      fs.String("cells", "", "evaluate exactly these cells (\"fig5=0-2,9;fig6=\") and write a cell-batch file to -out; replaces -shards/-shard-index"),
+		out:        fs.String("out", "", "shard cell file to write (required with -shards or -cells; implies -shards 1 alone)"),
+	}
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if task {
+		switch {
+		case fs.NArg() > 0:
+			return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+		case *a.out == "":
+			return nil, fmt.Errorf("a task writes a cell file: -out is required")
+		case *a.csvDir != "":
+			return nil, fmt.Errorf("-csv renders; a task only writes its cell file")
 		}
-		if err := writeBatch(*rf.which, params, *parallel, *cellSpec, *out, cache, codec); err != nil {
-			fail(err)
-		}
-		return
 	}
+	return a, nil
+}
 
-	if *shards > 0 || *out != "" {
-		n := *shards
+// run evaluates the parsed invocation.
+func (a *taskArgs) run() error {
+	params, err := a.rf.shardParams()
+	if err != nil {
+		return err
+	}
+	codec, err := shard.ParseEncoding(*a.codec)
+	if err != nil {
+		return err
+	}
+	cache, err := a.cf.open()
+	if err != nil {
+		return err
+	}
+	if *a.cells != "" {
+		if *a.shards > 0 {
+			return fmt.Errorf("-cells and -shards are mutually exclusive")
+		}
+		return writeBatch(*a.rf.which, params, *a.parallel, *a.cells, *a.out, cache, codec)
+	}
+	if *a.shards > 0 || *a.out != "" {
+		n := *a.shards
 		if n == 0 {
 			n = 1
 		}
-		if err := writeShard(*rf.which, params, *parallel, n, *shardIndex, *out, cache, codec); err != nil {
-			fail(err)
-		}
-		return
+		return writeShard(*a.rf.which, params, *a.parallel, n, *a.shardIndex, *a.out, cache, codec)
 	}
+	return render(*a.rf.which, params.Context(*a.parallel).WithCache(cache), nil, *a.csvDir)
+}
 
-	if err := render(*rf.which, params.Context(*parallel).WithCache(cache), nil, *csvDir); err != nil {
-		fail(err)
+// runTasks is the tasks subcommand: the warm child of a
+// dispatch.LocalProcWorker. It evaluates one task line from stdin at a
+// time through runTask and answers each on stdout, until stdin closes
+// (protocol: docs/DISPATCH.md).
+func runTasks(args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("unexpected arguments %q", args)
 	}
+	return dispatch.ServeTasks(os.Stdin, os.Stdout, func(args []string) error {
+		return runTask(args, true)
+	})
 }
 
 // cacheFlags holds the cell-cache flags shared by the top-level command

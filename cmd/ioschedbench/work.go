@@ -1,10 +1,10 @@
 package main
 
-// The work subcommand: a coordinator client that wraps the same
-// subprocess worker "ioschedbench dispatch" uses. It registers with a
-// coordinator, heartbeats, leases units, computes them by re-executing
-// this binary, and pushes the result files back over the wire — no
-// shared filesystem with the coordinator.
+// The work subcommand: a coordinator client that wraps the same local
+// worker "ioschedbench dispatch" uses. It registers with a coordinator,
+// heartbeats, leases units, computes them on a warm "tasks" child of
+// this binary (or of -bin), and pushes the result files back over the
+// wire — no shared filesystem with the coordinator.
 
 import (
 	"context"
@@ -29,14 +29,14 @@ func runWork(args []string) error {
 	var (
 		connect  = fs.String("connect", "", "coordinator base URL, e.g. http://host:8337 (required)")
 		name     = fs.String("name", "", "worker name reported to the coordinator (default: hostname)")
-		parallel = fs.Int("parallel", 0, "goroutines per unit, forwarded to the compute subprocess (0 = one per CPU); never changes results")
-		bin      = fs.String("bin", "", "experiment binary to execute per unit (default: this binary)")
+		parallel = fs.Int("parallel", 0, "goroutines per unit, forwarded to the compute child (0 = one per CPU); never changes results")
+		bin      = fs.String("bin", "", "compute binary, run as one warm \"<bin> tasks\" child that must speak the tasks protocol (default: this binary)")
 		scratch  = fs.String("scratch", "", "local directory for result files before they are pushed (default: fresh temp dir)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: ioschedbench work -connect http://host:8337")
-		fmt.Fprintln(os.Stderr, "\nServes a coordinator as one worker: lease units, compute them in a")
-		fmt.Fprintln(os.Stderr, "subprocess, push the results back. Runs until interrupted.")
+		fmt.Fprintln(os.Stderr, "\nServes a coordinator as one worker: lease units, compute them on a")
+		fmt.Fprintln(os.Stderr, "warm child process, push the results back. Runs until interrupted.")
 		fmt.Fprintln(os.Stderr)
 		fs.PrintDefaults()
 	}

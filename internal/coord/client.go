@@ -59,7 +59,14 @@ func (cl *Client) do(ctx context.Context, method, path string, body []byte, cont
 		return nil, fmt.Errorf("coord: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxResultBody+1))
+	var data []byte
+	if n := resp.ContentLength; n >= 0 && n <= MaxResultBody {
+		// A declared length (a merged result): one exact-size buffer.
+		data = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, data)
+	} else {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, MaxResultBody+1))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("coord: %s %s: %w", method, path, err)
 	}
@@ -294,7 +301,8 @@ func (s *session) drop(id string) {
 // when ctx is cancelled. Compute failures are reported to the
 // coordinator and the loop continues; a cancelled ctx mid-compute
 // abandons the unit silently (exactly what a crashed worker would do —
-// the coordinator's heartbeat timeout reassigns it).
+// the coordinator's heartbeat timeout reassigns it). A w with a
+// Release method (dispatch.LocalProcWorker) has it called on return.
 func RunWorker(ctx context.Context, cl *Client, name string, w dispatch.Worker, opts WorkerOptions) error {
 	logf := opts.Logf
 	if logf == nil {
@@ -311,6 +319,11 @@ func RunWorker(ctx context.Context, cl *Client, name string, w dispatch.Worker, 
 		}
 		defer os.RemoveAll(dir)
 		scratch = dir
+	}
+	if r, ok := w.(interface{ Release() }); ok {
+		// A worker keeping warm children (dispatch.LocalProcWorker) ends
+		// them when the loop returns.
+		defer r.Release()
 	}
 	s := &session{cl: cl, name: name}
 	id, hb, err := s.current(ctx)

@@ -593,25 +593,18 @@ func (c *Coordinator) mergeLocked(r *run) error {
 	return nil
 }
 
-// Result returns the merged shard file's bytes for a merged run.
-func (c *Coordinator) Result(runID string) ([]byte, error) {
+// ResultPath returns the path of a merged run's merged shard file.
+func (c *Coordinator) ResultPath(runID string) (string, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	r, ok := c.runs[runID]
 	if !ok {
-		c.mu.Unlock()
-		return nil, ErrUnknownRun
+		return "", ErrUnknownRun
 	}
 	if r.state != runMerged {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("coord: run %s is %s, not merged", runID, r.state)
+		return "", fmt.Errorf("coord: run %s is %s, not merged", runID, r.state)
 	}
-	path := filepath.Join(r.dir, "merged.json")
-	c.mu.Unlock()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("coord: %w", err)
-	}
-	return data, nil
+	return filepath.Join(r.dir, "merged.json"), nil
 }
 
 // ---- liveness ----

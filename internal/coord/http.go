@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"time"
 )
@@ -139,13 +140,27 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	data, err := c.Result(r.PathValue("id"))
+	path, err := c.ResultPath(r.PathValue("id"))
 	if err != nil {
 		httpError(w, err)
 		return
 	}
+	// Stream the file rather than buffering it: the declared length lets
+	// the client read it into one exact-size buffer.
+	f, err := os.Open(path)
+	if err != nil {
+		httpError(w, fmt.Errorf("coord: %w", err))
+		return
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		httpError(w, fmt.Errorf("coord: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	w.Header().Set("Content-Length", strconv.FormatInt(st.Size(), 10))
+	io.Copy(w, f)
 }
 
 func (c *Coordinator) handlePush(w http.ResponseWriter, r *http.Request) {

@@ -269,6 +269,8 @@ type outcome struct {
 //
 // Run fails if any shard exhausts its attempts, if the context is
 // cancelled, or if the directory's journal belongs to a different run.
+// On every return it calls Release on each worker that has one
+// (LocalProcWorker), so no warm child outlives the dispatch.
 func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Result, error) {
 	balance, err := normalisedBalance(opts.Balance)
 	if err != nil {
@@ -282,6 +284,7 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("dispatch: no workers")
 	}
+	defer release(workers)
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}

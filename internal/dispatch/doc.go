@@ -29,7 +29,8 @@
 // errors, times out, or leaves a file that fails validation is simply
 // re-queued (a failed cost batch re-split), up to Options.MaxAttempts
 // per unit. Dispatched output is byte-identical to the unsharded run —
-// enforced by this package's tests and the dispatch-equivalence CI job.
+// enforced by this package's tests and by cmd/ioschedbench's
+// TestCLIEndToEnd/dispatch.
 //
 // # Lifecycle
 //
@@ -45,12 +46,15 @@
 //
 // Work is delegated through the Worker interface; two backends ship:
 //
-//   - LocalProcWorker re-executes an ioschedbench binary as a local
-//     subprocess per shard — the testable default, and what the CLI's
-//     "ioschedbench dispatch -workers N" uses (re-executing itself);
-//   - CmdWorker runs a user-supplied command template (for example
-//     "ssh host ioschedbench {args} -out /dev/stdout"), which covers
-//     remote hosts without this package depending on SSH.
+//   - LocalProcWorker keeps a warm "ioschedbench tasks" child and feeds
+//     it one unit per line (ServeTasks is the child side; the protocol
+//     is in docs/DISPATCH.md) — the testable default, and what the
+//     CLI's "ioschedbench dispatch -workers N" uses (with its own
+//     binary). Run and coord.RunWorker release the children on return;
+//   - CmdWorker runs a user-supplied command template once per unit
+//     (for example "ssh host ioschedbench {args} -out /dev/stdout"),
+//     which covers remote hosts, and programs that do not speak the
+//     tasks protocol, without this package depending on SSH.
 //
 // # Journal
 //
@@ -78,6 +82,6 @@
 // removed once the final merge supersedes it.
 //
 // The shard file format the driver produces and consumes is specified in
-// docs/SHARD_FORMAT.md; the journal and progress-event schemas in
-// docs/DISPATCH.md.
+// docs/SHARD_FORMAT.md; the journal and progress-event schemas and the
+// tasks protocol in docs/DISPATCH.md.
 package dispatch

@@ -1,7 +1,10 @@
 package dispatch
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Task is one unit of dispatched work: evaluate shard Index of Spec and
@@ -50,10 +54,19 @@ type Worker interface {
 	Run(ctx context.Context, t Task) error
 }
 
-// LocalProcWorker runs each shard by executing an ioschedbench binary (or
-// any binary accepting the same flags) as a local subprocess. It is the
-// testable default backend: "ioschedbench dispatch -workers N" builds N
-// of these around os.Executable().
+// LocalProcWorker runs each shard on a warm local child: the first Run
+// starts "<Binary> tasks" (docs/DISPATCH.md specifies the tasks
+// protocol), and every Run hands the child one task line — the shard
+// arguments a one-shot run would get — instead of executing a process
+// per shard. Binary must therefore speak the tasks protocol, as
+// ioschedbench does; CmdWorker runs any other program once per shard.
+// "ioschedbench dispatch -workers N" builds N of these around
+// os.Executable().
+//
+// A child survives only a well-formed success reply: an error reply, a
+// malformed reply, the child's exit, a cancelled context or a timeout
+// kills and reaps it, and the next Run starts a fresh one. Concurrent
+// Runs each get their own child. Release ends the idle children.
 type LocalProcWorker struct {
 	// Binary is the path of the program to execute.
 	Binary string
@@ -69,6 +82,9 @@ type LocalProcWorker struct {
 	Stderr io.Writer
 	// Label overrides the worker's log name; default "local:<binary>".
 	Label string
+
+	mu   sync.Mutex
+	idle []*child
 }
 
 // Name returns the worker's log name.
@@ -79,7 +95,8 @@ func (w *LocalProcWorker) Name() string {
 	return "local:" + filepath.Base(w.Binary)
 }
 
-// Run executes the binary with the task's shard arguments plus ExtraArgs.
+// Run sends the task's shard arguments, "-out <t.Out>" and ExtraArgs to
+// an idle child, starting one if none is idle, and waits for its reply.
 func (w *LocalProcWorker) Run(ctx context.Context, t Task) error {
 	args, err := t.args()
 	if err != nil {
@@ -87,18 +104,103 @@ func (w *LocalProcWorker) Run(ctx context.Context, t Task) error {
 	}
 	args = append(args, "-out", t.Out)
 	args = append(args, w.ExtraArgs...)
-	cmd := exec.CommandContext(ctx, w.Binary, args...)
+	line, err := json.Marshal(args)
+	if err != nil {
+		return err
+	}
+	c, err := w.take()
+	if err != nil {
+		return fmt.Errorf("dispatch: %s: %w", w.Name(), err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- c.call(append(line, '\n')) }()
+	select {
+	case err = <-done:
+	case <-ctx.Done():
+		werr := c.kill()
+		<-done
+		return fmt.Errorf("dispatch: %s: %w (%v)", w.Name(), ctx.Err(), werr)
+	}
+	if err != nil {
+		if werr := c.kill(); errors.Is(err, errChildExited) && werr != nil {
+			err = fmt.Errorf("%w (%v)", err, werr)
+		}
+		return fmt.Errorf("dispatch: %s: %w", w.Name(), err)
+	}
+	w.mu.Lock()
+	w.idle = append(w.idle, c)
+	w.mu.Unlock()
+	return nil
+}
+
+// take returns an idle child, or starts one.
+func (w *LocalProcWorker) take() (*child, error) {
+	w.mu.Lock()
+	if n := len(w.idle); n > 0 {
+		c := w.idle[n-1]
+		w.idle = w.idle[:n-1]
+		w.mu.Unlock()
+		return c, nil
+	}
+	w.mu.Unlock()
+	return w.startChild()
+}
+
+// startChild starts "<Binary> tasks" with the worker's environment and
+// stderr.
+func (w *LocalProcWorker) startChild() (*child, error) {
+	cmd := exec.Command(w.Binary, TasksCommand)
 	cmd.Stderr = w.Stderr
 	if len(w.Env) > 0 {
 		cmd.Env = append(os.Environ(), w.Env...)
 	}
-	if err := cmd.Run(); err != nil {
-		if ctx.Err() != nil {
-			return fmt.Errorf("dispatch: %s: %w (%v)", w.Name(), ctx.Err(), err)
-		}
-		return fmt.Errorf("dispatch: %s: %w", w.Name(), err)
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	return &child{cmd: cmd, stdin: stdin, stdout: bufio.NewReader(stdout)}, nil
+}
+
+// Release ends the worker's idle children: it closes every idle child's
+// stdin — a tasks child exits at EOF — then waits for all of them. A
+// later Run starts a fresh child. dispatch.Run and coord.RunWorker call
+// it when they return.
+func (w *LocalProcWorker) Release() {
+	w.mu.Lock()
+	idle := w.idle
+	w.idle = nil
+	w.mu.Unlock()
+	// A released child has answered all its tasks, so neither how its
+	// stdin closes nor how it exits can change a result.
+	for _, c := range idle {
+		_ = c.stdin.Close()
+	}
+	for _, c := range idle {
+		_ = c.cmd.Wait()
+	}
+}
+
+// release calls Release on every worker that holds processes between
+// Runs, concurrently, and waits for all of them.
+func release(workers []Worker) {
+	var wg sync.WaitGroup
+	for _, w := range workers {
+		if r, ok := w.(interface{ Release() }); ok {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.Release()
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // CmdWorker runs each shard through a user-supplied command template —

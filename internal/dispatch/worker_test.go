@@ -9,18 +9,25 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/cellcache"
 	"repro/internal/experiment"
 )
 
 // The subprocess backends are tested against this test binary itself:
 // when re-executed with workerEmulateEnv set, TestMain branches into
 // workerMain, which accepts the ioschedbench shard flags
-// (Spec.WorkerArgs' contract) and evaluates the shard in-process. That
-// exercises LocalProcWorker and CmdWorker as real subprocesses without
-// building the CLI; cmd/ioschedbench's TestCLIEndToEnd covers the real
-// CLI end to end.
+// (Spec.WorkerArgs' contract) and evaluates the shard in-process — once
+// per process for CmdWorker, or per task line of the tasks loop for
+// LocalProcWorker's warm children. That exercises both backends as real
+// subprocesses without building the CLI; cmd/ioschedbench's
+// TestCLIEndToEnd covers the real CLI end to end.
 const workerEmulateEnv = "DISPATCH_WORKER_EMULATE"
+
+// workerPIDLogEnv names a file every emulated task appends its
+// process id to, so tests can tell which child ran which task.
+const workerPIDLogEnv = "DISPATCH_WORKER_PIDLOG"
 
 func TestMain(m *testing.M) {
 	if os.Getenv(workerEmulateEnv) != "" {
@@ -29,55 +36,108 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// workerMain emulates the ioschedbench shard CLI. mode selects an
-// injected failure: "crash" exits before writing, "corrupt" writes
-// garbage; "ok" behaves honestly.
+// workerMain emulates the ioschedbench shard CLI: a one-shot run of its
+// arguments, or the tasks loop over stdin when the first argument is
+// TasksCommand. mode is the default injected behaviour of each task.
 func workerMain(mode string) int {
-	fs := flag.NewFlagSet("worker-emulate", flag.ContinueOnError)
-	var (
-		which   = fs.String("experiment", "all", "")
-		systems = fs.Int("systems", 0, "")
-		seed    = fs.Int64("seed", 1, "")
-		gaPop   = fs.Int("gapop", 0, "")
-		gaGens  = fs.Int("gagens", 0, "")
-		paper   = fs.Bool("paperscale", false, "")
-		ablU    = fs.Float64("ablation-u", 0.6, "")
-		shards  = fs.Int("shards", 1, "")
-		index   = fs.Int("shard-index", 0, "")
-		out     = fs.String("out", "", "")
-		_       = fs.Int("parallel", 0, "")
-	)
-	if err := fs.Parse(os.Args[1:]); err != nil {
-		return 2
-	}
-	switch mode {
-	case "crash":
-		fmt.Fprintln(os.Stderr, "emulated worker crash")
-		return 1
-	case "corrupt":
-		if err := os.WriteFile(*out, []byte("junk"), 0o644); err != nil {
+	if len(os.Args) > 1 && os.Args[1] == TasksCommand {
+		if err := ServeTasks(os.Stdin, os.Stdout, func(args []string) error { return emulateTask(mode, args) }); err != nil {
 			return 1
 		}
 		return 0
+	}
+	if err := emulateTask(mode, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	return 0
+}
+
+// emulateTask evaluates one task. The mode — the -emulate flag if given,
+// else the process default — selects an injected failure: "crash" exits
+// before writing, "corrupt" writes garbage, "fail" returns an error (an
+// error reply), "garble" writes a stray line to stdout (a malformed
+// reply), "hang" never returns, "hangfirst" hangs only in the first task
+// the pid log records; "ok" behaves honestly. -gather n waits until the
+// pid log holds n tasks, so n concurrent tasks meet before any returns.
+func emulateTask(mode string, args []string) error {
+	fs := flag.NewFlagSet("worker-emulate", flag.ContinueOnError)
+	var (
+		which    = fs.String("experiment", "all", "")
+		systems  = fs.Int("systems", 0, "")
+		seed     = fs.Int64("seed", 1, "")
+		gaPop    = fs.Int("gapop", 0, "")
+		gaGens   = fs.Int("gagens", 0, "")
+		paper    = fs.Bool("paperscale", false, "")
+		ablU     = fs.Float64("ablation-u", 0.6, "")
+		shards   = fs.Int("shards", 1, "")
+		index    = fs.Int("shard-index", 0, "")
+		out      = fs.String("out", "", "")
+		cacheDir = fs.String("cache-dir", "", "")
+		_        = fs.Int("parallel", 0, "")
+		gather   = fs.Int("gather", 0, "")
+	)
+	fs.StringVar(&mode, "emulate", mode, "")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	tasks := logPID()
+	for *gather > 0 && tasks < *gather {
+		time.Sleep(5 * time.Millisecond)
+		tasks = countPIDs()
+	}
+	switch {
+	case mode == "crash":
+		fmt.Fprintln(os.Stderr, "emulated worker crash")
+		os.Exit(1)
+	case mode == "corrupt":
+		return os.WriteFile(*out, []byte("junk"), 0o644)
+	case mode == "fail":
+		return fmt.Errorf("emulated task failure")
+	case mode == "garble":
+		fmt.Println("emulated stray output")
+	case mode == "hang", mode == "hangfirst" && tasks == 1:
+		time.Sleep(time.Hour)
 	}
 	p := experiment.ShardParams{
 		PaperScale: *paper, Systems: *systems, Seed: *seed,
 		GAPopulation: *gaPop, GAGenerations: *gaGens, AblationU: *ablU,
 	}
-	f, err := experiment.RunShard(*which, p, 1, *shards, *index)
+	var cache *cellcache.Store
+	if *cacheDir != "" {
+		var err error
+		if cache, err = cellcache.Open(*cacheDir); err != nil {
+			return err
+		}
+	}
+	f, err := experiment.RunShardCached(*which, p, 1, *shards, *index, cache)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return err
 	}
 	if *out == "" {
-		fmt.Fprintln(os.Stderr, "no -out")
-		return 1
+		return fmt.Errorf("no -out")
 	}
-	if err := f.WriteFile(*out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+	return f.WriteFile(*out)
+}
+
+// logPID appends this process's id to the pid log, if one is set, and
+// returns the number of tasks the log then holds.
+func logPID() int {
+	path := os.Getenv(workerPIDLogEnv)
+	if path == "" {
+		return 0
 	}
-	return 0
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err == nil {
+		fmt.Fprintln(f, os.Getpid())
+		f.Close()
+	}
+	return countPIDs()
+}
+
+func countPIDs() int {
+	data, _ := os.ReadFile(os.Getenv(workerPIDLogEnv))
+	return bytes.Count(data, []byte("\n"))
 }
 
 func TestLocalProcWorkerDispatch(t *testing.T) {

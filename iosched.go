@@ -71,9 +71,10 @@
 // # Dispatch
 //
 // DispatchShards drives the whole sharded workflow fault-tolerantly: it
-// fans the shard indices out to a pool of DispatchWorkers (local
-// subprocesses via LocalProcWorker, arbitrary command templates — e.g.
-// ssh — via CmdWorker), re-runs shards whose worker crashed, timed out or
+// fans the shard indices out to a pool of DispatchWorkers (a warm local
+// "ioschedbench tasks" child per LocalProcWorker, fed one unit at a
+// time; arbitrary command templates — e.g. ssh — run once per unit via
+// CmdWorker), re-runs shards whose worker crashed, timed out or
 // produced a corrupt or partial file, journals progress so an
 // interrupted dispatch resumes by re-running only missing indices, and
 // merges the complete cover. The work decomposition is pluggable
@@ -646,7 +647,8 @@ type (
 	DispatchResult = dispatch.Result
 	// DispatchAttempt records one worker attempt at one shard.
 	DispatchAttempt = dispatch.Attempt
-	// LocalProcWorker runs shards as local ioschedbench subprocesses.
+	// LocalProcWorker runs shards on a warm local "ioschedbench tasks"
+	// child, one task line per shard (protocol: docs/DISPATCH.md).
 	LocalProcWorker = dispatch.LocalProcWorker
 	// CmdWorker runs shards through a user-supplied command template
 	// (e.g. "ssh host ioschedbench {args} -out /dev/stdout").
