@@ -64,7 +64,7 @@
 // a tenth the size at paper scale. Readers always auto-detect per file,
 // so shard sets and dispatch directories may mix encodings and still
 // merge byte-identical to the unsharded run. The layouts are specified
-// in docs/SHARD_FORMAT.md. The cell cache has one envelope of its own
+// in docs/SHARD_FORMAT.md. The cell cache has one pack format of its own
 // (docs/CACHE.md) that -codec does not select.
 //
 // # Dispatch

@@ -9,7 +9,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -147,8 +146,7 @@ func costlyTask(line string) bool {
 	return p.PaperScale || !in(p.Systems, 1, 2) || !in(p.GAPopulation, 2, 4) || !in(p.GAGenerations, 1, 2) ||
 		p.AblationU > 1 || !in(*a.parallel, -1, 4) ||
 		!filepath.IsLocal(*a.out) || a.cf.resolvedDir() != "" ||
-		!experiment.SelectionReproducible(*a.rf.which) ||
-		regexp.MustCompile(`[0-9]{5}`).MatchString(*a.cells)
+		!experiment.SelectionReproducible(*a.rf.which)
 }
 
 // FuzzTaskLine throws arbitrary lines at the tasks loop, each followed
@@ -156,7 +154,8 @@ func costlyTask(line string) bool {
 // reply and write no file; an accepted line must leave its cell file;
 // and the loop must answer the following task either way. The seeds
 // under testdata/fuzz/FuzzTaskLine are bad JSON, a non-string element,
-// a task without -out, a render task, a -csv task and a cell batch.
+// a task without -out, a render task, a -csv task, a cell batch and a
+// batch naming more cells than shard.MaxCells.
 func FuzzTaskLine(f *testing.F) {
 	next := taskLine("-shards", "3", "-shard-index", "1", "-out", "next.json")
 	f.Fuzz(func(t *testing.T, line string) {

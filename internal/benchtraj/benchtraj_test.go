@@ -139,6 +139,18 @@ func TestMeasureDispatchMakespan(t *testing.T) {
 	}
 }
 
+// TestMeasureCacheHitRate pins the trajectory's warm hit rate: a warm
+// rerun over the store its cold run filled serves every cell.
+func TestMeasureCacheHitRate(t *testing.T) {
+	r, err := MeasureCacheHitRate(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != 1 {
+		t.Fatalf("warm hit rate = %v, want 1", r)
+	}
+}
+
 func TestCompareTolerancePasses(t *testing.T) {
 	cur := sample()
 	m := cur.Benchmarks["GASolve"]

@@ -9,28 +9,35 @@
 // every read, so an entry written under a different seed derivation can
 // never be served.
 //
-// Layout: <dir>/<hh>/<hash>/<point>_<system>.json, where hash is the
-// hex SHA-256 of the (cell key, params, payload version) tuple and hh its
-// first two digits (a fan-out level, keeping directories small; the
-// .json suffix is historical — the envelope magic, not the name,
-// identifies the format). Each entry is one binary envelope (codec.go)
-// holding the cell's derived seed, its payload packed as the v2 shard
-// record of the experiment's payload codec, and a SHA-256 digest. Reads
-// verify the magic, the digest and the expected seed; anything that fails
-// — unreadable file, truncated envelope, an entry written by an older
-// build in a retired envelope form, digest or seed mismatch — is a miss,
-// never an error: the caller recomputes, and the next Put repairs the
-// entry. Writes go through a temp file and an atomic rename, so
+// Layout: <dir>/<hh>/<hash>/<digest>.pack, where hash is the hex SHA-256
+// of the (cell key, params, payload version) tuple and hh its first two
+// digits (a fan-out level, keeping directories small). Each Put writes
+// the cells it deposits as one immutable pack (pack.go) named by its own
+// content digest: an index of (point, system, seed, record length)
+// followed by the cells' payloads, each packed as the v2 shard record of
+// the experiment's payload codec. Load reads every pack under a key once
+// and answers per-cell lookups from memory; a Put that finds
+// compactAt packs under its key merges them into one. Anything that fails
+// a check — unreadable file, truncated or bit-rotted pack, a per-cell
+// entry left by an older build, a seed mismatch — is a miss, never an
+// error: the caller recomputes, and its next Put deposits the cells
+// again. Packs are written through a temp file and an atomic rename and
+// removed only once a pack holding their cells has been renamed in, so
 // concurrent readers and writers (racing dispatch workers, parallel runs
-// sharing one store) see either a complete entry or none.
+// sharing one store) see complete packs and never lose a deposited cell.
 package cellcache
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 )
 
@@ -38,9 +45,8 @@ import (
 // stores with Open. A Store is safe for concurrent use by any number of
 // goroutines and processes sharing the directory.
 type Store struct {
-	dir    string
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	dir                     string
+	hits, misses, packReads atomic.Uint64
 }
 
 // Open opens (creating if needed) the cache rooted at dir.
@@ -64,10 +70,10 @@ const (
 )
 
 // SetEncoding used to select the envelope encoding Put writes. Every
-// entry is now the one binary envelope holding the cell's packed record,
-// so SetEncoding changes nothing; it still rejects unknown names.
+// deposit is now one pack of packed records, so SetEncoding changes
+// nothing; it still rejects unknown names.
 //
-// Deprecated: the store has a single envelope; drop the call.
+// Deprecated: the store has a single format; drop the call.
 func (s *Store) SetEncoding(encoding string) error {
 	switch encoding {
 	case "", EncodingJSON, EncodingBinary:
@@ -78,7 +84,8 @@ func (s *Store) SetEncoding(encoding string) error {
 
 // Key addresses one run's cell namespace: all cells of one experiment
 // grid under one parameterisation and payload layout share a Key, and
-// individual cells are located by their grid path (point, system).
+// individual cells are located by their grid path (point, system). A Key
+// is comparable, so callers can memoise Loads by it.
 type Key struct {
 	hash string
 }
@@ -103,59 +110,182 @@ func RunKey(cellKey string, params []byte, payloadVersion int) Key {
 	return Key{hash: hex.EncodeToString(h.Sum(nil))}
 }
 
-func (s *Store) cellPath(k Key, point, system int) string {
-	return filepath.Join(s.dir, k.hash[:2], k.hash[2:], fmt.Sprintf("%d_%d.json", point, system))
+// compactAt is the pack count at which a Put merges its key's packs into
+// one. It bounds how many files a Load reads per key (at most compactAt
+// plus one per concurrent writer) against how often a deposit rewrites
+// the cells already there (once every compactAt Puts).
+const compactAt = 8
+
+// loadAttempts bounds how often Load lists a key directory again when a
+// pack it listed was removed by a concurrent compaction before it could
+// be read.
+const loadAttempts = 8
+
+const packSuffix = ".pack"
+
+func (s *Store) keyDir(k Key) string {
+	return filepath.Join(s.dir, k.hash[:2], k.hash[2:])
 }
 
-// Get returns the packed payload record of cell (point, system) under k,
-// or (nil, false) on a miss. seed is the derived sub-seed the caller's
-// run would record for the cell; an entry whose recorded seed differs is
-// a miss (and so is any unreadable, truncated, corrupt or retired-format
-// entry — the cache recomputes, it never guesses).
-func (s *Store) Get(k Key, point, system int, seed int64) ([]byte, bool) {
-	raw, err := os.ReadFile(s.cellPath(k, point, system))
-	if err == nil {
-		if got, record, ok := decodeEnvelope(raw); ok && got == seed {
-			s.hits.Add(1)
-			return record, true
+// packNames lists the packs in a key directory; a directory that does
+// not exist holds none. Temp files and retired per-cell entries are not
+// packs.
+func packNames(dir string) []string {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil
+	}
+	var names []string
+	for _, de := range des {
+		if name := de.Name(); strings.HasSuffix(name, packSuffix) && !strings.HasPrefix(name, ".") {
+			names = append(names, name)
 		}
 	}
-	s.misses.Add(1)
+	return names
+}
+
+// View is what one Load read of a key: the cells of every valid pack
+// under it at that moment. A View never changes and never reads the disk
+// again; load the key again to see later deposits.
+type View struct {
+	store *Store
+	packs [][]Entry
+}
+
+// Load reads every pack under k once and returns the view that answers
+// the key's per-cell lookups. It never fails: an absent key, an
+// unreadable pack or one that fails its checks contributes no cells, so
+// the lookups it would have answered miss. A pack removed by a
+// concurrent compaction between listing and reading makes Load list the
+// directory again and read the packs it has not read yet — among them
+// the compacted pack that holds the vanished one's cells, renamed in
+// before the removal.
+func (s *Store) Load(k Key) *View {
+	dir := s.keyDir(k)
+	v := &View{store: s}
+	var read []string
+	for range loadAttempts {
+		vanished := false
+		for _, name := range packNames(dir) {
+			if slices.Contains(read, name) {
+				continue
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if errors.Is(err, fs.ErrNotExist) {
+				vanished = true
+				continue
+			}
+			read = append(read, name)
+			if err != nil {
+				continue
+			}
+			s.packReads.Add(1)
+			if entries, ok := decodePack(raw); ok {
+				v.packs = append(v.packs, entries)
+			}
+		}
+		if !vanished {
+			break
+		}
+	}
+	return v
+}
+
+// Get returns the packed payload record of cell (point, system), or
+// (nil, false) on a miss. seed is the derived sub-seed the caller's run
+// would record for the cell; an entry whose recorded seed differs is a
+// miss — the cache recomputes, it never guesses.
+func (v *View) Get(point, system int, seed int64) ([]byte, bool) {
+	want := Entry{Point: point, System: system}
+	for _, entries := range v.packs {
+		if i, found := slices.BinarySearchFunc(entries, want, compareEntries); found && entries[i].Seed == seed {
+			v.store.hits.Add(1)
+			return entries[i].Record, true
+		}
+	}
+	v.store.misses.Add(1)
 	return nil, false
 }
 
-// Put deposits the packed payload record of cell (point, system) under k
-// with its derived seed. The write is atomic (temp file + rename):
-// concurrent writers of the same cell race benignly — their records are
-// identical by the determinism invariant, and the last rename wins.
-func (s *Store) Put(k Key, point, system int, seed int64, record []byte) error {
-	path := s.cellPath(k, point, system)
-	dir := filepath.Dir(path)
+// Put deposits the given cells under k as one pack. The write is atomic
+// (temp file + rename) and the pack is named by its content digest, so
+// concurrent writers of the same cells race benignly: their records are
+// identical by the determinism invariant, and so are their packs. When
+// the key already holds compactAt packs, Put writes one pack holding the
+// union of every valid pack and its own cells (its own win where both
+// hold a cell) and only then removes the packs it merged. A cell given
+// more than once keeps its last entry.
+func (s *Store) Put(k Key, entries []Entry) error {
+	if len(entries) == 0 {
+		return nil
+	}
+	for _, e := range entries {
+		if e.Point < 0 || e.System < 0 || e.Point > math.MaxInt32 || e.System > math.MaxInt32 {
+			return fmt.Errorf("cellcache: cell (%d,%d) out of range", e.Point, e.System)
+		}
+	}
+	dir := s.keyDir(k)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("cellcache: %w", err)
 	}
+	var merged []string
+	if names := packNames(dir); len(names) >= compactAt {
+		var union []Entry
+		for _, name := range names {
+			raw, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				// Gone: a concurrent compaction merged it into a pack
+				// of its own. Unreadable: leave it for a later Put.
+				continue
+			}
+			if old, ok := decodePack(raw); ok {
+				union = append(union, old...)
+			}
+			// A pack that fails its checks can never be read; dropping
+			// it with the merged ones loses nothing.
+			merged = append(merged, name)
+		}
+		entries = append(union, entries...)
+	}
+	raw := encodePack(canonical(entries))
+	name, err := writePack(dir, raw)
+	if err != nil {
+		return err
+	}
+	for _, old := range merged {
+		if old != name {
+			os.Remove(filepath.Join(dir, old))
+		}
+	}
+	return nil
+}
+
+// writePack writes raw into dir under its content name, atomically.
+func writePack(dir string, raw []byte) (string, error) {
+	name := hex.EncodeToString(raw[len(raw)-sumSize:]) + packSuffix
 	tmp, err := os.CreateTemp(dir, ".put-*")
 	if err != nil {
-		return fmt.Errorf("cellcache: %w", err)
+		return "", fmt.Errorf("cellcache: %w", err)
 	}
-	_, werr := tmp.Write(encodeEnvelope(seed, record))
+	_, werr := tmp.Write(raw)
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr
 	}
 	if werr == nil {
-		werr = os.Rename(tmp.Name(), path)
+		werr = os.Rename(tmp.Name(), filepath.Join(dir, name))
 	}
 	if werr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("cellcache: write cell (%d,%d): %w", point, system, werr)
+		return "", fmt.Errorf("cellcache: write pack: %w", werr)
 	}
-	return nil
+	return name, nil
 }
 
-// Stats is the store's hit/miss tally since Open.
+// Stats is the store's tally since Open: per-cell lookups (Hits, Misses)
+// and the pack files Load read (PackReads).
 type Stats struct {
-	Hits, Misses uint64
+	Hits, Misses, PackReads uint64
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 before the first lookup.
@@ -167,8 +297,8 @@ func (st Stats) HitRate() float64 {
 	return float64(st.Hits) / float64(total)
 }
 
-// Stats returns the lookup tally so far (monotonic; safe to read
-// concurrently with lookups).
+// Stats returns the tally so far (monotonic; safe to read concurrently
+// with lookups).
 func (s *Store) Stats() Stats {
-	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load()}
+	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), PackReads: s.packReads.Load()}
 }

@@ -138,3 +138,51 @@ func TestDispatchPartialCache(t *testing.T) {
 		t.Fatalf("cached/ran = %d/%d, want 1/2", res.Cached, res.Ran)
 	}
 }
+
+// TestWarmPlanLoadsEachKeyOnce: the plan-time cache probe reads each
+// cache key once for the whole plan, not once per unit — a warm plan of
+// many units reads every pack under each key once.
+func TestWarmPlanLoadsEachKeyOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	spec := testSpec(experiment.ExpAll, 50)
+	dir := t.TempDir()
+	store, err := cellcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := experiment.RunShard(spec.Selection, spec.Params, 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := experiment.DepositFile(store, f, spec.Params); err != nil {
+		t.Fatal(err)
+	}
+	packs, err := filepath.Glob(filepath.Join(dir, "*", "*", "*.pack"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm, err := cellcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refuse := pool(2, func(context.Context, Task) error {
+		return fmt.Errorf("worker invoked despite a warm cache")
+	})
+	res, err := Run(context.Background(), spec, refuse, Options{Cache: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkMerged(t, res, refEncoded(t, spec))
+	if res.Cached != spec.Shards {
+		t.Fatalf("%d of %d units served from the cache", res.Cached, spec.Shards)
+	}
+	// The deposit wrote one pack per key, so reading each pack once is
+	// loading each key once.
+	if st := warm.Stats(); st.PackReads != uint64(len(packs)) || st.Misses != 0 {
+		t.Fatalf("warm plan of %d units: stats %+v, want each of the %d packs read once and no misses",
+			spec.Shards, st, len(packs))
+	}
+}

@@ -230,6 +230,12 @@ func (l *Ledger) plan(prior *JournalState) error {
 		}
 	}
 	l.emit(ProgressEvent{Kind: ProgressPlan, Shards: l.nextID, Shard: -1})
+	// One probe for the whole plan: each cache key is read from disk once,
+	// however many units draw cells from it.
+	var probe *experiment.CacheProbe
+	if l.cache != nil {
+		probe = experiment.NewCacheProbe(l.cache)
+	}
 	for _, u := range units {
 		l.add(u)
 		switch {
@@ -239,7 +245,7 @@ func (l *Ledger) plan(prior *JournalState) error {
 			l.deposit(u, u.file)
 			l.logf("%s %d already complete (journal), skipping", l.noun(), u.id)
 			l.emit(ProgressEvent{Kind: ProgressResumed, Shard: u.id, File: u.filePath})
-		case l.fromCache(u):
+		case l.fromCache(probe, u):
 			l.stats.Cached++
 			l.jr.write(journalEvent{Event: "cached", Shard: &u.id, File: u.path})
 			l.logf("%s %d satisfied from the cell cache, not queued", l.noun(), u.id)
@@ -471,12 +477,12 @@ func (l *Ledger) finish(u *Unit, path string, f *shard.File) {
 	l.stats.Done++
 }
 
-// fromCache settles u purely from cached cells when the cache holds them
-// all. The file is written to u's path and validated from disk exactly
-// like a worker's output, so a cache bug is a queued unit, never a
-// silently merged one.
-func (l *Ledger) fromCache(u *Unit) bool {
-	if l.cache == nil {
+// fromCache settles u purely from cached cells when the probe (nil = no
+// cache) holds them all. The file is written to u's path and validated
+// from disk exactly like a worker's output, so a cache bug is a queued
+// unit, never a silently merged one.
+func (l *Ledger) fromCache(probe *experiment.CacheProbe, u *Unit) bool {
+	if probe == nil {
 		return false
 	}
 	var (
@@ -485,9 +491,9 @@ func (l *Ledger) fromCache(u *Unit) bool {
 		err error
 	)
 	if u.cells == nil {
-		f, ok, err = experiment.CachedShard(l.cache, l.spec.Selection, l.spec.Params, l.spec.Shards, u.id)
+		f, ok, err = probe.Shard(l.spec.Selection, l.spec.Params, l.spec.Shards, u.id)
 	} else {
-		f, ok, err = experiment.CachedBatch(l.cache, l.spec.Selection, l.spec.Params, u.cells)
+		f, ok, err = probe.Batch(l.spec.Selection, l.spec.Params, u.cells)
 	}
 	if err == nil && ok {
 		if err = f.WriteFileAs(u.path, l.codec); err == nil {

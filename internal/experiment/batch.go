@@ -80,14 +80,8 @@ func RunBatchCached(selection string, p ShardParams, parallelism int, cells [][]
 // CachedBatch builds the batch purely from the cache — no cell is
 // computed. It returns ok=false (with a nil file) as soon as any listed
 // cell is absent; a true return carries a file byte-identical to what
-// RunBatchCached would produce for the same cells.
+// RunBatchCached would produce for the same cells. Each cache key the
+// selection touches is loaded once.
 func CachedBatch(cache *cellcache.Store, selection string, p ShardParams, cells [][]int) (*shard.File, bool, error) {
-	s, err := newSelectionFile(selection, p, 1, 1, 0)
-	if err == nil {
-		err = s.restrict(cells)
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return s.cached(cache)
+	return NewCacheProbe(cache).Batch(selection, p, cells)
 }

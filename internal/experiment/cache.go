@@ -23,8 +23,39 @@ import (
 // RunShard would produce, because every payload was deposited by an
 // earlier run of the same deterministic cell computation and the grid,
 // params and run layout are rebuilt from the registry exactly as RunShard
-// builds them.
+// builds them. Each cache key the selection touches is loaded once.
 func CachedShard(cache *cellcache.Store, selection string, p ShardParams, shards, index int) (*shard.File, bool, error) {
+	return NewCacheProbe(cache).Shard(selection, p, shards, index)
+}
+
+// CacheProbe answers CachedShard and CachedBatch questions for many units
+// of one run while loading each cache key at most once: the first probe
+// that needs a key loads it, and every later probe reads that view. A
+// probe therefore sees the cache as it stood when it first loaded each
+// key, never later deposits; make a new one for a fresh look. A
+// CacheProbe is not safe for concurrent use.
+type CacheProbe struct {
+	cache *cellcache.Store
+	views map[cellcache.Key]*cellcache.View
+}
+
+// NewCacheProbe returns a probe over cache.
+func NewCacheProbe(cache *cellcache.Store) *CacheProbe {
+	return &CacheProbe{cache: cache, views: make(map[cellcache.Key]*cellcache.View)}
+}
+
+// view returns k's view, loading it on first use.
+func (cp *CacheProbe) view(k cellcache.Key) *cellcache.View {
+	v, ok := cp.views[k]
+	if !ok {
+		v = cp.cache.Load(k)
+		cp.views[k] = v
+	}
+	return v
+}
+
+// Shard is CachedShard over the probe's views.
+func (cp *CacheProbe) Shard(selection string, p ShardParams, shards, index int) (*shard.File, bool, error) {
 	if _, err := shard.NewPlan(shards, index); err != nil {
 		return nil, false, err
 	}
@@ -32,12 +63,24 @@ func CachedShard(cache *cellcache.Store, selection string, p ShardParams, shards
 	if err != nil {
 		return nil, false, err
 	}
-	return s.cached(cache)
+	return s.cached(cp)
 }
 
-// cached fills the file purely from the cache (see CachedShard and
-// CachedBatch).
-func (s *selectionFile) cached(cache *cellcache.Store) (*shard.File, bool, error) {
+// Batch is CachedBatch over the probe's views.
+func (cp *CacheProbe) Batch(selection string, p ShardParams, cells [][]int) (*shard.File, bool, error) {
+	s, err := newSelectionFile(selection, p, 1, 1, 0)
+	if err == nil {
+		err = s.restrict(cells)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return s.cached(cp)
+}
+
+// cached fills the file purely from the probe's views (see CachedShard
+// and CachedBatch).
+func (s *selectionFile) cached(cp *CacheProbe) (*shard.File, bool, error) {
 	if !SelectionReproducible(s.f.Selection) {
 		// Non-reproducible cells are never cached, so the cache can
 		// never answer for them — a fresh measurement is required.
@@ -48,7 +91,7 @@ func (s *selectionFile) cached(cache *cellcache.Store) (*shard.File, bool, error
 		if err != nil {
 			return nil, false, err
 		}
-		codec := payloadCodec(e)
+		view, codec := cp.view(key), payloadCodec(e)
 		// Non-nil even when the file owns no cell of this grid, so the
 		// encoded file matches a computed one's ("[]", never "null").
 		cells := []shard.Cell{}
@@ -57,7 +100,7 @@ func (s *selectionFile) cached(cache *cellcache.Store) (*shard.File, bool, error
 				if !sel(o, i) {
 					continue
 				}
-				c, hit := cachedCell(cache, codec, key, o, i, e.CellSeed(s.rc, o, i))
+				c, hit := cachedCell(view, codec, o, i, e.CellSeed(s.rc, o, i))
 				if !hit {
 					return nil, false, nil
 				}
@@ -73,14 +116,15 @@ func (s *selectionFile) cached(cache *cellcache.Store) (*shard.File, bool, error
 }
 
 // DepositFile deposits every cell of a shard (or merged) file into the
-// cache under the run's key for params p, each as its packed record.
+// cache under the run's key for params p, each as its packed record and
+// one Put — one pack — per key.
 // Runs whose recorded payload version differs from the registered
 // codec's — files written by an older or newer build — are skipped rather
 // than deposited under a layout they do not carry; runs sharing a cell
 // key (Figures 6 and 7) deposit once.
 // Callers pass files they have validated (dispatch validates before
 // merging); the recorded seeds are stored as-is, and a wrong one can
-// never be served — Get re-checks the seed on every read.
+// never be served — every lookup re-checks the seed.
 func DepositFile(cache *cellcache.Store, f *shard.File, p ShardParams) error {
 	params, err := json.Marshal(p.Normalised())
 	if err != nil {
@@ -108,14 +152,16 @@ func DepositFile(cache *cellcache.Store, f *shard.File, p ShardParams) error {
 		seen[ck] = true
 		key := cellcache.RunKey(ck, params, e.Codec().Version)
 		codec := payloadCodec(e)
-		for _, c := range r.Cells {
+		entries := make([]cellcache.Entry, len(r.Cells))
+		for j, c := range r.Cells {
 			w := &shard.ColumnWriter{}
 			if err := codec.Pack(w, c.Data); err != nil {
 				return fmt.Errorf("experiment: run %q cell (%d,%d): %w", r.Experiment, c.Point, c.System, err)
 			}
-			if err := cache.Put(key, c.Point, c.System, c.Seed, w.Bytes()); err != nil {
-				return err
-			}
+			entries[j] = cellcache.Entry{Point: c.Point, System: c.System, Seed: c.Seed, Record: w.Bytes()}
+		}
+		if err := cache.Put(key, entries); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -149,9 +149,12 @@ func TestCachedShardAndDeposit(t *testing.T) {
 		}
 	}
 
-	// Remove one entry: the shard owning it must miss entirely.
-	path := someEntry(t, store.Dir())
-	if err := os.Remove(path); err != nil {
+	// A cache missing one cell: the shard owning it must miss entirely.
+	store = openStore(t, t.TempDir())
+	partial := *ref
+	partial.Runs = append([]shard.Run(nil), ref.Runs...)
+	partial.Runs[0].Cells = ref.Runs[0].Cells[1:]
+	if err := DepositFile(store, &partial, p); err != nil {
 		t.Fatal(err)
 	}
 	hits := 0
@@ -167,9 +170,10 @@ func TestCachedShardAndDeposit(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntryRecomputed: a truncated entry is silently
-// recomputed, never trusted — the warm run stays byte-identical and the
-// store self-heals the damaged file.
+// TestCacheCorruptEntryRecomputed: a truncated pack is silently
+// recomputed, never trusted — the warm run stays byte-identical, every
+// cell the pack held is a miss, and the re-deposit rewrites the pack
+// under its content name.
 func TestCacheCorruptEntryRecomputed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
@@ -204,8 +208,8 @@ func TestCacheCorruptEntryRecomputed(t *testing.T) {
 	if !bytes.Equal(encoded(t, got), want) {
 		t.Fatal("run over a corrupt cache differs from the uncached run")
 	}
-	if st := warm.Stats(); st.Misses != 1 {
-		t.Fatalf("stats = %+v, want exactly the corrupt entry recomputed", st)
+	if st := warm.Stats(); st.Misses != uint64(ref.CellCount()) || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want exactly the corrupt pack's %d cells recomputed", st, ref.CellCount())
 	}
 	if repaired, err := os.ReadFile(victim); err != nil || len(repaired) <= len(data)/2 {
 		t.Fatalf("entry not rewritten after recomputation (err=%v, %d bytes)", err, len(repaired))
@@ -213,10 +217,10 @@ func TestCacheCorruptEntryRecomputed(t *testing.T) {
 }
 
 // TestRetiredCacheEntriesAreRecomputed: a store written before cells were
-// cached as packed records — in either retired envelope, each carrying a
-// valid digest and the right seed — is never mis-decoded. Every entry
-// reads as a miss, the run stays byte-identical, and the recomputation
-// repairs the store.
+// cached as packs — one file per cell, in any of the three retired
+// envelopes, each carrying a valid digest and the right seed — is never
+// mis-decoded. Every entry reads as a miss, the run stays byte-identical,
+// and the recomputation deposits a pack that serves the next run.
 func TestRetiredCacheEntriesAreRecomputed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
@@ -227,19 +231,29 @@ func TestRetiredCacheEntriesAreRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := encoded(t, ref)
-	byName := map[string]shard.Cell{}
-	for _, c := range ref.Runs[0].Cells {
-		byName[fmt.Sprintf("%d_%d.json", c.Point, c.System)] = c
+	e, err := get(ExpFig5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	retire := map[string]func(seed int64, payload []byte) []byte{
-		"json": func(seed int64, payload []byte) []byte {
-			return fmt.Appendf(nil, `{"seed":%d,"sha256":"%x","data":%s}`, seed, sha256.Sum256(payload), payload)
+	codec := payloadCodec(e)
+	retire := map[string]func(c shard.Cell) ([]byte, error){
+		"json": func(c shard.Cell) ([]byte, error) {
+			payload, err := json.Marshal(c.Data)
+			return fmt.Appendf(nil, `{"seed":%d,"sha256":"%x","data":%s}`, c.Seed, sha256.Sum256(payload), payload), err
 		},
-		"binary": func(seed int64, payload []byte) []byte {
+		"binary": func(c shard.Cell) ([]byte, error) {
+			payload, err := json.Marshal(c.Data)
 			sum := sha256.Sum256(payload)
-			raw := binary.AppendVarint([]byte("\x89IOSC1\r\n"), seed)
+			raw := binary.AppendVarint([]byte("\x89IOSC1\r\n"), c.Seed)
 			raw = binary.AppendUvarint(raw, uint64(len(payload)))
-			return append(append(raw, payload...), sum[:]...)
+			return append(append(raw, payload...), sum[:]...), err
+		},
+		"record": func(c shard.Cell) ([]byte, error) {
+			w := &shard.ColumnWriter{}
+			err := codec.Pack(w, c.Data)
+			raw := append(binary.AppendVarint([]byte("\x89IOSC2\r\n"), c.Seed), w.Bytes()...)
+			sum := sha256.Sum256(raw[8:])
+			return append(raw, sum[:]...), err
 		},
 	}
 	for form, encode := range retire {
@@ -247,26 +261,22 @@ func TestRetiredCacheEntriesAreRecomputed(t *testing.T) {
 		if _, err := RunShardCached(ExpFig5, p, 1, 1, 0, openStore(t, dir)); err != nil {
 			t.Fatal(err)
 		}
-		entries := 0
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() {
-				return err
-			}
-			c, ok := byName[d.Name()]
-			if !ok {
-				return fmt.Errorf("unexpected entry %s", path)
-			}
-			payload, err := json.Marshal(c.Data)
-			if err != nil {
-				return err
-			}
-			entries++
-			return os.WriteFile(path, encode(c.Seed, payload), 0o644)
-		})
-		if err != nil || entries != len(byName) {
-			t.Fatalf("%s: retired %d of %d entries (err=%v)", form, entries, len(byName), err)
+		// Replace the key's pack by one retired file per cell.
+		pack := someEntry(t, dir)
+		if err := os.Remove(pack); err != nil {
+			t.Fatal(err)
 		}
-		for pass, wantMisses := range []int{entries, 0} {
+		for _, c := range ref.Runs[0].Cells {
+			raw, err := encode(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(filepath.Dir(pack), fmt.Sprintf("%d_%d.json", c.Point, c.System))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pass, wantMisses := range []int{ref.CellCount(), 0} {
 			s := openStore(t, dir)
 			got, err := RunShardCached(ExpFig5, p, 1, 1, 0, s)
 			if err != nil {
@@ -282,19 +292,19 @@ func TestRetiredCacheEntriesAreRecomputed(t *testing.T) {
 	}
 }
 
-// someEntry returns one cached cell entry file under dir (deterministic:
-// the lexicographically first).
+// someEntry returns one cache pack under dir (deterministic: the
+// lexicographically first).
 func someEntry(t *testing.T, dir string) string {
 	t.Helper()
 	var entries []string
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".json") {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".pack") {
 			entries = append(entries, path)
 		}
 		return err
 	})
 	if err != nil || len(entries) == 0 {
-		t.Fatalf("no cache entries under %s (err=%v)", dir, err)
+		t.Fatalf("no cache packs under %s (err=%v)", dir, err)
 	}
 	return entries[0]
 }

@@ -62,8 +62,9 @@ func RunCells(name string, rc RunContext, sel CellSelector) ([]shard.Cell, shard
 }
 
 // runCells evaluates the selected cells in grid order. Cells the
-// context's cache holds under this run's seeds are reused; only the rest
-// is computed, fanned over rc's workers, and deposited back as packed
+// context's cache holds under this run's seeds are reused — the key is
+// loaded once, before any cell is probed; only the rest is computed,
+// fanned over rc's workers, and deposited back as one pack of packed
 // records. The cells are the same either way: each derives its randomness
 // from a sub-seed over its (runner, point, system) path, so it evaluates
 // to the same value in any subset, process or parallelism.
@@ -80,13 +81,17 @@ func runCells(e Experiment, rc RunContext, sel CellSelector) ([]shard.Cell, shar
 	// — can neither serve nor store them: the cache is bypassed, never
 	// poisoned.
 	cache, codec := rc.Cache, payloadCodec(e)
-	var key cellcache.Key
+	var (
+		key  cellcache.Key
+		view *cellcache.View
+	)
 	if !Reproducible(e) {
 		cache = nil
 	} else if cache != nil {
 		if key, err = cacheKey(e, rc); err != nil {
 			return nil, g, err
 		}
+		view = cache.Load(key)
 	}
 	cells := []shard.Cell{}
 	var frontier []int // indices into cells the cache does not cover
@@ -96,7 +101,7 @@ func runCells(e Experiment, rc RunContext, sel CellSelector) ([]shard.Cell, shar
 				continue
 			}
 			seed := e.CellSeed(rc, o, i)
-			c, ok := cachedCell(cache, codec, key, o, i, seed)
+			c, ok := cachedCell(view, codec, o, i, seed)
 			if !ok {
 				c = shard.Cell{Point: o, System: i, Seed: seed}
 				frontier = append(frontier, len(cells))
@@ -112,17 +117,23 @@ func runCells(e Experiment, rc RunContext, sel CellSelector) ([]shard.Cell, shar
 	if err != nil {
 		return nil, g, err
 	}
+	var deposit []cellcache.Entry
 	for m, k := range frontier {
 		c := &cells[k]
 		if c.Data, err = cellData(e, vals[m]); err != nil {
 			return nil, g, fmt.Errorf("experiment: encode cell (%d,%d): %w", c.Point, c.System, err)
 		}
+		if cache == nil {
+			continue
+		}
+		if w := (&shard.ColumnWriter{}); codec.Pack(w, c.Data) == nil {
+			deposit = append(deposit, cellcache.Entry{Point: c.Point, System: c.System, Seed: c.Seed, Record: w.Bytes()})
+		}
+	}
+	if cache != nil {
 		// Deposits are best-effort: a full or read-only cache directory
 		// must not fail the run it merely accelerates.
-		w := &shard.ColumnWriter{}
-		if cache != nil && codec.Pack(w, c.Data) == nil {
-			_ = cache.Put(key, c.Point, c.System, c.Seed, w.Bytes())
-		}
+		_ = cache.Put(key, deposit)
 	}
 	return cells, g, nil
 }
@@ -143,14 +154,14 @@ func cellData(e Experiment, v any) (any, error) {
 	return v, nil
 }
 
-// cachedCell serves cell (o, i) from the cache (nil = none): a hit only
-// when the entry verifies under the seed and its record unpacks exactly
-// through codec.
-func cachedCell(cache *cellcache.Store, codec shard.PayloadCodec, key cellcache.Key, o, i int, seed int64) (shard.Cell, bool) {
-	if cache == nil {
+// cachedCell serves cell (o, i) from a loaded cache view (nil = none): a
+// hit only when the view holds the cell under the seed and its record
+// unpacks exactly through codec.
+func cachedCell(view *cellcache.View, codec shard.PayloadCodec, o, i int, seed int64) (shard.Cell, bool) {
+	if view == nil {
 		return shard.Cell{}, false
 	}
-	rec, ok := cache.Get(key, o, i, seed)
+	rec, ok := view.Get(o, i, seed)
 	if !ok {
 		return shard.Cell{}, false
 	}

@@ -154,13 +154,39 @@ func FormatRanges(cells []int) string {
 	return b.String()
 }
 
+// MaxCells caps how many cell indices one cell set (ParseRanges) or one
+// whole cell spec (ParseCellSpec, over all its runs) may name. The ranges
+// are counted against it before any index is expanded, so a spec such as
+// "fig5=0-99999999999" — on the command line, in a journal or in a
+// coordinator lease — is rejected without allocating for its cells. The
+// cap is over twenty times the paper-scale "all" sweep (45 002 cells),
+// and a batch never holds more cells than its selection's grids.
+const MaxCells = 1 << 20
+
 // ParseRanges parses FormatRanges' syntax back into a strictly ascending
-// index slice. "" parses to an empty set.
+// index slice. "" parses to an empty set; a set naming more than MaxCells
+// indices is an error.
 func ParseRanges(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
+	spans, err := parseSpans(s, MaxCells)
+	if err != nil {
+		return nil, err
 	}
-	var cells []int
+	return spans.expand(), nil
+}
+
+// spans are parsed cell ranges, each inclusive, with their cell count.
+type spans struct {
+	lo, hi []int
+	total  int
+}
+
+// parseSpans parses and counts s's ranges without expanding them,
+// rejecting a set of more than limit cells.
+func parseSpans(s string, limit int) (spans, error) {
+	var sp spans
+	if s == "" {
+		return sp, nil
+	}
 	prev := -1
 	for _, part := range strings.Split(s, ",") {
 		lo, hi := part, part
@@ -169,24 +195,41 @@ func ParseRanges(s string) ([]int, error) {
 		}
 		a, err := strconv.Atoi(lo)
 		if err != nil {
-			return nil, fmt.Errorf("shard: cell range %q: %w", part, err)
+			return sp, fmt.Errorf("shard: cell range %q: %w", part, err)
 		}
 		b, err := strconv.Atoi(hi)
 		if err != nil {
-			return nil, fmt.Errorf("shard: cell range %q: %w", part, err)
+			return sp, fmt.Errorf("shard: cell range %q: %w", part, err)
 		}
 		if a < 0 || b < a {
-			return nil, fmt.Errorf("shard: cell range %q: bad bounds", part)
+			return sp, fmt.Errorf("shard: cell range %q: bad bounds", part)
 		}
 		if a <= prev {
-			return nil, fmt.Errorf("shard: cell ranges not strictly ascending at %q", part)
+			return sp, fmt.Errorf("shard: cell ranges not strictly ascending at %q", part)
 		}
-		for c := a; c <= b; c++ {
-			cells = append(cells, c)
+		// b-a+1 cells, compared as b-a so that no range can overflow
+		// the count.
+		if b-a >= limit-sp.total {
+			return sp, fmt.Errorf("shard: cell ranges name more than %d cells (at %q)", MaxCells, part)
 		}
+		sp.lo, sp.hi, sp.total = append(sp.lo, a), append(sp.hi, b), sp.total+b-a+1
 		prev = b
 	}
-	return cells, nil
+	return sp, nil
+}
+
+// expand lists every index the spans cover, in order (nil for none).
+func (sp spans) expand() []int {
+	if sp.total == 0 {
+		return nil
+	}
+	cells := make([]int, 0, sp.total)
+	for i, lo := range sp.lo {
+		for c := lo; c <= sp.hi[i]; c++ {
+			cells = append(cells, c)
+		}
+	}
+	return cells
 }
 
 // FormatCellSpec renders a batch's per-run cell sets as one string:
@@ -209,22 +252,30 @@ func FormatCellSpec(names []string, cells [][]int) (string, error) {
 }
 
 // ParseCellSpec parses FormatCellSpec's syntax back into run names and
-// strictly ascending per-run cell sets.
+// strictly ascending per-run cell sets. A spec naming more than MaxCells
+// cells over all its runs is an error.
 func ParseCellSpec(spec string) (names []string, cells [][]int, err error) {
 	if spec == "" {
 		return nil, nil, fmt.Errorf("shard: empty cell spec")
 	}
+	// Count every run's ranges against one budget before expanding any.
+	budget := MaxCells
+	var sets []spans
 	for _, part := range strings.Split(spec, ";") {
 		eq := strings.IndexByte(part, '=')
 		if eq <= 0 {
 			return nil, nil, fmt.Errorf("shard: cell spec entry %q: want name=ranges", part)
 		}
-		set, err := ParseRanges(part[eq+1:])
+		sp, err := parseSpans(part[eq+1:], budget)
 		if err != nil {
 			return nil, nil, err
 		}
+		budget -= sp.total
 		names = append(names, part[:eq])
-		cells = append(cells, set)
+		sets = append(sets, sp)
+	}
+	for _, sp := range sets {
+		cells = append(cells, sp.expand())
 	}
 	return names, cells, nil
 }

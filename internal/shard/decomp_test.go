@@ -3,7 +3,9 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -123,6 +125,40 @@ func TestFormatParseRangesRoundTrip(t *testing.T) {
 		if _, err := ParseRanges(bad); err == nil {
 			t.Errorf("ParseRanges(%q) accepted", bad)
 		}
+	}
+}
+
+// TestCellRangesBounded: a cell set or spec naming more than MaxCells
+// cells is rejected before its indices are expanded, so even an
+// astronomically wide range costs a bounded allocation; a set of exactly
+// MaxCells still parses.
+func TestCellRangesBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"ranges", func() error { _, err := ParseRanges("0-99999999999"); return err }},
+		{"full int range", func() error { _, err := ParseRanges(fmt.Sprintf("0-%d", math.MaxInt)); return err }},
+		{"spec", func() error { _, _, err := ParseCellSpec("fig5=0-99999999999"); return err }},
+		{"spec over all runs", func() error {
+			_, _, err := ParseCellSpec(fmt.Sprintf("fig5=0-%d;fig6=0-%d", MaxCells/2, MaxCells/2))
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.call()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted more than MaxCells cells", tc.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Errorf("%s: rejecting allocated %d bytes", tc.name, alloc)
+		}
+	}
+	cells, err := ParseRanges(fmt.Sprintf("0-%d", MaxCells-1))
+	if err != nil || len(cells) != MaxCells {
+		t.Fatalf("a set of exactly MaxCells: %d cells, %v", len(cells), err)
 	}
 }
 
