@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 )
@@ -99,4 +100,88 @@ func FuzzDecodePack(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBinaryEnvelopeRoundTrip: a single cell deposited alone is stored
+// in the binary pack form (it opens with the pack magic) and is served
+// back byte for byte under its seed, and only under its seed.
+func TestBinaryEnvelopeRoundTrip(t *testing.T) {
+	s := open(t)
+	k := RunKey("fig5", []byte(`{"seed":1}`), 1)
+	e := Entry{Point: 3, System: 7, Seed: -99, Record: []byte{0x1f, 0x00, 0xff, '{'}}
+	if err := s.Put(k, []Entry{e}); err != nil {
+		t.Fatal(err)
+	}
+	files := packFiles(t, s, k)
+	if len(files) != 1 {
+		t.Fatalf("one Put wrote %d packs, want 1", len(files))
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, packMagic[:]) {
+		t.Fatalf("entry does not open with the pack magic: % x", raw)
+	}
+	v := s.Load(k)
+	if got, ok := v.Get(e.Point, e.System, e.Seed); !ok || !bytes.Equal(got, e.Record) {
+		t.Fatalf("Get = % x, %v; want % x", got, ok, e.Record)
+	}
+	// Wrong seed is still a miss.
+	if _, ok := v.Get(e.Point, e.System, 99); ok {
+		t.Fatal("entry served under a different seed")
+	}
+}
+
+// TestCorruptBinaryEnvelopeIsMiss pins the miss-never-error contract for
+// the binary pack form: each named damage to a one-cell pack makes its
+// cell a miss, and the pristine bytes serve it again.
+func TestCorruptBinaryEnvelopeIsMiss(t *testing.T) {
+	s := open(t)
+	k := RunKey("fig5", []byte(`{"seed":1}`), 1)
+	e := Entry{Point: 1, System: 2, Seed: 5, Record: []byte("a record with enough bytes to truncate")}
+	if err := s.Put(k, []Entry{e}); err != nil {
+		t.Fatal(err)
+	}
+	path := packFiles(t, s, k)[0]
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The seed follows the magic, count, index size, point and system,
+	// each a one-byte varint here.
+	seedAt := len(packMagic) + 4
+	for name, mutate := range map[string]func([]byte) []byte{
+		"truncated":  func(b []byte) []byte { return b[:len(b)/2] },
+		"magic-only": func(b []byte) []byte { return b[:len(packMagic)] },
+		"payload-flip": func(b []byte) []byte {
+			c := bytes.Clone(b)
+			c[len(c)-sumSize-len(e.Record)/2] ^= 0x01
+			return c
+		},
+		"seed-flip": func(b []byte) []byte {
+			c := bytes.Clone(b)
+			c[seedAt] ^= 0x02
+			return c
+		},
+		"digest-flip": func(b []byte) []byte {
+			c := bytes.Clone(b)
+			c[len(c)-1] ^= 0x01
+			return c
+		},
+		"trailing": func(b []byte) []byte { return append(bytes.Clone(b), 0xff) },
+	} {
+		if err := os.WriteFile(path, mutate(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Load(k).Get(e.Point, e.System, e.Seed); ok {
+			t.Fatalf("%s pack served", name)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := s.Load(k).Get(e.Point, e.System, e.Seed); !ok || !bytes.Equal(got, e.Record) {
+		t.Fatalf("pristine pack served % x, %v", got, ok)
+	}
 }
