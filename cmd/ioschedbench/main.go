@@ -155,70 +155,30 @@ import (
 	"repro/internal/textplot"
 )
 
+// subcommands maps each subcommand name to its entry point. Every one
+// fails the same way: "ioschedbench <name>: <error>" and exit 1, or exit
+// 2 for an unknown -experiment (see fail).
+var subcommands = map[string]func(args []string) error{
+	"merge":       runMerge,
+	"dispatch":    runDispatch,
+	"status":      func(args []string) error { return runStatus(args, os.Stdout) },
+	"experiments": func(args []string) error { return runExperiments(args, os.Stdout) },
+	"bench":       func(args []string) error { return runBench(args, os.Stdout) },
+	"replay":      runReplay,
+	"serve":       runServe,
+	"work":        runWork,
+	"submit":      runSubmit,
+	"trace":       func(args []string) error { return runTrace(args, os.Stdout) },
+	// The worker protocol of a warm dispatch.LocalProcWorker child, not a
+	// user command.
+	dispatch.TasksCommand: runTasks,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "merge":
-			if err := runMerge(os.Args[2:]); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: merge: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		case "dispatch":
-			if err := runDispatch(os.Args[2:]); err != nil {
-				// Route through fail so a bad -experiment value keeps its
-				// historical exit code 2 here too.
-				fail(fmt.Errorf("dispatch: %w", err))
-			}
-			return
-		case "status":
-			if err := runStatus(os.Args[2:], os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: status: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		case "experiments":
-			if err := runExperiments(os.Args[2:], os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: experiments: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		case "bench":
-			if err := runBench(os.Args[2:], os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: bench: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		case "replay":
-			if err := runReplay(os.Args[2:]); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: replay: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		case "serve":
-			if err := runServe(os.Args[2:]); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: serve: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		case "work":
-			if err := runWork(os.Args[2:]); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: work: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		case dispatch.TasksCommand:
-			// The worker protocol of a warm dispatch.LocalProcWorker
-			// child, not a user command.
-			if err := runTasks(os.Args[2:]); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: tasks: %v\n", err)
-				os.Exit(1)
-			}
-			return
-		case "submit":
-			if err := runSubmit(os.Args[2:]); err != nil {
-				fmt.Fprintf(os.Stderr, "ioschedbench: submit: %v\n", err)
-				os.Exit(1)
+		if run, ok := subcommands[os.Args[1]]; ok {
+			if err := run(os.Args[2:]); err != nil {
+				fail(fmt.Errorf("%s: %w", os.Args[1], err))
 			}
 			return
 		}

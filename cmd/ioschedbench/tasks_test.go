@@ -6,14 +6,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
+	"repro/internal/shard"
 )
 
 // serveLines runs the tasks loop in process over the given lines and
@@ -156,11 +160,34 @@ func costlyTask(line string) bool {
 // under testdata/fuzz/FuzzTaskLine are bad JSON, a non-string element,
 // a task without -out, a render task, a -csv task, a cell batch and a
 // batch naming more cells than shard.MaxCells.
+//
+// The loop's own handling of a line — reading it, decoding the JSON
+// argv, parsing the flags and any -cells spec, replying — allocates no
+// more than a fixed multiple of the line's length plus a constant that
+// covers a spec of shard.MaxCells cells. Computing the task's cells is
+// bounded by costlyTask, not by the line, so it is measured apart.
 func FuzzTaskLine(f *testing.F) {
 	next := taskLine("-shards", "3", "-shard-index", "1", "-out", "next.json")
+	parseOnly := func(args []string) error {
+		a, err := parseTask(args, true)
+		if err == nil && *a.cells != "" {
+			_, _, err = shard.ParseCellSpec(*a.cells)
+		}
+		return err
+	}
 	f.Fuzz(func(t *testing.T, line string) {
 		t.Setenv("IOSCHEDBENCH_CACHE_DIR", "")
-		if strings.Contains(line, "\n") || costlyTask(line) {
+		if strings.Contains(line, "\n") {
+			t.Skip()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dispatch.ServeTasks(strings.NewReader(line+"\n"), io.Discard, parseOnly)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(line))+shard.MaxCells*strconv.IntSize/8+64<<10 {
+			t.Fatalf("handling a %d-byte line allocated %d", len(line), alloc)
+		}
+		if costlyTask(line) {
 			t.Skip()
 		}
 		t.Chdir(t.TempDir())

@@ -2,12 +2,19 @@ package coord
 
 import (
 	"encoding/json"
+	"runtime"
+	"strconv"
 	"testing"
+
+	"repro/internal/shard"
 )
 
 // FuzzDecodeWire drives every wire-message decoder over the same input:
 // none may panic, and any message a decoder accepts must survive an
 // encode/decode round trip (the coordinator re-emits what it accepted).
+// The six decodes together allocate no more than a fixed multiple of the
+// input's length plus a constant; the constant covers one lease's cell
+// spec expanding to shard.MaxCells indices.
 func FuzzDecodeWire(f *testing.F) {
 	f.Add([]byte(`{"name":"worker-1"}`))
 	f.Add([]byte(`{"worker_id":"w-0001"}`))
@@ -19,6 +26,18 @@ func FuzzDecodeWire(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		DecodeRegister(data)
+		DecodeHeartbeat(data)
+		DecodeLeaseRequest(data)
+		DecodeSubmit(data)
+		DecodeLease(data)
+		DecodeFail(data)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 6*(64*uint64(len(data))+64<<10)+shard.MaxCells*strconv.IntSize/8 {
+			t.Fatalf("six decodes of %d bytes allocated %d", len(data), alloc)
+		}
 		if m, err := DecodeRegister(data); err == nil {
 			roundTrip(t, m, func(b []byte) error { _, err := DecodeRegister(b); return err })
 		}

@@ -72,6 +72,10 @@ func (s Spec) normalised() (Spec, []byte, []string, error) {
 	if _, err := shard.NewPlan(s.Shards, 0); err != nil {
 		return Spec{}, nil, nil, err
 	}
+	if s.Shards > shard.MaxCells {
+		// The journal reader refuses larger plans (journalread.go).
+		return Spec{}, nil, nil, fmt.Errorf("dispatch: %d shards, more than %d", s.Shards, shard.MaxCells)
+	}
 	s.Params = s.Params.Normalised()
 	params, err := json.Marshal(s.Params)
 	if err != nil {

@@ -1,14 +1,23 @@
 package dispatch
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
+
+	"repro/internal/shard"
 )
 
 // FuzzParseJournal throws arbitrary bytes at the journal parser: it must
 // never panic, and any state it accepts must be internally coherent —
 // the tolerant-reader contract (skip bad lines, skip unknown events,
 // reject planless or too-new journals) that both resume and the status
-// subcommand depend on.
+// subcommand depend on. Its allocation stays below a fixed multiple of
+// the input's length plus a constant. One plan line legitimately
+// declares up to shard.MaxCells units, and the reader holds a state for
+// each, so the constant covers MaxCells states (twice, for the slice's
+// growth) and the line scanner's buffer; a count beyond that cap is
+// rejected, never allocated.
 func FuzzParseJournal(f *testing.F) {
 	f.Add([]byte(`{"event":"plan","v":1,"selection":"all","shards":3,"params":{"Systems":4}}` + "\n" +
 		`{"event":"attempt","shard":0,"attempt":1,"worker":"w0"}` + "\n" +
@@ -21,7 +30,14 @@ func FuzzParseJournal(f *testing.F) {
 	f.Add([]byte(`not json at all` + "\n" + `{"event":"plan","v":1,"shards":1}` + "\n"))
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		st, err := parseJournal("fuzz.journal", data)
+		runtime.ReadMemStats(&after)
+		states := 2 * shard.MaxCells * uint64(unsafe.Sizeof(JournalShard{}))
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+states+1<<20+64<<10 {
+			t.Fatalf("parsing %d bytes allocated %d", len(data), alloc)
+		}
 		if err != nil {
 			return
 		}

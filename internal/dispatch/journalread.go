@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/shard"
 )
 
 // Journal observability: ReadJournal decodes a dispatch journal — of a
@@ -106,9 +108,20 @@ func ReadJournal(path string) (*JournalState, error) {
 func parseJournal(path string, data []byte) (*JournalState, error) {
 	st := &JournalState{Path: path}
 	sawPlan := false
+	// shardAt returns shard i's state, extending the states to it. An
+	// index at or beyond shard.MaxCells, the cap Spec.normalised puts on
+	// a run's shard count, is a bad line: its event is skipped. The
+	// states grow geometrically up to that cap, so a plan's declared
+	// count is one exact allocation and no sequence of indices allocates
+	// more than twice the cap.
 	shardAt := func(i int) *JournalShard {
-		if i < 0 {
+		if i < 0 || i >= shard.MaxCells {
 			return nil
+		}
+		if n := len(st.ShardStates); i >= cap(st.ShardStates) {
+			grown := make([]JournalShard, n, min(max(i+1, 2*n), shard.MaxCells))
+			copy(grown, st.ShardStates)
+			st.ShardStates = grown
 		}
 		for len(st.ShardStates) <= i {
 			st.ShardStates = append(st.ShardStates, JournalShard{Index: len(st.ShardStates), State: ShardPending, Parent: -1})
@@ -140,6 +153,9 @@ func parseJournal(path string, data []byte) (*JournalState, error) {
 			st.Version = e.V
 			if st.Version == 0 {
 				st.Version = 1
+			}
+			if e.Shards > shard.MaxCells {
+				return nil, fmt.Errorf("dispatch: journal %s plans %d shards, more than %d", path, e.Shards, shard.MaxCells)
 			}
 			st.Selection, st.Shards, st.Params = e.Selection, e.Shards, e.Params
 			st.Balance = e.Balance

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/hwcost"
 )
 
 // fastParams keeps the integration tests quick while preserving enough
@@ -157,8 +159,7 @@ func TestFig6And7RejectsMultiDevice(t *testing.T) {
 }
 
 func TestTable1RowsRender(t *testing.T) {
-	rows := Table1()
-	h, r := Table1Rows(rows)
+	h, r := Table1Result(hwcost.Table1()).Rows()
 	if len(h) != 6 || len(r) != 7 {
 		t.Fatalf("table shape %dx%d", len(h), len(r))
 	}

@@ -5,12 +5,17 @@ import (
 	"testing"
 )
 
+// containerBound is the allocation bound of both container decoders for
+// an input of n bytes: every cell, payload and string they build is
+// backed by bytes of the input.
+func containerBound(n int) uint64 { return 64*uint64(n) + 64<<10 }
+
 // FuzzDecodeBinary hammers the v2 binary container decoder with
 // arbitrary bytes. The contract under fuzzing: decoding never panics,
-// never allocates past the input size (the declared-count bounds), and
-// anything it accepts is a well-formed File that round-trips — encode
-// it back to binary and decode again, and both the re-encoded bytes and
-// the rendered v1 JSON are stable.
+// stays within containerBound (the declared-count bounds), and anything
+// it accepts is a well-formed File that round-trips — encode it back to
+// binary and decode again, and both the re-encoded bytes and the
+// rendered v1 JSON are stable.
 func FuzzDecodeBinary(f *testing.F) {
 	// Seed with a real encoded file plus targeted mutants: truncations,
 	// a flipped magic byte, a corrupt header, and a huge declared count;
@@ -55,7 +60,11 @@ func FuzzDecodeBinary(f *testing.F) {
 		if !IsBinary(data) {
 			return // the JSON path has its own decoder; fuzz the binary one
 		}
-		decoded, err := Decode(data)
+		var decoded *File
+		var err error
+		if alloc := allocated(func() { decoded, err = Decode(data) }); alloc > containerBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
 		if err != nil {
 			return
 		}
@@ -92,8 +101,9 @@ func FuzzDecodeBinary(f *testing.F) {
 
 // FuzzDecodeJSON hammers the v1 JSON decoder, the streaming reader every
 // JSON shard file goes through. The contract under fuzzing: decoding
-// never panics, and anything it accepts re-encodes to a fixed point —
-// encode it as v1, decode and encode again, and the bytes are stable.
+// never panics, stays within containerBound, and anything it accepts
+// re-encodes to a fixed point — encode it as v1, decode and encode
+// again, and the bytes are stable.
 // The checked-in corpus seeds a valid typed file, a truncation, an
 // unknown payload field and a wrong-typed payload field.
 func FuzzDecodeJSON(f *testing.F) {
@@ -101,7 +111,11 @@ func FuzzDecodeJSON(f *testing.F) {
 		if IsBinary(data) {
 			return // FuzzDecodeBinary covers the v2 container
 		}
-		decoded, err := Decode(data)
+		var decoded *File
+		var err error
+		if alloc := allocated(func() { decoded, err = Decode(data) }); alloc > containerBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
+		}
 		if err != nil {
 			return
 		}

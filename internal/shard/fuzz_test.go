@@ -2,14 +2,38 @@ package shard
 
 import (
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 )
+
+// allocated returns the bytes the heap allocated while fn ran. Every
+// decoder fuzz target bounds it by a fixed multiple of the input's
+// length plus a constant, so no input can make a decoder allocate for
+// data its bytes do not hold.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// rangesBound is the allocation bound of the range grammars for an
+// input of n bytes. Unlike the containers they legitimately expand
+// beyond their input — "0-1048575" names MaxCells cells in 9 bytes —
+// so the constant covers one expansion of MaxCells ints; the cap is
+// what keeps that constant finite.
+func rangesBound(n int) uint64 {
+	return 64*uint64(n) + MaxCells*strconv.IntSize/8 + 64<<10
+}
 
 // FuzzParseCellSpec checks the cell-spec grammar's round trip: anything
 // ParseCellSpec accepts must re-format through FormatCellSpec and parse
 // back to the identical names and (strictly ascending) cell sets —
 // the property the dispatch journal and the coordinator wire rely on
-// when they pass batch specs between processes.
+// when they pass batch specs between processes. Parsing stays within
+// rangesBound.
 func FuzzParseCellSpec(f *testing.F) {
 	f.Add("fig5=0-4,9;fig6=1,3-17")
 	f.Add("tailq=")
@@ -19,7 +43,12 @@ func FuzzParseCellSpec(f *testing.F) {
 	f.Add("fig5=9,1")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, spec string) {
-		names, cells, err := ParseCellSpec(spec)
+		var names []string
+		var cells [][]int
+		var err error
+		if alloc := allocated(func() { names, cells, err = ParseCellSpec(spec) }); alloc > rangesBound(len(spec)) {
+			t.Fatalf("parsing %d bytes allocated %d", len(spec), alloc)
+		}
 		if err != nil {
 			return
 		}
@@ -49,7 +78,8 @@ func FuzzParseCellSpec(f *testing.F) {
 }
 
 // FuzzParseRanges checks the range grammar alone: accepted inputs parse
-// to strictly ascending sets that round trip through FormatRanges.
+// to strictly ascending sets that round trip through FormatRanges, and
+// parsing stays within rangesBound.
 func FuzzParseRanges(f *testing.F) {
 	f.Add("0-4,7,9-12")
 	f.Add("3")
@@ -57,7 +87,11 @@ func FuzzParseRanges(f *testing.F) {
 	f.Add("1-1")
 	f.Add("0,2,4")
 	f.Fuzz(func(t *testing.T, s string) {
-		cells, err := ParseRanges(s)
+		var cells []int
+		var err error
+		if alloc := allocated(func() { cells, err = ParseRanges(s) }); alloc > rangesBound(len(s)) {
+			t.Fatalf("parsing %d bytes allocated %d", len(s), alloc)
+		}
 		if err != nil {
 			return
 		}

@@ -5,9 +5,12 @@
 // It re-exports the task model, the two proposed scheduling methods (the
 // Ψ-maximising heuristic and the multi-objective GA), the FPS and GPIOCP
 // baselines, the quality metrics Ψ and Υ, the synthetic system generator,
-// the cycle-accurate I/O controller with its NoC substrate, and the
-// experiment registry that regenerates every table and figure of the
-// paper — and any study registered alongside them.
+// the wall-clock replay harness, and the experiment registry that
+// regenerates every table and figure of the paper — and any study
+// registered alongside them — with its shard, merge and dispatch
+// workflow. The cycle-accurate controller, the NoC and the coordinator
+// service live in internal packages; the CLI (cmd/ioschedbench) and the
+// package examples drive them.
 //
 // Quick start:
 //
@@ -51,80 +54,56 @@
 // # Sharding
 //
 // The same invariant extends across process — and machine — boundaries:
-// every experiment grid cell derives its randomness from its
-// (experiment, point, system) path, so any subset of cells can be
-// evaluated anywhere
-// and reassembled. RunExperimentShard evaluates one round-robin shard of
-// an experiment selection and returns a versioned cell file
-// (ShardFile.WriteFile/ReadShardFile); MergeShardFiles validates that N
-// shard
-// files form one complete, disjoint cover of the same run and returns
-// the single-shard equivalent; ExperimentFromCells rebuilds the exact
-// results an unsharded run
-// produces. Cell files persist as indented JSON (v1) or as the compact
-// binary/columnar container (v2, ShardEncodingBinary) — readers
-// auto-detect per file, so covers may mix encodings freely.
-// cmd/ioschedbench exposes the workflow as -shards,
-// -shard-index, -out, -codec and the merge subcommand. Both shard file
-// formats are specified in docs/SHARD_FORMAT.md.
+// every grid cell derives its randomness from its (experiment, point,
+// system) path, so any subset of cells can be evaluated anywhere and
+// reassembled. RunExperimentShard evaluates one round-robin shard of a
+// selection and returns a versioned cell file (ShardFile.WriteFile,
+// ReadShardFile); MergeShardFiles checks that N shard files form one
+// complete, disjoint cover of the same run and returns the single-shard
+// equivalent; ExperimentFromCells rebuilds the exact results an
+// unsharded run produces. Cell files persist as indented JSON (v1) or as
+// the compact binary/columnar container (v2, ShardFile.WriteFileAs with
+// "binary"); readers auto-detect per file, so covers may mix encodings.
+// The CLI equivalents are -shards, -shard-index, -out, -codec and the
+// merge subcommand; both formats are specified in docs/SHARD_FORMAT.md.
 //
 // # Dispatch
 //
-// DispatchShards drives the whole sharded workflow fault-tolerantly: it
-// fans the shard indices out to a pool of DispatchWorkers (a warm local
-// "ioschedbench tasks" child per LocalProcWorker, fed one unit at a
-// time; arbitrary command templates — e.g. ssh — run once per unit via
-// CmdWorker), re-runs shards whose worker crashed, timed out or
-// produced a corrupt or partial file, journals progress so an
-// interrupted dispatch resumes by re-running only missing indices, and
-// merges the complete cover. The work decomposition is pluggable
-// (DispatchOptions.Balance): fixed round-robin shards, or cost-packed
-// cell batches sized by a per-cell cost model that resumes refine with
-// observed wall-clock; with DispatchOptions.Steal, idle workers race a
-// duplicate copy of the heaviest straggler and the first completion
-// wins. Because every cell's randomness derives from its grid path, a
-// retried, re-split or stolen cell reproduces the lost one exactly, and
-// dispatched output is byte-identical to the unsharded run for every
-// decomposition. The CLI equivalent is "ioschedbench dispatch" with
-// -balance and -steal.
+// DispatchShards drives the sharded workflow fault-tolerantly: it fans
+// the units out to a pool of DispatchWorkers (a warm local "ioschedbench
+// tasks" child per LocalProcWorker; CmdWorker runs a command template —
+// e.g. ssh — once per unit), re-runs units whose worker crashed, timed
+// out or produced a corrupt file, journals progress so an interrupted
+// dispatch resumes, and merges the complete cover. DispatchOptions.Balance
+// selects round-robin shards or cost-packed cell batches, and
+// DispatchOptions.Steal lets idle workers race a duplicate of the
+// heaviest straggler. Every decomposition merges byte-identical to the
+// unsharded run. The CLI equivalent is "ioschedbench dispatch".
 //
 // # Streaming
 //
-// A paper-scale sweep takes hours; nothing forces the operator to wait
-// for the last shard before seeing anything. MergeShardFilesPartial
-// merges whatever consistent subset of a run's shard files exists into a
-// provisional cover with exact accounting of what is missing;
-// ExperimentFromCellsPartial renders provisional figures over the
-// present cells with per-point coverage.
-// DispatchShards streams the same information live: a typed
-// progress-event stream (DispatchOptions.Progress, folded into per-shard
-// state and an ETA by DispatchTracker), periodic auto-partial merges
-// into the dispatch directory (DispatchOptions.PartialEvery), and a
-// pure-reader view of any dispatch journal (ReadDispatchJournal). The
-// invariant the whole subsystem preserves: partial output is computed by
-// the exact aggregation code of the full run restricted to the present
-// cells, so the moment the cover completes, the output is byte-identical
-// to the unsharded run — provisional results converge to the final
-// figures, never diverge from them. The CLI equivalents are
-// "ioschedbench merge -partial", "ioschedbench dispatch -progress
-// -partial-every" and "ioschedbench status"; the journal and
-// progress-event schemas are specified in docs/DISPATCH.md.
+// MergeShardFilesPartial merges any consistent subset of a run's shard
+// files into a provisional cover with exact accounting of what is
+// missing, and ExperimentFromCellsPartial renders it with per-point
+// coverage. A dispatch streams the same information live: typed progress
+// events (DispatchOptions.Progress, folded into per-shard state and an
+// ETA by DispatchTracker), periodic auto-partial merges
+// (DispatchOptions.PartialEvery) and a pure-reader view of any journal
+// (ReadDispatchJournal). Partial output is the full run's aggregation
+// restricted to the present cells, so it converges byte-identically to
+// the final figures. The CLI equivalents are "merge -partial", "dispatch
+// -progress -partial-every" and "status"; docs/DISPATCH.md specifies the
+// journal and progress-event schemas.
 //
 // # Coordinator service
 //
 // DispatchShards drives one sweep from one process over a shared
-// filesystem. NewCoordinator lifts the same engine into a long-running
-// network service: workers connect over HTTP (RunCoordinatorWorker
-// wraps any DispatchWorker as a protocol client), lease units, and push
-// result files back over the wire — no shared filesystem. The
-// coordinator multiplexes concurrent sweeps, journals each run in the
-// dispatch journal schema so a restart resumes it, detects lost workers
-// by heartbeat timeout and reassigns their units, and discards
-// duplicate completions first-completion-wins — the merged output stays
-// byte-identical to the unsharded run through every failure mode. The
-// CLI equivalents are "ioschedbench serve", "work" and "submit"; the
-// wire protocol is specified in docs/COORDINATOR.md, and the
-// fault-injection test harness lives in internal/coord/coordtest.
+// filesystem. "ioschedbench serve" lifts the same engine into a
+// long-running network service that "work" processes lease units from
+// and push result files to over HTTP, with "submit" as the sweep
+// client; the merged output stays byte-identical to the unsharded run
+// through every failure mode. The wire protocol is specified in
+// docs/COORDINATOR.md.
 //
 // # Wall-clock replay
 //
@@ -147,16 +126,11 @@ package iosched
 import (
 	"context"
 
-	"repro/internal/analysis"
-	"repro/internal/controller"
-	"repro/internal/coord"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/dispatch"
 	"repro/internal/experiment"
 	"repro/internal/gen"
 	"repro/internal/hwcost"
-	"repro/internal/noc"
 	"repro/internal/quality"
 	"repro/internal/replay"
 	"repro/internal/sched"
@@ -165,7 +139,6 @@ import (
 	"repro/internal/sched/gpiocp"
 	"repro/internal/sched/staticsched"
 	"repro/internal/shard"
-	"repro/internal/sim"
 	"repro/internal/taskmodel"
 	"repro/internal/timing"
 )
@@ -259,45 +232,32 @@ func NewGPIOCP() Scheduler { return gpiocp.Scheduler{} }
 // non-dominated (Ψ, Υ) front.
 func GASolve(jobs []Job, opts GAOptions) (*GAResult, error) { return ga.Solve(jobs, opts) }
 
-// GAPaperOptions returns the paper's solver budget (population 300 × 500
-// generations); GADefaultOptions the scaled-down default.
-func GAPaperOptions() GAOptions   { return ga.PaperOptions() }
+// GADefaultOptions returns the GA's scaled-down default budget.
 func GADefaultOptions() GAOptions { return ga.DefaultOptions() }
 
 // ScheduleWith runs the named method on every device partition of the
-// task set, one partition at a time.
+// task set, one partition at a time on one goroutine. The GA runs with
+// seed 1, core.NewScheduler's nil-options default; for a parallel GA use
+// GASolve with GAOptions.Parallelism, or ScheduleAllParallel.
 func ScheduleWith(ts *TaskSet, m Method) (DeviceSchedules, error) {
-	return ScheduleWithParallel(ts, m, 1)
-}
-
-// ScheduleWithParallel is ScheduleWith with the device partitions
-// scheduled concurrently on a bounded worker pool (parallelism <= 0 means
-// one worker per CPU). The result is identical at every parallelism.
-func ScheduleWithParallel(ts *TaskSet, m Method, parallelism int) (DeviceSchedules, error) {
 	var gaOpts *ga.Options
 	if m == MethodGA {
-		// The parallelism knob alone governs the goroutine budget here:
-		// each GA solve runs serially inside its partition's worker, so
-		// parallelism 1 really is single-threaded and parallelism N never
-		// nests a second pool per partition. (Seed 1 matches
-		// core.NewScheduler's nil-options default; for a parallel GA on a
-		// single partition use GASolve with GAOptions.Parallelism.)
 		o := ga.DefaultOptions()
-		o.Seed = 1
-		o.Parallelism = 1
+		o.Seed, o.Parallelism = 1, 1
 		gaOpts = &o
 	}
 	s, err := core.NewScheduler(m, gaOpts)
 	if err != nil {
 		return nil, err
 	}
-	return sched.ScheduleAllParallel(ts, s, parallelism)
+	return sched.ScheduleAllParallel(ts, s, 1)
 }
 
 // ScheduleAllParallel runs the scheduler concurrently over the task set's
-// device partitions; see ScheduleWithParallel for the parallelism
-// semantics. When s is a GA scheduler, set its GAOptions.Parallelism to 1
-// so the per-partition fitness pools do not nest inside this one.
+// device partitions on a bounded worker pool (parallelism <= 0 means one
+// worker per CPU); the result is identical at every parallelism. When s
+// is a GA scheduler, set its GAOptions.Parallelism to 1 so the
+// per-partition fitness pools do not nest inside this one.
 func ScheduleAllParallel(ts *TaskSet, s Scheduler, parallelism int) (DeviceSchedules, error) {
 	return sched.ScheduleAllParallel(ts, s, parallelism)
 }
@@ -319,16 +279,6 @@ type (
 // Vmin at δ±θ.
 var LinearCurve Curve = quality.Linear{}
 
-// ExponentialCurve returns a steeper, exponentially decaying quality curve
-// (the paper notes curves are application-dependent).
-func ExponentialCurve(sharpness float64) Curve { return quality.Exponential{Sharpness: sharpness} }
-
-// PenalisedCurve wraps a curve with the paper's footnote-1 semantics: a
-// fixed (typically large negative) value outside the timing boundary.
-func PenalisedCurve(base Curve, penalty float64) Curve {
-	return quality.Penalised{Base: base, Penalty: penalty}
-}
-
 // Psi returns Ψ = |exact jobs| / |jobs| (Equation 1).
 func Psi(jobs []Job, starts StartTimes) (float64, error) { return quality.Psi(jobs, starts) }
 
@@ -342,37 +292,6 @@ type GenConfig = gen.Config
 
 // PaperGenConfig returns the evaluation's generator parameterisation.
 func PaperGenConfig() GenConfig { return gen.PaperConfig() }
-
-// Hardware (Section IV).
-type (
-	// Kernel is the deterministic discrete-event simulator.
-	Kernel = sim.Kernel
-	// Controller is the proposed I/O controller (memory + per-device
-	// processors).
-	Controller = controller.Controller
-	// ControllerProcessor is one per-device controller processor.
-	ControllerProcessor = controller.Processor
-	// Program is a pre-loaded I/O task command sequence.
-	Program = controller.Program
-	// Command is one EXU instruction.
-	Command = controller.Command
-	// GPIOBank is a pin bank with waveform capture.
-	GPIOBank = device.GPIOBank
-	// Mesh is the 2-D NoC.
-	Mesh = noc.Mesh
-	// System is a deployable timed-I/O system (tasks + programs +
-	// devices).
-	System = core.System
-	// Deployment is a scheduled system running on the simulated
-	// controller.
-	Deployment = core.Deployment
-)
-
-// NewController returns a controller with the reference 32 KB memory.
-func NewController() *Controller { return controller.New() }
-
-// NewGPIOBank builds a GPIO bank device.
-func NewGPIOBank(name string, pins int) (*GPIOBank, error) { return device.NewGPIOBank(name, pins) }
 
 // Experiments (Section V) — the pluggable experiment registry; see
 // cmd/ioschedbench for the CLI and docs/EXPERIMENTS.md for the "add an
@@ -502,9 +421,6 @@ type (
 	ShardGrid = shard.Grid
 	// ShardParams is the run parameterisation recorded in shard files.
 	ShardParams = experiment.ShardParams
-	// ExperimentCellSelector picks the grid cells a run evaluates; nil
-	// selects all.
-	ExperimentCellSelector = experiment.CellSelector
 )
 
 // RunExperimentShard evaluates shard index of shards for the selection
@@ -523,63 +439,10 @@ func ReadShardFile(path string) (*ShardFile, error) { return shard.ReadFile(path
 // (cells complete, in grid order) ready for ExperimentFromCells.
 func MergeShardFiles(files []*ShardFile) (*ShardFile, error) { return shard.Merge(files) }
 
-// Shard files persist in one of two encodings, chosen per file at write
-// time and auto-detected on every read (ReadShardFile accepts either, so
-// mixed covers merge freely): the indented JSON container (v1) and the
-// compact binary/columnar container (v2, roughly a tenth the bytes per
-// cell at paper scale). ShardFile.WriteFileAs/EncodeAs select one
-// explicitly; WriteFile keeps writing JSON. The CLI equivalent is the
-// -codec flag; the v2 layout is specified in docs/SHARD_FORMAT.md.
-const (
-	// ShardEncodingJSON is the versioned, indented JSON container (v1).
-	ShardEncodingJSON = shard.EncodingJSON
-	// ShardEncodingBinary is the compact binary/columnar container (v2).
-	ShardEncodingBinary = shard.EncodingBinary
-)
-
-// ShardPayloadCodec serialises one experiment's typed cell payloads: in
-// memory a ShardCell's Data is the codec's value, and the JSON and
-// binary containers (and the cell cache) are serialisers of it;
-// ExperimentCodec.Payload registers one alongside the experiment.
-// Experiments without one still shard, merge and dispatch in either
-// encoding — their cells carry the payload's JSON (json.RawMessage),
-// travelling as a compact JSON column.
-type ShardPayloadCodec = shard.PayloadCodec
-
-// ParseShardEncoding normalises an encoding name ("" and "json" to
-// ShardEncodingJSON, "binary" to ShardEncodingBinary) and rejects
-// anything else — the validation behind every -codec flag.
-func ParseShardEncoding(s string) (string, error) { return shard.ParseEncoding(s) }
-
-// SniffShardFileEncoding reports which container encoding the file at
-// path uses, without decoding it.
-func SniffShardFileEncoding(path string) (string, error) { return shard.SniffFileEncoding(path) }
-
 // ShardBatchInfo is the header marking a file as a cell batch: an
 // explicit per-run cell set (the unit of cost-balanced dispatch) instead
 // of a round-robin share. See docs/SHARD_FORMAT.md.
 type ShardBatchInfo = shard.BatchInfo
-
-// ParseCellSpec decodes a cell-batch spec ("fig5=0-7;fig6=2,5") into
-// run names and per-run ascending global cell indices — the grammar of
-// the CLI's -cells flag and the journal's batch events.
-func ParseCellSpec(spec string) (names []string, cells [][]int, err error) {
-	return shard.ParseCellSpec(spec)
-}
-
-// FormatCellSpec is ParseCellSpec's inverse.
-func FormatCellSpec(names []string, cells [][]int) (string, error) {
-	return shard.FormatCellSpec(names, cells)
-}
-
-// RunExperimentCells evaluates exactly the given cells (one ascending
-// global-index set per run of the selection, parallel to the canonical
-// run order) and returns the batch file to persist. Like any shard, a
-// batch may run at any parallelism on any host: merged results never
-// depend on the decomposition. The CLI equivalent is the -cells flag.
-func RunExperimentCells(selection string, p ShardParams, parallelism int, cells [][]int) (*ShardFile, error) {
-	return experiment.RunBatchCached(selection, p, parallelism, cells, nil)
-}
 
 // MergeShardBatches validates that the batch files cover every cell of a
 // single run's grids and returns the single-shard equivalent plus the
@@ -660,8 +523,6 @@ type (
 	// DispatchTracker folds the progress stream into queryable snapshots
 	// (per-shard state, counts, ETA) for live status displays.
 	DispatchTracker = dispatch.Tracker
-	// DispatchSnapshot is a Tracker's point-in-time view of a dispatch.
-	DispatchSnapshot = dispatch.Snapshot
 	// DispatchJournalState is the decoded state of a dispatch journal —
 	// what the "ioschedbench status" subcommand prints.
 	DispatchJournalState = dispatch.JournalState
@@ -686,61 +547,5 @@ func DispatchShards(ctx context.Context, spec DispatchSpec, workers []DispatchWo
 	return dispatch.Run(ctx, spec, workers, opts)
 }
 
-// Coordinator service: the network-native face of dispatch. A
-// Coordinator owns a state directory of journalled runs; workers
-// connect through CoordinatorClient (or RunCoordinatorWorker), sweep
-// clients submit and observe through the same client. See the package
-// comment's Coordinator section, internal/coord and docs/COORDINATOR.md.
-type (
-	// Coordinator is the long-running sweep coordinator service; serve
-	// its Handler over HTTP and point workers at it.
-	Coordinator = coord.Coordinator
-	// CoordinatorOptions tunes heartbeat and lease timeouts, the attempt
-	// budget and logging.
-	CoordinatorOptions = coord.Options
-	// CoordinatorClient speaks the coordinator's HTTP protocol: submit
-	// and observe runs, or register/lease/push as a worker.
-	CoordinatorClient = coord.Client
-	// CoordinatorLease is one leased unit of work on the wire.
-	CoordinatorLease = coord.Lease
-	// CoordinatorSubmit is a sweep submission.
-	CoordinatorSubmit = coord.SubmitRequest
-	// CoordinatorRunStatus is one run's status as reported over the wire.
-	CoordinatorRunStatus = coord.RunStatus
-	// CoordinatorWorkerOptions configures RunCoordinatorWorker.
-	CoordinatorWorkerOptions = coord.WorkerOptions
-)
-
-// NewCoordinator opens (or resumes) a coordinator over a state
-// directory; every journaled run under it is restored. The CLI
-// equivalent is "ioschedbench serve".
-func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
-	return coord.New(dir, opts)
-}
-
-// RunCoordinatorWorker serves a coordinator as one worker: register,
-// heartbeat, lease units, compute them through any DispatchWorker, and
-// push the results back. It returns when ctx is cancelled. The CLI
-// equivalent is "ioschedbench work".
-func RunCoordinatorWorker(ctx context.Context, cl *CoordinatorClient, name string, w DispatchWorker, opts CoordinatorWorkerOptions) error {
-	return coord.RunWorker(ctx, cl, name, w, opts)
-}
-
 // Table1 regenerates Table I (hardware cost model vs paper).
 func Table1() []hwcost.Row { return hwcost.Table1() }
-
-// I/O-aware end-to-end analysis (Section III-C).
-type (
-	// Flow is a periodic NoC packet flow for the end-to-end analysis.
-	Flow = analysis.Flow
-	// Transaction is a CPU → controller → device → CPU I/O operation.
-	Transaction = analysis.Transaction
-	// StageBounds decomposes a transaction's response-time bound.
-	StageBounds = analysis.StageBounds
-)
-
-// AnalyzeTransaction bounds an end-to-end I/O transaction: NoC flow
-// response times plus the I/O task's finish time from the offline schedule.
-func AnalyzeTransaction(tx Transaction, flows []Flow, schedules DeviceSchedules) (StageBounds, error) {
-	return analysis.Analyze(tx, flows, schedules)
-}
