@@ -8,6 +8,7 @@ package dispatch
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -550,5 +551,124 @@ func TestReadJournalBalancedEvents(t *testing.T) {
 	missing := st.Missing()
 	if len(missing) != 2 || missing[0] != 2 || missing[1] != 3 {
 		t.Fatalf("missing = %v", missing)
+	}
+}
+
+// alternating returns every second cell index from start below n: the
+// most scattered set, so its spec is the longest per cell.
+func alternating(start, n int) []int {
+	var cells []int
+	for g := start; g < n; g += 2 {
+		cells = append(cells, g)
+	}
+	return cells
+}
+
+// TestJournalLongestBatchLine: the longest batch event the writer can
+// emit — a MaxCells-cell spec of alternating cells, several MiB on one
+// line — reads back through ReadJournal with its spec intact.
+func TestJournalLongestBatchLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), JournalFileName)
+	j, err := openJournal(path, time.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := shard.FormatCellSpec([]string{experiment.ExpFig5}, [][]int{alternating(0, 2*shard.MaxCells)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	j.plan(Spec{Selection: experiment.ExpFig5, Shards: 1}, []byte(`{"seed":1}`), BalanceCost)
+	j.write(journalEvent{Event: "batch", Shard: &id, Kind: "cost", Spec: spec, Cells: shard.MaxCells})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(spec) <= 1<<20 || len(st.ShardStates) != 1 || st.ShardStates[0].Spec != spec ||
+		st.ShardStates[0].Cells != shard.MaxCells {
+		t.Fatalf("a %d-byte batch spec did not round-trip: %d states", len(spec), len(st.ShardStates))
+	}
+}
+
+// TestReopenLedgerLongBatchLines: a balanced journal whose batch lines
+// run over 1 MiB resumes. The done batch is kept and every other cell is
+// planned again, exactly once; no cell is computed.
+func TestReopenLedgerLongBatchLines(t *testing.T) {
+	spec, params, _, err := Spec{Selection: experiment.ExpFig5, Shards: 3,
+		Params: experiment.ShardParams{Systems: 30000, Seed: 1}}.normalised()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := experiment.PlanSelection(spec.Selection, spec.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := plan.Grids[0]
+	dir := t.TempDir()
+
+	// Batch 1 is the single cell 1, done; its file is built by hand.
+	done := &shard.File{
+		Version: shard.FormatVersion, Selection: spec.Selection, Shards: 1, Params: params,
+		Batch: &shard.BatchInfo{Cells: [][]int{{1}}},
+		Runs: []shard.Run{{Experiment: spec.Selection, Grid: grid,
+			Cells: []shard.Cell{{Point: 0, System: 1, Data: json.RawMessage(`{}`)}}}},
+	}
+	if err := done.WriteFile(filepath.Join(dir, "batch1.json")); err != nil {
+		t.Fatal(err)
+	}
+	j, err := openJournal(filepath.Join(dir, JournalFileName), time.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.plan(spec, params, BalanceCost)
+	sets := [][]int{alternating(0, grid.Cells()), {1}, alternating(3, grid.Cells())}
+	for id, set := range sets {
+		s, err := shard.FormatCellSpec([]string{spec.Selection}, [][]int{set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != 1 && len(s) <= 1<<20 {
+			t.Fatalf("batch %d spec is only %d bytes", id, len(s))
+		}
+		j.write(journalEvent{Event: "batch", Shard: &id, Kind: "cost", Spec: s, Cells: len(set), Weight: 1})
+		j.write(journalEvent{Event: "attempt", Shard: &id, Attempt: 1, Worker: "w"})
+	}
+	one := 1
+	j.write(journalEvent{Event: "done", Shard: &one, Attempt: 1, Worker: "w", File: "batch1.json", Cells: 1})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err := ReopenLedger(LedgerConfig{Dir: dir, Now: time.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if st := l.Stats(); st.Resumed != 1 || st.Done != 1 {
+		t.Fatalf("resumed %d, done %d; want the one journaled-done batch", st.Resumed, st.Done)
+	}
+	owed := make([]int, grid.Cells())
+	owed[1] = 1 // the done batch's cell
+	for _, u := range l.pending {
+		if u.ID() < len(sets) {
+			t.Fatalf("journaled batch %d queued again", u.ID())
+		}
+		for _, g := range u.cells[0] {
+			owed[g]++
+		}
+	}
+	for g, n := range owed {
+		if n != 1 {
+			t.Fatalf("cell %d planned %d times", g, n)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJournalDir(dir); err != nil {
+		t.Fatalf("the resumed journal does not read back: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -138,11 +137,11 @@ func parseJournal(path string, data []byte) (*JournalState, error) {
 		}
 		return t
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
+	// Lines are split in memory, so no line length is too long: a
+	// balanced batch event carries its whole cell spec.
+	for line := range bytes.Lines(data) {
 		var e journalEvent
-		if json.Unmarshal(sc.Bytes(), &e) != nil {
+		if json.Unmarshal(line, &e) != nil {
 			continue
 		}
 		switch e.Event {
@@ -228,9 +227,6 @@ func parseJournal(path string, data []byte) (*JournalState, error) {
 		case "merged":
 			st.Merged, st.MergedCells = true, e.Cells
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dispatch: journal %s: %w", path, err)
 	}
 	if !sawPlan {
 		return nil, fmt.Errorf("dispatch: journal %s carries no plan event", path)

@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"bytes"
-	"fmt"
-)
+import "fmt"
 
 // Cell-batch files: the unit of balanced dispatch. A batch file holds an
 // arbitrary explicit subset of each run's cells — whatever a cost-packed
@@ -27,9 +24,6 @@ type BatchInfo struct {
 // trivial 1/0 plan, no Partial header, one in-range strictly-ascending
 // cell set per run.
 func (f *File) validateBatch() error {
-	if f.Batch == nil {
-		return fmt.Errorf("shard: not a batch file")
-	}
 	if f.Shards != 1 || f.Index != 0 {
 		return fmt.Errorf("shard: batch file declares shard %d/%d, want 0/1", f.Index, f.Shards)
 	}
@@ -40,9 +34,6 @@ func (f *File) validateBatch() error {
 		return fmt.Errorf("shard: batch header lists %d cell sets for %d runs", len(f.Batch.Cells), len(f.Runs))
 	}
 	for ri, r := range f.Runs {
-		if err := r.Grid.validate(); err != nil {
-			return fmt.Errorf("shard: run %q: %w", r.Experiment, err)
-		}
 		prev := -1
 		for _, g := range f.Batch.Cells[ri] {
 			if g < 0 || g >= r.Grid.Cells() {
@@ -56,147 +47,4 @@ func (f *File) validateBatch() error {
 		}
 	}
 	return nil
-}
-
-// validateBatchCells verifies each run holds exactly the cells its batch
-// header declares: every cell a member, none duplicated, none missing.
-// It is ValidateCells' batch branch.
-func (f *File) validateBatchCells() error {
-	if err := f.validateBatch(); err != nil {
-		return err
-	}
-	for ri, r := range f.Runs {
-		member := make(map[int]bool, len(f.Batch.Cells[ri]))
-		for _, g := range f.Batch.Cells[ri] {
-			member[g] = true
-		}
-		filled := make(map[int]bool, len(member))
-		for _, c := range r.Cells {
-			g, err := r.Grid.Index(c.Point, c.System)
-			if err != nil {
-				return fmt.Errorf("shard: run %q: %w", r.Experiment, err)
-			}
-			if !member[g] {
-				return fmt.Errorf("shard: run %q holds foreign cell (%d,%d) for its batch",
-					r.Experiment, c.Point, c.System)
-			}
-			if filled[g] {
-				return fmt.Errorf("shard: run %q cell (%d,%d) appears twice", r.Experiment, c.Point, c.System)
-			}
-			filled[g] = true
-		}
-		if len(filled) != len(member) {
-			for _, g := range f.Batch.Cells[ri] {
-				if !filled[g] {
-					return fmt.Errorf("shard: run %q cell (%d,%d) missing — truncated batch",
-						r.Experiment, g/r.Grid.Systems, g%r.Grid.Systems)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// MergeBatches validates that the batch files cover every cell of a
-// single run's grids and returns the single-shard equivalent file —
-// byte-identical to Merge's output for the same run — plus the number of
-// duplicate cells discarded. Unlike Merge, the inputs may overlap:
-// work-stealing legitimately produces the same cell from two workers, so
-// cells are merged first-completion-wins in the files' given order and
-// later copies are discarded by cell key, not rejected. Everything else
-// is strict: every file must be a self-consistent batch file of the same
-// run (selection, params, grids, payload versions), every file must hold
-// exactly the cells its header declares, and the union must be complete.
-func MergeBatches(files []*File) (*File, int, error) {
-	if len(files) == 0 {
-		return nil, 0, fmt.Errorf("shard: batch merge needs at least one file")
-	}
-	ref := files[0]
-	refParams, err := canonicalParams(ref.Params)
-	if err != nil {
-		return nil, 0, err
-	}
-	for fi, f := range files {
-		// MergeBatches also accepts hand-built Files that never passed
-		// Decode; hold them to the full batch contract first.
-		if f.Batch == nil {
-			return nil, 0, fmt.Errorf("shard: %s is not a cell-batch file; use Merge or MergePartial",
-				partialLabel(f, fi))
-		}
-		if err := f.validateBatchCells(); err != nil {
-			return nil, 0, err
-		}
-		if f.Version != ref.Version {
-			return nil, 0, fmt.Errorf("shard: mixed format versions %d and %d", ref.Version, f.Version)
-		}
-		if f.Selection != ref.Selection {
-			return nil, 0, fmt.Errorf("shard: mixed selections %q and %q", ref.Selection, f.Selection)
-		}
-		params, err := canonicalParams(f.Params)
-		if err != nil {
-			return nil, 0, err
-		}
-		if !bytes.Equal(params, refParams) {
-			return nil, 0, fmt.Errorf("shard: %s was produced by a different run than %s (params mismatch: %s)",
-				partialLabel(f, fi), partialLabel(ref, 0), DiffParams(ref.Params, f.Params))
-		}
-		if len(f.Runs) != len(ref.Runs) {
-			return nil, 0, fmt.Errorf("shard: %s holds %d runs, %s holds %d",
-				partialLabel(f, fi), len(f.Runs), partialLabel(ref, 0), len(ref.Runs))
-		}
-		for ri, r := range f.Runs {
-			if r.Experiment != ref.Runs[ri].Experiment || r.Grid != ref.Runs[ri].Grid {
-				return nil, 0, fmt.Errorf("shard: %s run %d is %s %v, want %s %v",
-					partialLabel(f, fi), ri, r.Experiment, r.Grid, ref.Runs[ri].Experiment, ref.Runs[ri].Grid)
-			}
-			if r.PayloadVersion != ref.Runs[ri].PayloadVersion {
-				return nil, 0, fmt.Errorf("shard: %s run %q records payload version %d, %s records %d",
-					partialLabel(f, fi), r.Experiment, r.PayloadVersion, partialLabel(ref, 0), ref.Runs[ri].PayloadVersion)
-			}
-		}
-	}
-	merged := &File{
-		Version:   ref.Version,
-		Selection: ref.Selection,
-		Shards:    1,
-		Index:     0,
-		Params:    ref.Params,
-		Host:      mergedHost(files),
-	}
-	duplicates := 0
-	for ri, refRun := range ref.Runs {
-		grid := refRun.Grid
-		if err := grid.validate(); err != nil {
-			return nil, 0, fmt.Errorf("shard: run %q: %w", refRun.Experiment, err)
-		}
-		cells := make([]Cell, grid.Cells())
-		filled := make([]bool, grid.Cells())
-		for _, f := range files {
-			for _, c := range f.Runs[ri].Cells {
-				g, err := grid.Index(c.Point, c.System)
-				if err != nil {
-					return nil, 0, fmt.Errorf("shard: %s: %w", refRun.Experiment, err)
-				}
-				if filled[g] {
-					// First completion wins: a stolen batch's loser copy
-					// of the same cell is discarded, not an error.
-					duplicates++
-					continue
-				}
-				filled[g] = true
-				cells[g] = c
-			}
-		}
-		for g, ok := range filled {
-			if !ok {
-				return nil, 0, fmt.Errorf("shard: %s cell (%d,%d) missing — incomplete batch set",
-					refRun.Experiment, g/grid.Systems, g%grid.Systems)
-			}
-		}
-		merged.Runs = append(merged.Runs, Run{
-			Experiment: refRun.Experiment, Grid: grid,
-			PayloadVersion: refRun.PayloadVersion, Cells: cells,
-		})
-	}
-	return merged, duplicates, nil
 }

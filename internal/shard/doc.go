@@ -30,7 +30,8 @@
 // (internal/dispatch) uses to tell a finished shard from a partial one
 // before retrying it.
 //
-// MergePartial is the streaming counterpart of Merge: it accepts any
+// MergePartial and MergeBatches are Merge with one rule relaxed
+// (merge.go). MergePartial, the streaming counterpart, accepts any
 // mutually-consistent subset of a run's files — regular shards and
 // previously-written partial covers alike — and returns a PartialCover
 // with the held cells in grid order plus exact coverage accounting
@@ -38,6 +39,8 @@
 // cover's file carries a PartialInfo header recording its provenance; a
 // complete one is byte-identical to Merge's output, which is what lets
 // provisional results converge to — never diverge from — the full run's.
+// MergeBatches lets cell-batch files overlap: the first copy of a cell
+// wins. A file of more than MaxCells shards is rejected.
 //
 // The on-disk file layout — header fields, cell keying, params-mismatch
 // rules, the merge invariants and the partial-cover rules — is specified

@@ -1,10 +1,6 @@
 package shard
 
-import (
-	"bytes"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Streaming/partial merge: MergePartial aggregates any incomplete but
 // mutually-consistent subset of a run's shard files into a provisional
@@ -127,195 +123,4 @@ func (p *PartialCover) Fraction() float64 {
 		return 1
 	}
 	return float64(p.CellsHave()) / float64(total)
-}
-
-// partialLabel names a MergePartial input in error messages: its path
-// when known, its position in the argument list otherwise (a partial
-// merge's inputs carry no unique shard index).
-func partialLabel(f *File, fi int) string {
-	if f.Path != "" {
-		return f.Path
-	}
-	return fmt.Sprintf("file %d", fi)
-}
-
-// indices returns the shard indices a file contributes and the shard
-// count it was decomposed under: the single (Shards, Index) plan of a
-// regular shard file, or the recorded present set of a partial file. It
-// is the one place the partial-file contract (trivial 0/1 plan, valid
-// PartialInfo) is enforced — Decode, ownership and MergePartial all
-// validate through it.
-func (f *File) indices() (shards int, owned []int, err error) {
-	if f.Batch != nil {
-		// Batch files carry no modular share: they merge through
-		// MergeBatches, never through Merge or MergePartial.
-		return 0, nil, fmt.Errorf("shard: %s is a cell-batch file; merge with MergeBatches", f.label())
-	}
-	if f.Partial != nil {
-		if f.Shards != 1 || f.Index != 0 {
-			return 0, nil, fmt.Errorf("shard: partial file declares shard %d/%d, want 0/1", f.Index, f.Shards)
-		}
-		if err := f.Partial.validate(); err != nil {
-			return 0, nil, err
-		}
-		return f.Partial.Shards, f.Partial.Present, nil
-	}
-	if _, err := NewPlan(f.Shards, f.Index); err != nil {
-		return 0, nil, err
-	}
-	return f.Shards, []int{f.Index}, nil
-}
-
-// MergePartial validates that the files are mutually-consistent pieces of
-// a single run — any mix of regular shard files and partial files a
-// previous MergePartial wrote — and merges whatever subset of the cover
-// they form. Unlike Merge it does not require completeness; everything
-// else is held to the same standard: the files must agree on selection,
-// params, grid shapes and shard count, contributed shard indices must be
-// disjoint, and each file must carry exactly the cells its indices own
-// (a truncated shard file is rejected, not silently under-counted).
-//
-// The returned cover's File is the provisional single-shard equivalent:
-// cells in grid order, Partial header recording the decomposition and
-// present shards when — and only when — the cover is incomplete. Merging
-// the complete set therefore returns a File byte-identical to Merge's,
-// which is what keeps streamed/partial rendering an approximation that
-// converges to, never diverges from, the full run's output.
-func MergePartial(files []*File) (*PartialCover, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("shard: partial merge needs at least one file")
-	}
-	ref := files[0]
-	refParams, err := canonicalParams(ref.Params)
-	if err != nil {
-		return nil, err
-	}
-	shards, _, err := ref.indices()
-	if err != nil {
-		return nil, err
-	}
-	seen := make([]bool, shards)
-	owned := make([]map[int]bool, len(files))
-	for fi, f := range files {
-		n, idxs, err := f.indices()
-		if err != nil {
-			return nil, err
-		}
-		if f.Version != ref.Version {
-			return nil, fmt.Errorf("shard: mixed format versions %d and %d", ref.Version, f.Version)
-		}
-		if f.Selection != ref.Selection {
-			return nil, fmt.Errorf("shard: mixed selections %q and %q", ref.Selection, f.Selection)
-		}
-		if n != shards {
-			return nil, fmt.Errorf("shard: mixed shard counts %d and %d", shards, n)
-		}
-		owned[fi] = make(map[int]bool, len(idxs))
-		for _, idx := range idxs {
-			if seen[idx] {
-				return nil, fmt.Errorf("shard: shard index %d appears twice", idx)
-			}
-			seen[idx] = true
-			owned[fi][idx] = true
-		}
-		params, err := canonicalParams(f.Params)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(params, refParams) {
-			return nil, fmt.Errorf("shard: %s was produced by a different run than %s (params mismatch: %s)",
-				partialLabel(f, fi), partialLabel(ref, 0), DiffParams(ref.Params, f.Params))
-		}
-		if len(f.Runs) != len(ref.Runs) {
-			return nil, fmt.Errorf("shard: %s holds %d runs, %s holds %d",
-				partialLabel(f, fi), len(f.Runs), partialLabel(ref, 0), len(ref.Runs))
-		}
-		for ri, r := range f.Runs {
-			if r.Experiment != ref.Runs[ri].Experiment || r.Grid != ref.Runs[ri].Grid {
-				return nil, fmt.Errorf("shard: %s run %d is %s %v, want %s %v",
-					partialLabel(f, fi), ri, r.Experiment, r.Grid, ref.Runs[ri].Experiment, ref.Runs[ri].Grid)
-			}
-			if r.PayloadVersion != ref.Runs[ri].PayloadVersion {
-				return nil, fmt.Errorf("shard: %s run %q records payload version %d, %s records %d",
-					partialLabel(f, fi), r.Experiment, r.PayloadVersion, partialLabel(ref, 0), ref.Runs[ri].PayloadVersion)
-			}
-		}
-	}
-	var present, missing []int
-	for i, ok := range seen {
-		if ok {
-			present = append(present, i)
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	sort.Ints(present) // already ascending by construction; keep it explicit
-
-	cover := &PartialCover{
-		Shards:  shards,
-		Present: present,
-		Missing: missing,
-		File: &File{
-			Version:   ref.Version,
-			Selection: ref.Selection,
-			Shards:    1,
-			Index:     0,
-			Params:    ref.Params,
-			Host:      mergedHost(files),
-		},
-	}
-	if len(missing) > 0 {
-		cover.File.Partial = &PartialInfo{Shards: shards, Present: present}
-	}
-	presentSet := make(map[int]bool, len(present))
-	for _, idx := range present {
-		presentSet[idx] = true
-	}
-	for ri, refRun := range ref.Runs {
-		grid := refRun.Grid
-		// MergePartial also accepts hand-built Files that never passed
-		// Decode, so re-validate before sizing allocations from the header.
-		if err := grid.validate(); err != nil {
-			return nil, fmt.Errorf("shard: run %q: %w", refRun.Experiment, err)
-		}
-		dense := make([]Cell, grid.Cells())
-		filled := make([]bool, grid.Cells())
-		for fi, f := range files {
-			for _, c := range f.Runs[ri].Cells {
-				g, err := grid.Index(c.Point, c.System)
-				if err != nil {
-					return nil, fmt.Errorf("shard: %s file %d: %w", refRun.Experiment, fi, err)
-				}
-				if !owned[fi][g%shards] {
-					return nil, fmt.Errorf("shard: %s file %d holds foreign cell (%d,%d)",
-						refRun.Experiment, fi, c.Point, c.System)
-				}
-				if filled[g] {
-					return nil, fmt.Errorf("shard: %s cell (%d,%d) appears twice",
-						refRun.Experiment, c.Point, c.System)
-				}
-				filled[g] = true
-				dense[g] = c
-			}
-		}
-		have := 0
-		cells := make([]Cell, 0, grid.Cells())
-		for g, ok := range filled {
-			if ok {
-				have++
-				cells = append(cells, dense[g])
-				continue
-			}
-			if presentSet[g%shards] {
-				return nil, fmt.Errorf("shard: %s cell (%d,%d) missing from a present shard — truncated file",
-					refRun.Experiment, g/grid.Systems, g%grid.Systems)
-			}
-		}
-		cover.File.Runs = append(cover.File.Runs, Run{
-			Experiment: refRun.Experiment, Grid: grid,
-			PayloadVersion: refRun.PayloadVersion, Cells: cells,
-		})
-		cover.Runs = append(cover.Runs, RunCoverage{Experiment: refRun.Experiment, Grid: grid, Have: have})
-	}
-	return cover, nil
 }

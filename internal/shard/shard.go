@@ -1,12 +1,9 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 )
 
 // FormatVersion identifies the shard file layout; readers reject files
@@ -133,15 +130,6 @@ type File struct {
 	Encoding string `json:"-"`
 }
 
-// label names the file in error messages: its path when known, the
-// shard index otherwise.
-func (f *File) label() string {
-	if f.Path != "" {
-		return f.Path
-	}
-	return fmt.Sprintf("shard %d", f.Index)
-}
-
 // CellCount returns the total number of cells across the file's runs.
 func (f *File) CellCount() int {
 	n := 0
@@ -221,18 +209,11 @@ func Decode(data []byte) (*File, error) {
 }
 
 // validateDecoded holds the structural checks both decoders share:
-// format version, decomposition (batch header or plan indices) and the
-// grid/cell-count sanity of every run.
+// format version, the grid/cell-count sanity of every run and the
+// decomposition header (owner).
 func (f *File) validateDecoded() error {
 	if f.Version != FormatVersion {
 		return fmt.Errorf("shard: file format version %d, this build reads %d", f.Version, FormatVersion)
-	}
-	if f.Batch != nil {
-		if err := f.validateBatch(); err != nil {
-			return err
-		}
-	} else if _, _, err := f.indices(); err != nil {
-		return err
 	}
 	for _, r := range f.Runs {
 		if err := r.Grid.validate(); err != nil {
@@ -243,7 +224,8 @@ func (f *File) validateDecoded() error {
 				r.Experiment, len(r.Cells), r.Grid.Points, r.Grid.Systems)
 		}
 	}
-	return nil
+	_, err := f.owner()
+	return err
 }
 
 // ReadFile reads and decodes one shard file.
@@ -258,220 +240,4 @@ func ReadFile(path string) (*File, error) {
 	}
 	f.Path = path
 	return f, nil
-}
-
-// ValidateCells verifies that every run holds exactly the cells the file
-// owns — the (Shards, Index) plan's round-robin share, for a file
-// carrying a Partial header the union of its recorded present shards, or
-// for a file carrying a Batch header its declared cell sets: each cell
-// in range, owned, present exactly once, and none missing. Decode does
-// not enforce completeness — a process killed mid-run can legitimately
-// persist a partial file that later attempts replace — so drivers that
-// must detect a truncated or partially-written shard (e.g. dispatch
-// retry logic) call this before accepting a worker's output.
-func (f *File) ValidateCells() error {
-	if f.Batch != nil {
-		return f.validateBatchCells()
-	}
-	owns, err := f.ownership()
-	if err != nil {
-		return err
-	}
-	for _, r := range f.Runs {
-		if err := r.Grid.validate(); err != nil {
-			return fmt.Errorf("shard: run %q: %w", r.Experiment, err)
-		}
-		filled := make([]bool, r.Grid.Cells())
-		for _, c := range r.Cells {
-			g, err := r.Grid.Index(c.Point, c.System)
-			if err != nil {
-				return fmt.Errorf("shard: run %q: %w", r.Experiment, err)
-			}
-			if !owns(g) {
-				return fmt.Errorf("shard: run %q holds foreign cell (%d,%d) for shard %d/%d",
-					r.Experiment, c.Point, c.System, f.Index, f.Shards)
-			}
-			if filled[g] {
-				return fmt.Errorf("shard: run %q cell (%d,%d) appears twice", r.Experiment, c.Point, c.System)
-			}
-			filled[g] = true
-		}
-		for g := range filled {
-			if owns(g) && !filled[g] {
-				return fmt.Errorf("shard: run %q cell (%d,%d) missing — partial shard",
-					r.Experiment, g/r.Grid.Systems, g%r.Grid.Systems)
-			}
-		}
-	}
-	return nil
-}
-
-// ownership returns the global-index ownership predicate of the file: the
-// plan's round-robin share for a regular shard file, or the union of the
-// present shards for a file carrying a Partial header. It validates
-// through indices(), the single accessor for a file's decomposition.
-func (f *File) ownership() (func(g int) bool, error) {
-	shards, owned, err := f.indices()
-	if err != nil {
-		return nil, err
-	}
-	set := make(map[int]bool, len(owned))
-	for _, idx := range owned {
-		set[idx] = true
-	}
-	return func(g int) bool { return set[g%shards] }, nil
-}
-
-// canonicalParams compacts a params payload so equality is insensitive to
-// whitespace (files may be re-indented by hand or by other tools).
-func canonicalParams(raw json.RawMessage) ([]byte, error) {
-	var buf bytes.Buffer
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	if err := json.Compact(&buf, raw); err != nil {
-		return nil, fmt.Errorf("shard: params: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Merge validates that the files form one complete, disjoint cover of a
-// single run's cell grids and returns the single-shard equivalent file:
-// Shards 1, Index 0, and every run's cells complete and in grid order.
-// Aggregating a merged file therefore produces exactly the output of the
-// unsharded run.
-//
-// The files may be given in any order. Merge fails if the files disagree
-// on selection, run parameters, grid shapes or shard count; if an index
-// is missing or duplicated; if any cell is out of range, duplicated, or
-// not owned by its file's shard index.
-// mergedHost combines the input files' host fingerprints: empty when
-// none records one (every reproducible run), the common value when
-// they agree, and the distinct values sorted and joined with "; " when
-// shards of a non-reproducible run came from different hosts. Sorting
-// keeps the merged value independent of file order, so re-merging a
-// merged file is still the identity.
-func mergedHost(files []*File) string {
-	seen := map[string]bool{}
-	var hosts []string
-	for _, f := range files {
-		if f.Host == "" || seen[f.Host] {
-			continue
-		}
-		seen[f.Host] = true
-		hosts = append(hosts, f.Host)
-	}
-	sort.Strings(hosts)
-	return strings.Join(hosts, "; ")
-}
-
-func Merge(files []*File) (*File, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("shard: merge needs at least one file")
-	}
-	ref := files[0]
-	refParams, err := canonicalParams(ref.Params)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) != ref.Shards {
-		return nil, fmt.Errorf("shard: merge got %d files for a %d-shard run", len(files), ref.Shards)
-	}
-	seen := make([]bool, ref.Shards)
-	for _, f := range files {
-		// Merge also accepts hand-built Files that never passed Decode;
-		// re-validate the decomposition before indexing with it.
-		if _, err := NewPlan(f.Shards, f.Index); err != nil {
-			return nil, err
-		}
-		if f.Partial != nil {
-			return nil, fmt.Errorf("shard: shard %d is a partial cover file; use MergePartial", f.Index)
-		}
-		if f.Batch != nil {
-			return nil, fmt.Errorf("shard: %s is a cell-batch file; use MergeBatches", f.label())
-		}
-		if f.Version != ref.Version {
-			return nil, fmt.Errorf("shard: mixed format versions %d and %d", ref.Version, f.Version)
-		}
-		if f.Selection != ref.Selection {
-			return nil, fmt.Errorf("shard: mixed selections %q and %q", ref.Selection, f.Selection)
-		}
-		if f.Shards != ref.Shards {
-			return nil, fmt.Errorf("shard: mixed shard counts %d and %d", ref.Shards, f.Shards)
-		}
-		if seen[f.Index] {
-			return nil, fmt.Errorf("shard: shard index %d appears twice", f.Index)
-		}
-		seen[f.Index] = true
-		params, err := canonicalParams(f.Params)
-		if err != nil {
-			return nil, err
-		}
-		if !bytes.Equal(params, refParams) {
-			return nil, fmt.Errorf("shard: %s was produced by a different run than %s (params mismatch: %s)",
-				f.label(), ref.label(), DiffParams(ref.Params, f.Params))
-		}
-		if len(f.Runs) != len(ref.Runs) {
-			return nil, fmt.Errorf("shard: %s holds %d runs, %s holds %d",
-				f.label(), len(f.Runs), ref.label(), len(ref.Runs))
-		}
-		for ri, r := range f.Runs {
-			if r.Experiment != ref.Runs[ri].Experiment || r.Grid != ref.Runs[ri].Grid {
-				return nil, fmt.Errorf("shard: %s run %d is %s %v, want %s %v",
-					f.label(), ri, r.Experiment, r.Grid, ref.Runs[ri].Experiment, ref.Runs[ri].Grid)
-			}
-			if r.PayloadVersion != ref.Runs[ri].PayloadVersion {
-				return nil, fmt.Errorf("shard: %s run %q records payload version %d, %s records %d",
-					f.label(), r.Experiment, r.PayloadVersion, ref.label(), ref.Runs[ri].PayloadVersion)
-			}
-		}
-	}
-	merged := &File{
-		Version:   ref.Version,
-		Selection: ref.Selection,
-		Shards:    1,
-		Index:     0,
-		Params:    ref.Params,
-		Host:      mergedHost(files),
-	}
-	for ri, refRun := range ref.Runs {
-		grid := refRun.Grid
-		// Merge also accepts hand-built Files that never passed Decode, so
-		// re-validate before sizing allocations from the header.
-		if err := grid.validate(); err != nil {
-			return nil, fmt.Errorf("shard: run %q: %w", refRun.Experiment, err)
-		}
-		cells := make([]Cell, grid.Cells())
-		filled := make([]bool, grid.Cells())
-		for _, f := range files {
-			plan := Plan{Shards: f.Shards, Index: f.Index}
-			for _, c := range f.Runs[ri].Cells {
-				g, err := grid.Index(c.Point, c.System)
-				if err != nil {
-					return nil, fmt.Errorf("shard: %s shard %d: %w", refRun.Experiment, f.Index, err)
-				}
-				if !plan.Owns(g) {
-					return nil, fmt.Errorf("shard: %s shard %d holds foreign cell (%d,%d)",
-						refRun.Experiment, f.Index, c.Point, c.System)
-				}
-				if filled[g] {
-					return nil, fmt.Errorf("shard: %s cell (%d,%d) appears twice",
-						refRun.Experiment, c.Point, c.System)
-				}
-				filled[g] = true
-				cells[g] = c
-			}
-		}
-		for g, ok := range filled {
-			if !ok {
-				return nil, fmt.Errorf("shard: %s cell (%d,%d) missing — incomplete shard set",
-					refRun.Experiment, g/grid.Systems, g%grid.Systems)
-			}
-		}
-		merged.Runs = append(merged.Runs, Run{
-			Experiment: refRun.Experiment, Grid: grid,
-			PayloadVersion: refRun.PayloadVersion, Cells: cells,
-		})
-	}
-	return merged, nil
 }
