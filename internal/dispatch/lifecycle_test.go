@@ -10,8 +10,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,32 +22,44 @@ import (
 	"repro/internal/shard"
 )
 
-// ledgerRig drives one run's ledger across reopens and checks it.
+// update rewrites the ledger golden files instead of diffing against
+// them: go test ./internal/dispatch -run TestLedger -update
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// ledgerRig drives one run's ledger across reopens and checks it. Its
+// clock advances one second per rig step, never per read, so the bytes
+// it pins do not depend on how often the ledger reads the clock.
 type ledgerRig struct {
 	t       *testing.T
 	cfg     LedgerConfig
 	l       *Ledger
 	highest map[int]int // highest attempt ever started per unit id
+	clock   time.Time
+	events  []ProgressEvent // every event of every open, in order
 }
 
 func newLedgerRig(t *testing.T, balance string, shards, maxAttempts int) *ledgerRig {
 	t.Helper()
-	clock := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	r := &ledgerRig{t: t, highest: map[int]int{}, cfg: LedgerConfig{
+	r := &ledgerRig{t: t, highest: map[int]int{}, clock: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)}
+	r.cfg = LedgerConfig{
 		Spec: Spec{
 			Selection: experiment.ExpFig5, Shards: shards,
 			Params: experiment.ShardParams{Systems: 2, Seed: 1, GAPopulation: 4, GAGenerations: 2},
 		},
 		Balance: balance, Dir: t.TempDir(), MaxAttempts: maxAttempts,
-		Now: func() time.Time { clock = clock.Add(time.Second); return clock },
-	}}
+		Now:  func() time.Time { return r.clock },
+		Emit: func(e ProgressEvent) { r.events = append(r.events, e) },
+	}
 	r.reopen()
 	return r
 }
 
+func (r *ledgerRig) tick() { r.clock = r.clock.Add(time.Second) }
+
 // reopen closes the current ledger (if any) and opens the run again.
 func (r *ledgerRig) reopen() {
 	r.t.Helper()
+	r.tick()
 	if r.l != nil {
 		if err := r.l.Close(); err != nil {
 			r.t.Fatal(err)
@@ -61,6 +76,7 @@ func (r *ledgerRig) reopen() {
 // start begins an attempt at u, checking attempt numbers never go back.
 func (r *ledgerRig) start(u *Unit, steal bool) (Task, int) {
 	r.t.Helper()
+	r.tick()
 	task, att := r.l.Start(u, "w", steal)
 	if att <= r.highest[u.id] {
 		r.t.Fatalf("unit %d: attempt %d after attempt %d", u.id, att, r.highest[u.id])
@@ -97,6 +113,7 @@ func (r *ledgerRig) compute(task Task) *shard.File {
 // complete computes and validates an attempt and records it.
 func (r *ledgerRig) complete(u *Unit, task Task, att int) bool {
 	r.t.Helper()
+	r.tick()
 	r.compute(task)
 	f, err := r.l.Validate(u, task.Out)
 	if err != nil {
@@ -109,6 +126,7 @@ func (r *ledgerRig) complete(u *Unit, task Task, att int) bool {
 
 func (r *ledgerRig) fail(u *Unit, att int) (Verdict, []*Unit) {
 	r.t.Helper()
+	r.tick()
 	v, children := r.l.Fail(u, att, "w", errors.New("injected failure"))
 	r.check()
 	return v, children
@@ -185,9 +203,11 @@ func (r *ledgerRig) check() {
 }
 
 // merge merges the finished run, checking each unit is merged once and
-// the result is byte-identical to the unsharded run.
+// the result is byte-identical to the unsharded run; reopens the merged
+// run as finished; and pins the whole history against its golden file.
 func (r *ledgerRig) merge() {
 	r.t.Helper()
+	r.tick()
 	if !r.l.Finished() {
 		r.t.Fatalf("run not finished: %+v", r.l.Stats())
 	}
@@ -219,6 +239,47 @@ func (r *ledgerRig) merge() {
 	}
 	if err := r.l.Close(); err != nil {
 		r.t.Fatal(err)
+	}
+	r.cfg.KeepMerged = true
+	r.reopen()
+	if st := r.l.Stats(); !r.l.Finished() || !st.Merged || r.l.Next() != nil {
+		r.t.Fatalf("merged run reopened unfinished: %+v", st)
+	}
+	r.golden()
+}
+
+// golden compares the run's journal bytes and the progress events of
+// every open with testdata/ledger/<test>.golden. Paths read relative to
+// the run directory ($DIR); event times are the journal's.
+func (r *ledgerRig) golden() {
+	r.t.Helper()
+	journal, err := os.ReadFile(filepath.Join(r.cfg.Dir, JournalFileName))
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	var b bytes.Buffer
+	b.Write(journal)
+	b.WriteString("-- progress events --\n")
+	for _, e := range r.events {
+		fmt.Fprintf(&b, "%s shard=%d attempt=%d worker=%q file=%q cells=%d shards=%d err=%q\n",
+			e.Kind, e.Shard, e.Attempt, e.Worker, e.File, e.Cells, e.Shards, e.Err)
+	}
+	got := []byte(strings.ReplaceAll(b.String(), r.cfg.Dir, "$DIR"))
+	path := filepath.Join("testdata", "ledger", r.t.Name()+".golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			r.t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			r.t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		r.t.Errorf("journal or event stream drifted from %s (re-run with -update after intentional changes):\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
