@@ -554,6 +554,27 @@ func TestReadJournalBalancedEvents(t *testing.T) {
 	}
 }
 
+// TestReadJournalWinnerDuration: a done event's duration runs from the
+// start of the copy that won, not of the copy started last. Attempt 1
+// starts at :00 and wins at :30 although a steal started at :20, so the
+// batch's cells cost 30 s, not 10.
+func TestReadJournalWinnerDuration(t *testing.T) {
+	lines := []string{
+		`{"event":"plan","v":1,"selection":"fig5","shards":1,"params":{"seed":1},"balance":"cost"}`,
+		`{"event":"batch","shard":0,"kind":"cost","spec":"fig5=0-9","cells":10,"weight":10}`,
+		`{"time":"2026-08-07T12:00:00Z","event":"attempt","shard":0,"attempt":1,"worker":"w0"}`,
+		`{"time":"2026-08-07T12:00:20Z","event":"steal","shard":0,"attempt":2,"worker":"w1"}`,
+		`{"time":"2026-08-07T12:00:30Z","event":"done","shard":0,"attempt":1,"worker":"w0","file":"batch0.json","cells":10}`,
+	}
+	st, err := parseJournal("winner.journal", []byte(strings.Join(lines, "\n")+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b0 := st.ShardStates[0]; b0.Winner != "w0" || b0.Duration != 30*time.Second {
+		t.Fatalf("batch 0: winner %q, duration %v; want w0 after 30s", b0.Winner, b0.Duration)
+	}
+}
+
 // alternating returns every second cell index from start below n: the
 // most scattered set, so its spec is the longest per cell.
 func alternating(start, n int) []int {
@@ -569,7 +590,7 @@ func alternating(start, n int) []int {
 // line — reads back through ReadJournal with its spec intact.
 func TestJournalLongestBatchLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), JournalFileName)
-	j, err := openJournal(path, time.Now)
+	j, err := openJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +599,7 @@ func TestJournalLongestBatchLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := 0
-	j.plan(Spec{Selection: experiment.ExpFig5, Shards: 1}, []byte(`{"seed":1}`), BalanceCost)
+	j.write(journalEvent{Event: "plan", V: JournalVersion, Selection: experiment.ExpFig5, Shards: 1, Params: []byte(`{"seed":1}`), Balance: BalanceCost})
 	j.write(journalEvent{Event: "batch", Shard: &id, Kind: "cost", Spec: spec, Cells: shard.MaxCells})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -619,11 +640,11 @@ func TestReopenLedgerLongBatchLines(t *testing.T) {
 	if err := done.WriteFile(filepath.Join(dir, "batch1.json")); err != nil {
 		t.Fatal(err)
 	}
-	j, err := openJournal(filepath.Join(dir, JournalFileName), time.Now)
+	j, err := openJournal(filepath.Join(dir, JournalFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.plan(spec, params, BalanceCost)
+	j.write(journalEvent{Event: "plan", V: JournalVersion, Selection: spec.Selection, Shards: spec.Shards, Params: params, Balance: BalanceCost})
 	sets := [][]int{alternating(0, grid.Cells()), {1}, alternating(3, grid.Cells())}
 	for id, set := range sets {
 		s, err := shard.FormatCellSpec([]string{spec.Selection}, [][]int{set})

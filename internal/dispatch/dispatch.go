@@ -172,7 +172,7 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// Progress receives the typed progress-event stream (schema version
 	// ProgressVersion): plan, batch, resumed, cached, attempt, steal,
-	// done, fail, partial and merged events mirroring the journal,
+	// done, fail, partial and merged events recorded with the journal,
 	// suitable for live status displays (feed them to a Tracker) without
 	// parsing log lines. Events arrive in journal order from one
 	// goroutine per dispatch; a handler shared between dispatches must
@@ -491,14 +491,13 @@ func run(ctx context.Context, l *Ledger, workers []Worker, opts Options, res *Re
 			// -progress mode discards Logf), so it is also emitted as a
 			// partial event carrying the error.
 			l.logf("partial merge: %v", err)
-			l.emit(ProgressEvent{Kind: ProgressPartial, Shard: -1, Err: err.Error()})
+			l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressPartial, Shard: -1, Err: err.Error()}})
 			return
 		}
 		partialSaved = len(have)
 		present, cells := len(cover.Present), cover.CellsHave()
-		l.jr.write(journalEvent{Event: "partial", File: path, Shards: present, Cells: cells})
+		l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressPartial, Shards: present, Shard: -1, File: path, Cells: cells}})
 		l.logf("partial merge: %d/%d shards (%d cells) written to %s", present, l.spec.Shards, cells, path)
-		l.emit(ProgressEvent{Kind: ProgressPartial, Shards: present, Shard: -1, File: path, Cells: cells})
 	}
 
 	tryAssign()

@@ -36,8 +36,9 @@
 //
 // The unit lifecycle — plan or resume, attempt and steal starts,
 // validation, first completion wins, fail → requeue | split, merge — is
-// written once, as Ledger, and its journal lines and progress events
-// with it. Run is a Ledger plus worker goroutines, a pick/steal policy,
+// written once, as Ledger. The ledger records each lifecycle event once
+// (Ledger.record): one clock reading, one journal line, one progress
+// event. Run is a Ledger plus worker goroutines, a pick/steal policy,
 // RetryDelay and the partial ticker; internal/coord drives one Ledger per
 // run over HTTP. A Ledger is single-goroutine and takes its clock as a
 // parameter, so tests drive it step by step.
@@ -73,9 +74,11 @@
 // # Observability
 //
 // A running dispatch is observable without a second source of truth:
-// Options.Progress emits a typed, versioned event stream mirroring the
-// journal (fold it through a Tracker for per-shard state, counts and an
-// ETA from observed per-shard wall-clock), and Options.PartialEvery
+// Options.Progress emits a typed, versioned event stream recorded with
+// the journal, and a Tracker folds it with ReadJournal's reducer
+// (JournalState.apply) into per-unit state, counts and an ETA from
+// observed wall-clock. The stream and the journal differ only where
+// docs/DISPATCH.md's event table says. Options.PartialEvery
 // periodically merges the shards completed so far into the working
 // directory's partial.json — a valid partial cover file renderable at
 // any moment (shard.MergePartial, "ioschedbench merge -partial") and

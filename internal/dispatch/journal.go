@@ -23,6 +23,26 @@ const partialFileName = "partial.json"
 // docs/DISPATCH.md.
 const JournalVersion = 1
 
+// event is one lifecycle event of a run: what Ledger.record writes to
+// the journal and the progress stream, and what ReadJournal and Tracker
+// fold (JournalState.apply). wire holds only what the journal alone
+// carries, the plan and batch fields; line fills in the rest.
+type event struct {
+	ProgressEvent
+	wire journalEvent
+}
+
+// sinks selects where Ledger.record writes an event: most lifecycle
+// events go to both, the rest model where the journal and the stream
+// differ (docs/DISPATCH.md tabulates them).
+type sinks uint8
+
+const (
+	toJournal sinks = 1 << iota
+	toStream
+	toBoth = toJournal | toStream
+)
+
 // journalEvent is one JSONL line of the dispatch journal. The journal is
 // both the structured log of a dispatch and its resume state: "done"
 // events name the shards that need not re-run, and the leading "plan"
@@ -57,41 +77,51 @@ type journalEvent struct {
 	Cells int `json:"cells,omitempty"`
 }
 
-// journal appends events to the dispatch journal file for its ledger's
+// line is e's journal line: the one place a journal line is built.
+// Run-level events (Shard -1) carry no shard.
+func (e *event) line() journalEvent {
+	w := e.wire
+	w.Time, w.Event = e.Time.UTC().Format(time.RFC3339Nano), string(e.Kind)
+	w.Shards, w.Attempt, w.Worker, w.Error, w.File, w.Cells = e.Shards, e.Attempt, e.Worker, e.Err, e.File, e.Cells
+	if e.Shard >= 0 {
+		w.Shard = &e.Shard
+	}
+	return w
+}
+
+// event decodes a journal line; a missing shard reads as -1 and an
+// unparseable time as the zero time.
+func (w *journalEvent) event() event {
+	e := event{ProgressEvent: ProgressEvent{Kind: ProgressKind(w.Event), Shards: w.Shards, Shard: -1,
+		Attempt: w.Attempt, Worker: w.Worker, Err: w.Error, File: w.File, Cells: w.Cells}, wire: *w}
+	if w.Shard != nil {
+		e.Shard = *w.Shard
+	}
+	e.Time, _ = time.Parse(time.RFC3339Nano, w.Time)
+	return e
+}
+
+// journal appends lines to the dispatch journal file for its ledger's
 // goroutine. Write errors are sticky and reported by Close, so a full
-// disk cannot silently disable resumability. Every line takes its time
-// from the injected clock.
+// disk cannot silently disable resumability.
 type journal struct {
 	f      *os.File
 	enc    *json.Encoder
-	now    func() time.Time
 	closed bool
 	err    error
 }
 
 // openJournal opens (or creates) the journal at path for appending.
-func openJournal(path string, now func() time.Time) (*journal, error) {
+func openJournal(path string) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: journal: %w", err)
 	}
-	return &journal{f: f, enc: json.NewEncoder(f), now: now}, nil
+	return &journal{f: f, enc: json.NewEncoder(f)}, nil
 }
 
-// plan records the run a fresh journal belongs to. The balance is
-// recorded only for balanced plans, so round-robin journals keep their
-// historical bytes.
-func (j *journal) plan(spec Spec, params []byte, balance string) {
-	e := journalEvent{Event: "plan", V: JournalVersion, Selection: spec.Selection, Shards: spec.Shards, Params: params}
-	if balance != BalanceRoundRobin {
-		e.Balance = balance
-	}
-	j.write(e)
-}
-
-func (j *journal) write(e journalEvent) {
-	e.Time = j.now().UTC().Format(time.RFC3339Nano)
-	if err := j.enc.Encode(e); err != nil && j.err == nil {
+func (j *journal) write(w journalEvent) {
+	if err := j.enc.Encode(w); err != nil && j.err == nil {
 		j.err = err
 	}
 }

@@ -17,33 +17,37 @@ import (
 // prints: which shards are done, which are missing, what failed where,
 // and whether the cover has merged. It is a pure reader: it never locks,
 // truncates or appends, so it is always safe to run against a live
-// dispatch directory.
+// dispatch directory. Its fold, JournalState.apply, is also the one a
+// Tracker runs over the progress stream.
 
-// JournalShard summarises one shard's (or, in a balanced dispatch, one
-// cell batch's — they share the id space) journaled lifecycle.
+// JournalShard is one unit's state as the lifecycle fold
+// (JournalState.apply) leaves it: a shard's or, in a balanced dispatch,
+// a cell batch's (they share the id space). ReadJournal folds it from a
+// journal, a Tracker from the progress stream; ShardStatus names the
+// same record in a Tracker's Snapshot.
 type JournalShard struct {
 	Index int
-	// State is the shard's latest journaled state. A "running" shard of a
-	// dead dispatch was interrupted mid-attempt and will re-run on
-	// resume.
+	// State is the unit's latest state. A "running" unit of a dead
+	// dispatch was interrupted mid-attempt and will re-run on resume.
 	State ShardState
-	// Attempts counts journaled attempt and steal events; Fails counts
-	// failed ones; Steals counts the steal events alone.
-	Attempts, Fails, Steals int
-	// Worker is the last worker to touch the shard.
+	// Attempts counts attempt and steal events; Fails counts failed ones;
+	// Steals counts the steal events alone. Attempt is the latest
+	// attempt number seen (0 = never attempted).
+	Attempts, Fails, Steals, Attempt int
+	// Worker is the last worker to touch the unit: the winner, once done.
 	Worker string
-	// Winner is the worker whose copy completed the shard (recorded on
-	// the done event; "" in journals predating the field and on cached
-	// shards).
+	// Winner is the worker whose copy completed the unit (recorded on the
+	// done event; "" in journals predating the field and on cached units).
 	Winner string
 	// Err is the last recorded failure, if any.
 	Err string
-	// File is the output path recorded when the shard completed.
+	// File is the output path recorded when the unit completed.
 	File string
 	// Kind, Spec, Cells, Weight and Parent describe a balanced dispatch's
 	// batch entry ("cost"/"split"/"dropped", the cell spec, the cell
 	// count, the predicted weight, the split parent's id or -1). Zero on
-	// classic round-robin shards; Cells is also learned from done events.
+	// classic round-robin shards; Cells is also learned from done events
+	// and, on the stream, from every unit's batch event.
 	Kind   string
 	Spec   string
 	Cells  int
@@ -51,10 +55,16 @@ type JournalShard struct {
 	Parent int
 	// Superseded marks a batch no longer owed: a split parent (its
 	// children carry the cells now) or a batch a resume re-planned away.
+	// Only the journal records either.
 	Superseded bool
-	// Duration is the wall-clock from the last attempt/steal start to the
-	// done event (0 when unknown or cached).
-	Duration time.Duration
+	// Cached and Resumed mark a done unit settled without running, from
+	// the cell cache or (on the stream only) from the journal.
+	Cached, Resumed bool
+	// Duration runs from the winning copy's start to the done event (cost
+	// refinement prices cells by it), Span from the earliest start of a
+	// copy still in flight (a Tracker's ETA extrapolates it); 0 when
+	// unknown.
+	Duration, Span time.Duration
 }
 
 // JournalState is the decoded state of one dispatch journal.
@@ -83,6 +93,15 @@ type JournalState struct {
 	PartialFile   string
 	PartialShards int
 	PartialCells  int
+
+	// starts holds each unit's copies started since it last settled.
+	starts map[int][]copyStart
+}
+
+type copyStart struct {
+	attempt int
+	at      time.Time
+	failed  bool
 }
 
 // ReadJournalDir reads the journal inside a dispatch directory.
@@ -106,132 +125,146 @@ func ReadJournal(path string) (*JournalState, error) {
 // Split from ReadJournal so the parser is fuzzable without file IO.
 func parseJournal(path string, data []byte) (*JournalState, error) {
 	st := &JournalState{Path: path}
-	sawPlan := false
-	// shardAt returns shard i's state, extending the states to it. An
-	// index at or beyond shard.MaxCells, the cap Spec.normalised puts on
-	// a run's shard count, is a bad line: its event is skipped. The
-	// states grow geometrically up to that cap, so a plan's declared
-	// count is one exact allocation and no sequence of indices allocates
-	// more than twice the cap.
-	shardAt := func(i int) *JournalShard {
-		if i < 0 || i >= shard.MaxCells {
-			return nil
-		}
-		if n := len(st.ShardStates); i >= cap(st.ShardStates) {
-			grown := make([]JournalShard, n, min(max(i+1, 2*n), shard.MaxCells))
-			copy(grown, st.ShardStates)
-			st.ShardStates = grown
-		}
-		for len(st.ShardStates) <= i {
-			st.ShardStates = append(st.ShardStates, JournalShard{Index: len(st.ShardStates), State: ShardPending, Parent: -1})
-		}
-		return &st.ShardStates[i]
-	}
-	// lastStart[id] is the most recent attempt/steal time, feeding the
-	// done event's Duration.
-	lastStart := make(map[int]time.Time)
-	at := func(e journalEvent) time.Time {
-		t, err := time.Parse(time.RFC3339Nano, e.Time)
-		if err != nil {
-			return time.Time{}
-		}
-		return t
-	}
 	// Lines are split in memory, so no line length is too long: a
 	// balanced batch event carries its whole cell spec.
 	for line := range bytes.Lines(data) {
-		var e journalEvent
-		if json.Unmarshal(line, &e) != nil {
+		var w journalEvent
+		if json.Unmarshal(line, &w) != nil {
 			continue
 		}
-		switch e.Event {
-		case "plan":
-			if e.V > JournalVersion {
-				return nil, fmt.Errorf("dispatch: journal %s is version %d, this build reads %d", path, e.V, JournalVersion)
-			}
-			st.Version = e.V
-			if st.Version == 0 {
-				st.Version = 1
-			}
-			if e.Shards > shard.MaxCells {
-				return nil, fmt.Errorf("dispatch: journal %s plans %d shards, more than %d", path, e.Shards, shard.MaxCells)
-			}
-			st.Selection, st.Shards, st.Params = e.Selection, e.Shards, e.Params
-			st.Balance = e.Balance
-			// A balanced plan's batches are announced by batch events, not
-			// the shard count; only pre-extend round-robin journals.
-			if e.Balance == "" {
-				shardAt(e.Shards - 1)
-			}
-			sawPlan = true
-		case "batch":
-			if e.Shard != nil {
-				if s := shardAt(*e.Shard); s != nil {
-					s.Kind, s.Spec, s.Cells, s.Weight = e.Kind, e.Spec, e.Cells, e.Weight
-					if e.Parent != nil {
-						s.Parent = *e.Parent
-						// A split's children own the parent's cells now.
-						if p := shardAt(*e.Parent); p != nil {
-							p.Superseded = true
-						}
-					}
-					if e.Kind == "dropped" {
-						// A resume re-planned this batch away; nobody owes it.
-						s.Superseded = true
-					}
-				}
-			}
-		case "attempt", "steal":
-			if e.Shard != nil {
-				if s := shardAt(*e.Shard); s != nil {
-					s.Attempts++
-					if e.Event == "steal" {
-						s.Steals++
-					}
-					s.State, s.Worker, s.Err = ShardRunning, e.Worker, ""
-					lastStart[*e.Shard] = at(e)
-				}
-			}
-		case "fail":
-			if e.Shard != nil {
-				if s := shardAt(*e.Shard); s != nil {
-					s.Fails++
-					s.State, s.Worker, s.Err = ShardFailed, e.Worker, e.Error
-				}
-			}
-		case "done":
-			if e.Shard != nil {
-				if s := shardAt(*e.Shard); s != nil {
-					s.State, s.File, s.Err = ShardDone, e.File, ""
-					s.Winner = e.Worker
-					if e.Cells > 0 {
-						s.Cells = e.Cells
-					}
-					if start, ok := lastStart[*e.Shard]; ok && !start.IsZero() {
-						if end := at(e); !end.IsZero() && end.After(start) {
-							s.Duration = end.Sub(start)
-						}
-					}
-				}
-			}
-		case "cached":
-			// A cached shard's file was written from the cell cache and
-			// validated like any worker's; for resume and status it is done.
-			if e.Shard != nil {
-				if s := shardAt(*e.Shard); s != nil {
-					s.State, s.File, s.Err = ShardDone, e.File, ""
-				}
-			}
-		case "partial":
-			st.PartialFile, st.PartialShards, st.PartialCells = e.File, e.Shards, e.Cells
-		case "merged":
-			st.Merged, st.MergedCells = true, e.Cells
+		if err := st.apply(w.event()); err != nil {
+			return nil, err
 		}
 	}
-	if !sawPlan {
+	if st.Version == 0 {
 		return nil, fmt.Errorf("dispatch: journal %s carries no plan event", path)
 	}
+	st.starts = nil
 	return st, nil
+}
+
+// unit returns unit i's state, extending the states to it. An index at
+// or beyond shard.MaxCells, the cap Spec.normalised puts on a run's shard
+// count, is a bad event: it is skipped. The states grow geometrically up
+// to that cap, so a plan's declared count is one exact allocation and no
+// sequence of indices allocates more than twice the cap.
+func (st *JournalState) unit(i int) *JournalShard {
+	if i < 0 || i >= shard.MaxCells {
+		return nil
+	}
+	if n := len(st.ShardStates); i >= cap(st.ShardStates) {
+		grown := make([]JournalShard, n, min(max(i+1, 2*n), shard.MaxCells))
+		copy(grown, st.ShardStates)
+		st.ShardStates = grown
+	}
+	for len(st.ShardStates) <= i {
+		st.ShardStates = append(st.ShardStates, JournalShard{Index: len(st.ShardStates), State: ShardPending, Parent: -1})
+	}
+	return &st.ShardStates[i]
+}
+
+// apply folds one lifecycle event into the state: the one reducer
+// behind ReadJournal and Tracker. Unknown kinds and units out of range
+// are skipped; a plan of a newer schema version or of more than
+// shard.MaxCells units is an error and changes nothing. Only a
+// round-robin plan pre-extends the states: a stream plan has no balance,
+// a balanced journal announces its batches.
+func (st *JournalState) apply(e event) error {
+	switch e.Kind {
+	case ProgressPlan:
+		if e.wire.V > JournalVersion {
+			return fmt.Errorf("dispatch: journal %s is version %d, this build reads %d", st.Path, e.wire.V, JournalVersion)
+		}
+		if e.Shards > shard.MaxCells {
+			return fmt.Errorf("dispatch: journal %s plans %d shards, more than %d", st.Path, e.Shards, shard.MaxCells)
+		}
+		st.Version = max(e.wire.V, 1)
+		st.Selection, st.Shards, st.Params, st.Balance = e.wire.Selection, e.Shards, e.wire.Params, e.wire.Balance
+		if st.Balance == "" {
+			st.unit(e.Shards - 1)
+		}
+	case ProgressBatch:
+		if s := st.unit(e.Shard); s != nil {
+			s.Kind, s.Spec, s.Weight = e.wire.Kind, e.wire.Spec, e.wire.Weight
+			if e.Cells > 0 {
+				s.Cells = e.Cells
+			}
+			if e.wire.Parent != nil {
+				s.Parent = *e.wire.Parent
+				// A split's children own the parent's cells now.
+				if p := st.unit(s.Parent); p != nil {
+					p.Superseded = true
+				}
+			}
+			if s.Kind == "dropped" {
+				// A resume re-planned this batch away; nobody owes it.
+				s.Superseded = true
+			}
+		}
+	case ProgressAttempt, ProgressSteal:
+		if s := st.unit(e.Shard); s != nil {
+			s.Attempts++
+			if e.Kind == ProgressSteal {
+				s.Steals++
+			}
+			s.State, s.Attempt, s.Worker, s.Err = ShardRunning, e.Attempt, e.Worker, ""
+			if st.starts == nil {
+				st.starts = make(map[int][]copyStart)
+			}
+			st.starts[e.Shard] = append(st.starts[e.Shard], copyStart{attempt: e.Attempt, at: e.Time})
+		}
+	case ProgressFailed:
+		if s := st.unit(e.Shard); s != nil {
+			s.Fails++
+			s.State, s.Attempt, s.Worker, s.Err = ShardFailed, e.Attempt, e.Worker, e.Err
+			for i, c := range st.starts[e.Shard] {
+				if c.attempt == e.Attempt {
+					st.starts[e.Shard][i].failed = true
+				}
+			}
+		}
+	case ProgressDone, ProgressCached, ProgressResumed:
+		// A cached or resumed unit is done without running: for readers
+		// and resume, exactly like done (the recorded file is re-validated
+		// from scratch on resume).
+		if s := st.unit(e.Shard); s != nil {
+			s.State, s.File, s.Err = ShardDone, e.File, ""
+			s.Cached, s.Resumed = e.Kind == ProgressCached, e.Kind == ProgressResumed
+			if e.Cells > 0 {
+				s.Cells = e.Cells
+			}
+			if e.Worker != "" {
+				s.Attempt, s.Worker, s.Winner = e.Attempt, e.Worker, e.Worker
+			}
+			var first time.Time
+			s.Duration = 0
+			for _, c := range st.starts[e.Shard] {
+				if c.attempt == e.Attempt {
+					s.Duration = since(c.at, e.Time)
+				}
+				if !c.failed && (first.IsZero() || c.at.Before(first)) {
+					first = c.at
+				}
+			}
+			s.Span = since(first, e.Time)
+			delete(st.starts, e.Shard)
+		}
+	case ProgressPartial:
+		if e.Err == "" {
+			st.PartialFile, st.PartialShards, st.PartialCells = e.File, e.Shards, e.Cells
+		}
+	case ProgressMerged:
+		st.Merged, st.MergedCells = true, e.Cells
+	}
+	return nil
+}
+
+// since returns end-start when both are known and positive, else 0.
+func since(start, end time.Time) time.Duration {
+	if start.IsZero() || end.IsZero() || !end.After(start) {
+		return 0
+	}
+	return end.Sub(start)
 }
 
 // DoneCount returns the number of shards journaled done.

@@ -25,7 +25,6 @@ type Unit struct {
 	weight float64 // predicted cost, steering steal targets
 	path   string  // canonical output: shard<i>.json or batch<i>.json
 
-	state    ShardState // the latest journaled state
 	done     bool
 	split    bool // superseded by two children that carry its cells
 	file     *shard.File
@@ -184,11 +183,16 @@ func openLedger(cfg LedgerConfig, prior *JournalState) (*Ledger, error) {
 			return l, nil
 		}
 	}
-	if l.jr, err = openJournal(path, l.now); err != nil {
+	if l.jr, err = openJournal(path); err != nil {
 		return nil, err
 	}
 	if prior == nil {
-		l.jr.plan(spec, params, balance)
+		e := event{ProgressEvent: ProgressEvent{Kind: ProgressPlan, Shards: spec.Shards, Shard: -1},
+			wire: journalEvent{V: JournalVersion, Selection: spec.Selection, Params: params}}
+		if balance != BalanceRoundRobin {
+			e.wire.Balance = balance
+		}
+		l.record(toJournal, e)
 	}
 	if err := l.plan(prior); err != nil {
 		l.jr.Close()
@@ -229,7 +233,7 @@ func (l *Ledger) plan(prior *JournalState) error {
 			return err
 		}
 	}
-	l.emit(ProgressEvent{Kind: ProgressPlan, Shards: l.nextID, Shard: -1})
+	l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressPlan, Shards: l.nextID, Shard: -1}})
 	// One probe for the whole plan: each cache key is read from disk once,
 	// however many units draw cells from it.
 	var probe *experiment.CacheProbe
@@ -244,12 +248,11 @@ func (l *Ledger) plan(prior *JournalState) error {
 			l.stats.Resumed++
 			l.deposit(u, u.file)
 			l.logf("%s %d already complete (journal), skipping", l.noun(), u.id)
-			l.emit(ProgressEvent{Kind: ProgressResumed, Shard: u.id, File: u.filePath})
+			l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressResumed, Shard: u.id, File: u.filePath}})
 		case l.fromCache(probe, u):
 			l.stats.Cached++
-			l.jr.write(journalEvent{Event: "cached", Shard: &u.id, File: u.path})
+			l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressCached, Shard: u.id, File: u.path}})
 			l.logf("%s %d satisfied from the cell cache, not queued", l.noun(), u.id)
-			l.emit(ProgressEvent{Kind: ProgressCached, Shard: u.id, File: u.path})
 		default:
 			l.pending = append(l.pending, u)
 		}
@@ -274,10 +277,10 @@ func (l *Ledger) planShards(prior *JournalState) []*Unit {
 	}
 	units := make([]*Unit, l.spec.Shards)
 	for i := range units {
-		u := &Unit{id: i, ncells: ncells[i], weight: float64(ncells[i]), path: l.unitPath(i), state: ShardPending}
+		u := &Unit{id: i, ncells: ncells[i], weight: float64(ncells[i]), path: l.unitPath(i)}
 		if prior != nil && i < len(prior.ShardStates) {
 			sh := prior.ShardStates[i]
-			u.state, u.attempts = sh.State, sh.Attempts
+			u.attempts = sh.Attempts
 			l.resumable(u, sh)
 		}
 		units[i] = u
@@ -315,7 +318,8 @@ func (l *Ledger) planBatches(prior *JournalState) ([]*Unit, error) {
 				}
 				continue
 			}
-			l.jr.write(journalEvent{Event: "batch", Shard: &sh.Index, Kind: "dropped", Spec: sh.Spec, Cells: sh.Cells, Weight: sh.Weight})
+			l.record(toJournal, event{ProgressEvent: ProgressEvent{Kind: ProgressBatch, Shard: sh.Index, Cells: sh.Cells},
+				wire: journalEvent{Kind: "dropped", Spec: sh.Spec, Weight: sh.Weight}})
 		}
 	}
 	packed, err := l.packBatches(plan, refineCosts(prior, plan), covered)
@@ -383,13 +387,14 @@ func (l *Ledger) newBatch(kind string, parent int, cells [][]int, ncells int, we
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{id: l.nextID, cells: cells, spec: spec, ncells: ncells, weight: weight, path: l.unitPath(l.nextID), state: ShardPending}
+	u := &Unit{id: l.nextID, cells: cells, spec: spec, ncells: ncells, weight: weight, path: l.unitPath(l.nextID)}
 	l.nextID++
-	e := journalEvent{Event: "batch", Shard: &u.id, Kind: kind, Spec: spec, Cells: ncells, Weight: weight}
+	e := event{ProgressEvent: ProgressEvent{Kind: ProgressBatch, Shard: u.id, Cells: ncells},
+		wire: journalEvent{Kind: kind, Spec: spec, Weight: weight}}
 	if parent >= 0 {
-		e.Parent = &parent
+		e.wire.Parent = &parent
 	}
-	l.jr.write(e)
+	l.record(toJournal, e)
 	return u, nil
 }
 
@@ -397,8 +402,7 @@ func (l *Ledger) newBatch(kind string, parent int, cells [][]int, ncells int, we
 // come from its journaled cell spec, which names every run in canonical
 // order; a split child's attempts continue its parent's.
 func (l *Ledger) journaledUnit(prior *JournalState, sh JournalShard) *Unit {
-	u := &Unit{id: sh.Index, spec: sh.Spec, ncells: sh.Cells, weight: sh.Weight,
-		path: l.unitPath(sh.Index), state: sh.State}
+	u := &Unit{id: sh.Index, spec: sh.Spec, ncells: sh.Cells, weight: sh.Weight, path: l.unitPath(sh.Index)}
 	for p := sh; ; p = prior.ShardStates[p.Parent] {
 		u.attempts += p.Attempts
 		if p.Parent < 0 || p.Parent >= p.Index { // parents precede children
@@ -433,7 +437,7 @@ func (l *Ledger) resumable(u *Unit, sh JournalShard) bool {
 
 // reopenMerged restores a merged run as finished, from the journal alone.
 func (l *Ledger) reopenMerged(prior *JournalState) {
-	l.emit(ProgressEvent{Kind: ProgressPlan, Shards: len(prior.ShardStates), Shard: -1})
+	l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressPlan, Shards: len(prior.ShardStates), Shard: -1}})
 	for _, sh := range prior.ShardStates {
 		if !sh.Superseded {
 			u := l.journaledUnit(prior, sh)
@@ -442,7 +446,7 @@ func (l *Ledger) reopenMerged(prior *JournalState) {
 		}
 	}
 	l.stats.Merged, l.stats.MergedCells = true, prior.MergedCells
-	l.emit(ProgressEvent{Kind: ProgressMerged, Shards: l.stats.Total, Shard: -1, Cells: prior.MergedCells})
+	l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressMerged, Shards: l.stats.Total, Shard: -1, Cells: prior.MergedCells}})
 }
 
 func (l *Ledger) unitPath(id int) string {
@@ -457,11 +461,25 @@ func (l *Ledger) noun() string {
 	return "batch"
 }
 
-func (l *Ledger) emit(e ProgressEvent) {
-	if l.emitFn != nil {
-		e.Version, e.Time = ProgressVersion, l.now()
-		l.emitFn(e)
+// record stamps e with the run's clock and writes it to the sinks: the
+// one place a lifecycle event is journaled or emitted. It returns the
+// stamp (zero when no sink takes the event).
+func (l *Ledger) record(to sinks, e event) time.Time {
+	if l.emitFn == nil {
+		to &^= toStream
 	}
+	if to == 0 {
+		return time.Time{}
+	}
+	e.Time = l.now()
+	if to&toJournal != 0 {
+		l.jr.write(e.line())
+	}
+	if to&toStream != 0 {
+		e.Version = ProgressVersion
+		l.emitFn(e.ProgressEvent)
+	}
+	return e.Time
 }
 
 // add registers and announces a unit; the caller settles or queues it.
@@ -469,11 +487,11 @@ func (l *Ledger) add(u *Unit) {
 	l.units = append(l.units, u)
 	l.byID[u.id] = u
 	l.stats.Total++
-	l.emit(ProgressEvent{Kind: ProgressBatch, Shard: u.id, Cells: u.ncells})
+	l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressBatch, Shard: u.id, Cells: u.ncells}})
 }
 
 func (l *Ledger) finish(u *Unit, path string, f *shard.File) {
-	u.done, u.file, u.filePath, u.state = true, f, path, ShardDone
+	u.done, u.file, u.filePath = true, f, path
 	l.stats.Done++
 }
 
@@ -557,10 +575,6 @@ func (l *Ledger) Start(u *Unit, worker string, steal bool) (Task, int) {
 	u.attempts++
 	att := u.attempts
 	u.inflight = append(u.inflight, att)
-	u.state = ShardRunning
-	if u.started.IsZero() {
-		u.started = l.now()
-	}
 	out, kind := u.path, ProgressAttempt
 	if steal {
 		out, kind = fmt.Sprintf("%s.s%d", u.path, att), ProgressSteal
@@ -569,8 +583,10 @@ func (l *Ledger) Start(u *Unit, worker string, steal bool) (Task, int) {
 	} else {
 		l.logf("%s %d attempt %d/%d on %s", l.noun(), u.id, att, l.maxAttempts, worker)
 	}
-	l.jr.write(journalEvent{Event: string(kind), Shard: &u.id, Attempt: att, Worker: worker})
-	l.emit(ProgressEvent{Kind: kind, Shard: u.id, Attempt: att, Worker: worker})
+	at := l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: kind, Shard: u.id, Attempt: att, Worker: worker}})
+	if u.started.IsZero() {
+		u.started = at
+	}
 	return Task{Spec: l.spec, Index: u.id, Cells: u.spec, Out: out}, att
 }
 
@@ -595,9 +611,8 @@ func (l *Ledger) Complete(u *Unit, attempt int, worker, path string, f *shard.Fi
 	u.dropInflight(attempt)
 	l.finish(u, path, f)
 	l.deposit(u, f)
-	l.jr.write(journalEvent{Event: "done", Shard: &u.id, Attempt: attempt, Worker: worker, File: path, Cells: f.CellCount()})
+	l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressDone, Shard: u.id, Attempt: attempt, Worker: worker, File: path, Cells: f.CellCount()}})
 	l.logf("%s %d complete (attempt %d on %s)", l.noun(), u.id, attempt, worker)
-	l.emit(ProgressEvent{Kind: ProgressDone, Shard: u.id, Attempt: attempt, Worker: worker, File: path, Cells: f.CellCount()})
 	return true
 }
 
@@ -620,9 +635,7 @@ func (l *Ledger) Fail(u *Unit, attempt int, worker string, err error) (Verdict, 
 	if !u.dropInflight(attempt) || l.Settled(u) {
 		return FailNone, nil
 	}
-	u.state = ShardFailed
-	l.jr.write(journalEvent{Event: "fail", Shard: &u.id, Attempt: attempt, Worker: worker, Error: err.Error()})
-	l.emit(ProgressEvent{Kind: ProgressFailed, Shard: u.id, Attempt: attempt, Worker: worker, Err: err.Error()})
+	l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressFailed, Shard: u.id, Attempt: attempt, Worker: worker, Err: err.Error()}})
 	if len(u.inflight) > 0 {
 		l.logf("%s %d attempt %d on %s failed; a concurrent copy is still running: %v", l.noun(), u.id, attempt, worker, err)
 		return FailNone, nil
@@ -732,9 +745,8 @@ func (l *Ledger) Merge(out string) (*shard.File, error) {
 		return nil, err
 	}
 	l.stats.Merged, l.stats.MergedCells = true, merged.CellCount()
-	l.jr.write(journalEvent{Event: "merged", Shards: len(files), Cells: merged.CellCount()})
+	l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressMerged, Shards: len(files), Shard: -1, Cells: merged.CellCount()}})
 	l.logf("merged %d %ss (%d cells) for %q", len(files), l.noun(), merged.CellCount(), l.spec.Selection)
-	l.emit(ProgressEvent{Kind: ProgressMerged, Shards: len(files), Shard: -1, Cells: merged.CellCount()})
 	for _, u := range l.units {
 		u.file = nil
 	}

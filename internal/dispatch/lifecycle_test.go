@@ -141,11 +141,14 @@ func (r *ledgerRig) drain() {
 	}
 }
 
-// check asserts the journal on disk reads back as the live ledger: the
-// same state and attempt count per unit (a split child counts its
-// parent's attempts too: the budget bounds the lineage), every other
-// journaled entry superseded, no settled unit queued, and no (unit,
-// attempt) pair journaled twice.
+// check asserts the journal on disk reads back as the live ledger and
+// as the progress stream so far. Per unit the ledger holds, the journal
+// records its attempt count (a split child counts its parent's attempts
+// too: the budget bounds the lineage) and whether it was split, and the
+// stream, folded by a Tracker, agrees with the journal on state,
+// attempts, winner and cells. Every other journaled entry is superseded,
+// no settled unit is queued, and no (unit, attempt) pair is journaled
+// twice.
 func (r *ledgerRig) check() {
 	r.t.Helper()
 	path := filepath.Join(r.cfg.Dir, JournalFileName)
@@ -153,6 +156,11 @@ func (r *ledgerRig) check() {
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	tr := NewTracker()
+	for _, e := range r.events {
+		tr.Observe(e)
+	}
+	live := tr.SnapshotAt(r.clock).Shards
 	var lineage func(i int) int
 	lineage = func(i int) int {
 		if sh := st.ShardStates[i]; sh.Parent >= 0 {
@@ -168,9 +176,19 @@ func (r *ledgerRig) check() {
 			}
 			continue
 		}
-		if sh.State != u.state || lineage(sh.Index) != u.attempts || sh.Superseded != u.split {
-			r.t.Fatalf("unit %d: journal says %s/%d attempts/superseded %v, ledger %s/%d/%v",
-				sh.Index, sh.State, lineage(sh.Index), sh.Superseded, u.state, u.attempts, u.split)
+		if lineage(sh.Index) != u.attempts || sh.Superseded != u.split {
+			r.t.Fatalf("unit %d: journal says %d attempts/superseded %v, ledger %d/%v",
+				sh.Index, lineage(sh.Index), sh.Superseded, u.attempts, u.split)
+		}
+		if sh.Index >= len(live) {
+			r.t.Fatalf("unit %d never reached the progress stream", sh.Index)
+		}
+		// A round-robin shard's cell count reaches the journal only with
+		// its done event; the stream announces it up front.
+		ls, cellsJournaled := live[sh.Index], sh.Kind != "" || sh.State == ShardDone
+		if ls.State != sh.State || ls.Attempts != sh.Attempts || ls.Winner != sh.Winner || (cellsJournaled && ls.Cells != sh.Cells) {
+			r.t.Fatalf("unit %d: journal folds to %s/%d attempts/winner %q/%d cells, stream to %s/%d/%q/%d",
+				sh.Index, sh.State, sh.Attempts, sh.Winner, sh.Cells, ls.State, ls.Attempts, ls.Winner, ls.Cells)
 		}
 	}
 	for _, u := range r.l.units {

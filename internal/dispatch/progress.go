@@ -8,17 +8,18 @@ import (
 // ProgressVersion identifies the progress-event schema. It is bumped
 // whenever an event kind is removed or a field changes meaning; adding
 // kinds or fields is backwards-compatible. The schema is specified in
-// docs/DISPATCH.md alongside the journal it mirrors.
+// docs/DISPATCH.md alongside the journal, one table for both.
 const ProgressVersion = 1
 
-// ProgressKind names one kind of progress event. The kinds mirror the
-// journal's event types one-to-one (plus "resumed", which the journal
-// expresses as a pre-existing "done" entry).
+// ProgressKind names one kind of lifecycle event. The journal's event
+// types carry the same names; docs/DISPATCH.md lists which events each
+// of the two carries.
 type ProgressKind string
 
 // The progress-event kinds of schema version 1.
 const (
-	// ProgressPlan opens the stream: Shards carries the total count.
+	// ProgressPlan opens the stream: Shards carries the planned unit
+	// count (the journal's plan records the requested shard count).
 	ProgressPlan ProgressKind = "plan"
 	// ProgressResumed reports a shard satisfied from the journal without
 	// running.
@@ -79,7 +80,7 @@ type ProgressEvent struct {
 	Cells int
 }
 
-// ShardState is a shard's lifecycle state as a Tracker sees it.
+// ShardState is a unit's lifecycle state.
 type ShardState string
 
 // The shard lifecycle states.
@@ -90,19 +91,9 @@ const (
 	ShardFailed  ShardState = "failed"
 )
 
-// ShardStatus is one shard's current state in a Snapshot.
-type ShardStatus struct {
-	State ShardState
-	// Attempt is the latest attempt number seen (0 = never attempted).
-	Attempt int
-	// Steals counts duplicate attempts started by work stealing.
-	Steals int
-	// Worker is the last worker to touch the shard — for a done shard,
-	// the winner whose file was kept.
-	Worker string
-	// Err is the last recorded failure, if any.
-	Err string
-}
+// ShardStatus is one unit's state in a Snapshot: the record ReadJournal
+// folds from a journal, folded here from the progress stream.
+type ShardStatus = JournalShard
 
 // Snapshot is a point-in-time view of a dispatch derived purely from its
 // progress events.
@@ -139,45 +130,19 @@ type Snapshot struct {
 }
 
 // Tracker folds a progress-event stream into a queryable Snapshot: the
-// standard Options.Progress consumer for live status displays. It is safe
-// for concurrent use.
+// standard Options.Progress consumer for live status displays. It runs
+// the journal reader's fold (JournalState.apply) over the stream and adds
+// the snapshot arithmetic. It is safe for concurrent use.
 type Tracker struct {
-	mu      sync.Mutex
-	start   time.Time
-	shards  []ShardStatus
-	started map[int]time.Time
-	cellsOf map[int]int
-	resumed int
-	cached  int
-	steals  int
-	sumDur  time.Duration
-	nDur    int
-	// durCells counts the cells behind sumDur's observations; blindDur
-	// counts observations whose cell count was unknown (they disable the
-	// cell-weighted ETA — a partial rate would skew it).
-	durCells int
-	blindDur int
-	merged   bool
+	mu    sync.Mutex
+	start time.Time
+	st    JournalState
 }
 
 // NewTracker returns an empty Tracker; feed it every ProgressEvent of one
 // dispatch (pass its Observe method — or a wrapper — as
 // Options.Progress).
-func NewTracker() *Tracker {
-	return &Tracker{started: make(map[int]time.Time), cellsOf: make(map[int]int)}
-}
-
-// shard returns the tracked status slot for index i, growing the table if
-// the plan event has not been seen (or lied).
-func (t *Tracker) shard(i int) *ShardStatus {
-	if i < 0 {
-		return nil
-	}
-	for len(t.shards) <= i {
-		t.shards = append(t.shards, ShardStatus{State: ShardPending})
-	}
-	return &t.shards[i]
-}
+func NewTracker() *Tracker { return &Tracker{} }
 
 // Observe folds one event into the tracked state. Unknown kinds are
 // ignored, so a Tracker keeps working across compatible schema additions.
@@ -187,66 +152,8 @@ func (t *Tracker) Observe(e ProgressEvent) {
 	if t.start.IsZero() || (!e.Time.IsZero() && e.Time.Before(t.start)) {
 		t.start = e.Time
 	}
-	switch e.Kind {
-	case ProgressPlan:
-		t.shard(e.Shards - 1)
-	case ProgressBatch:
-		if s := t.shard(e.Shard); s != nil && e.Cells > 0 {
-			t.cellsOf[e.Shard] = e.Cells
-		}
-	case ProgressResumed:
-		if s := t.shard(e.Shard); s != nil && s.State != ShardDone {
-			s.State = ShardDone
-			t.resumed++
-		}
-	case ProgressCached:
-		if s := t.shard(e.Shard); s != nil && s.State != ShardDone {
-			s.State = ShardDone
-			t.cached++
-		}
-	case ProgressAttempt:
-		// Once done, a shard stays done: late events from a racing
-		// duplicate attempt must not resurrect it.
-		if s := t.shard(e.Shard); s != nil && s.State != ShardDone {
-			s.State, s.Attempt, s.Worker, s.Err = ShardRunning, e.Attempt, e.Worker, ""
-			t.started[e.Shard] = e.Time
-		}
-	case ProgressSteal:
-		if s := t.shard(e.Shard); s != nil && s.State != ShardDone {
-			s.State, s.Attempt, s.Worker, s.Err = ShardRunning, e.Attempt, e.Worker, ""
-			s.Steals++
-			t.steals++
-			// Keep the earliest start: the shard has been in flight since
-			// its first attempt, and the duration should say so.
-			if _, ok := t.started[e.Shard]; !ok {
-				t.started[e.Shard] = e.Time
-			}
-		}
-	case ProgressDone:
-		if s := t.shard(e.Shard); s != nil && s.State != ShardDone {
-			s.State, s.Attempt, s.Worker = ShardDone, e.Attempt, e.Worker
-			if e.Cells > 0 {
-				t.cellsOf[e.Shard] = e.Cells
-			}
-			if at, ok := t.started[e.Shard]; ok && !e.Time.Before(at) {
-				t.sumDur += e.Time.Sub(at)
-				t.nDur++
-				if c := t.cellsOf[e.Shard]; c > 0 {
-					t.durCells += c
-				} else {
-					t.blindDur++
-				}
-				delete(t.started, e.Shard)
-			}
-		}
-	case ProgressFailed:
-		if s := t.shard(e.Shard); s != nil && s.State != ShardDone {
-			s.State, s.Attempt, s.Worker, s.Err = ShardFailed, e.Attempt, e.Worker, e.Err
-			delete(t.started, e.Shard)
-		}
-	case ProgressMerged:
-		t.merged = true
-	}
+	// A plan the journal reader would reject changes nothing.
+	t.st.apply(event{ProgressEvent: e})
 }
 
 // Snapshot returns the current state, with Elapsed and ETA measured
@@ -259,15 +166,15 @@ func (t *Tracker) SnapshotAt(now time.Time) Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := Snapshot{
-		Shards:  append([]ShardStatus(nil), t.shards...),
-		Total:   len(t.shards),
-		Resumed: t.resumed,
-		Cached:  t.cached,
-		Steals:  t.steals,
-		Merged:  t.merged,
+		Shards: append([]ShardStatus(nil), t.st.ShardStates...),
+		Total:  len(t.st.ShardStates),
+		Merged: t.st.Merged,
 	}
+	var sumSpan time.Duration
+	nSpan, spanCells, blindSpan := 0, 0, 0
 	remainingCells, cellsKnown := 0, true
-	for i, st := range t.shards {
+	for _, st := range t.st.ShardStates {
+		s.Steals += st.Steals
 		switch st.State {
 		case ShardDone:
 			s.Done++
@@ -278,27 +185,37 @@ func (t *Tracker) SnapshotAt(now time.Time) Snapshot {
 		default:
 			s.Pending++
 		}
-		if st.State != ShardDone {
-			if c := t.cellsOf[i]; c > 0 {
-				remainingCells += c
+		switch {
+		case st.State != ShardDone && st.Cells > 0:
+			remainingCells += st.Cells
+		case st.State != ShardDone:
+			cellsKnown = false
+		case st.Resumed:
+			s.Resumed++
+		case st.Cached:
+			s.Cached++
+		case st.Span > 0:
+			// One observation: a blind one (no cell count) disables the
+			// cell-weighted ETA, as a partial rate would skew it.
+			sumSpan += st.Span
+			nSpan++
+			if st.Cells > 0 {
+				spanCells += st.Cells
 			} else {
-				cellsKnown = false
+				blindSpan++
 			}
 		}
 	}
 	if !t.start.IsZero() && now.After(t.start) {
 		s.Elapsed = now.Sub(t.start)
 	}
-	if t.nDur > 0 {
-		s.AvgShard = t.sumDur / time.Duration(t.nDur)
-		if t.durCells > 0 && t.blindDur == 0 {
-			s.AvgCell = t.sumDur / time.Duration(t.durCells)
+	if nSpan > 0 {
+		s.AvgShard = sumSpan / time.Duration(nSpan)
+		if spanCells > 0 && blindSpan == 0 {
+			s.AvgCell = sumSpan / time.Duration(spanCells)
 		}
 		if remaining := s.Pending + s.Running + s.Failed; remaining > 0 {
-			width := s.Running
-			if width < 1 {
-				width = 1
-			}
+			width := max(s.Running, 1)
 			if s.AvgCell > 0 && cellsKnown {
 				// Cell-weighted: a shard whose cells all came from the cache
 				// completed in near-zero time over few computed cells — the

@@ -227,7 +227,7 @@ func merge(files []*File, r rules, label func(*File, int) string) (*PartialCover
 		Selection: ref.Selection,
 		Shards:    1,
 		Index:     0,
-		Params:    ref.Params,
+		Params:    refParams,
 		Host:      mergedHost(files),
 	}}
 	for i, ok := range present {

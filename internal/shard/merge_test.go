@@ -253,9 +253,9 @@ func FuzzMergeCovers(f *testing.F) {
 				t.Fatalf("MergePartial of %v is not the full merge restricted to it", present)
 			}
 			// Re-merge the partial file, read back from either encoding,
-			// with the remaining shards. The merged file takes its params
-			// bytes from its first input, and a v1-decoded file holds them
-			// indented, so only the v1 rendering is compared.
+			// with the remaining shards: both renderings equal Merge's, as
+			// the merged file carries compacted params whatever its first
+			// input's encoding.
 			back, err := Decode(encodings(t, part.File)[c.draw(2)])
 			if err != nil {
 				t.Fatalf("partial file does not decode: %v", err)
@@ -264,7 +264,7 @@ func FuzzMergeCovers(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-merging the partial file: %v", err)
 			}
-			if enc := encodings(t, again.File); !bytes.Equal(enc[0], want[0]) {
+			if enc := encodings(t, again.File); !bytes.Equal(enc[0], want[0]) || !bytes.Equal(enc[1], want[1]) {
 				t.Fatal("partial file re-merged with the rest differs from Merge")
 			}
 		}
