@@ -233,7 +233,7 @@ func (st *JournalState) apply(e event) error {
 			if e.Cells > 0 {
 				s.Cells = e.Cells
 			}
-			if e.Worker != "" {
+			if e.Worker != "" { // a done event naming its winner
 				s.Attempt, s.Worker, s.Winner = e.Attempt, e.Worker, e.Worker
 			}
 			var first time.Time
