@@ -83,8 +83,8 @@ func (e *event) line() journalEvent {
 	w := e.wire
 	w.Time, w.Event = e.Time.UTC().Format(time.RFC3339Nano), string(e.Kind)
 	w.Shards, w.Attempt, w.Worker, w.Error, w.File, w.Cells = e.Shards, e.Attempt, e.Worker, e.Err, e.File, e.Cells
-	if e.Shard >= 0 {
-		w.Shard = &e.Shard
+	if shard := e.Shard; shard >= 0 {
+		w.Shard = &shard // not &e.Shard, which would move all of e to the heap
 	}
 	return w
 }
