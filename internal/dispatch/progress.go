@@ -59,8 +59,9 @@ type ProgressEvent struct {
 	Kind ProgressKind
 	// Time is the driver's wall-clock instant of the event.
 	Time time.Time
-	// Shards carries the run's total shard count (plan, merged) or the
-	// number of present shards of a partial merge (partial).
+	// Shards carries the planned unit count (plan), the merged unit
+	// count (merged) or the number of present shards of a partial merge
+	// (partial).
 	Shards int
 	// Shard is the shard index the event concerns; -1 for run-level
 	// events (plan, partial, merged).
