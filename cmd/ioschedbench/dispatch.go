@@ -204,9 +204,10 @@ func summaryDir(dir string) string {
 }
 
 // progressLine returns a Progress handler that folds the event stream
-// through a Tracker and redraws one status line in place on w. Events
-// arrive from multiple goroutines; the tracker's lock orders them and the
-// handler's own mutex keeps the redraws whole.
+// through a Tracker and redraws one status line in place on w from the
+// Tracker's counts, which copy no per-unit state. The handler's own
+// mutex keeps the redraws whole when one handler serves several
+// dispatches.
 func progressLine(w io.Writer) func(dispatch.ProgressEvent) {
 	tr := dispatch.NewTracker()
 	var mu sync.Mutex
@@ -224,7 +225,7 @@ func progressLine(w io.Writer) func(dispatch.ProgressEvent) {
 			fmt.Fprintf(w, "\r%-*s\n", prev, "dispatch: partial merge failed: "+e.Err)
 			prev = 0
 		}
-		s := tr.Snapshot()
+		s := tr.Counts()
 		line := fmt.Sprintf("dispatch: %d/%d done, %d running, %d failed", s.Done, s.Total, s.Running, s.Failed)
 		if s.Resumed > 0 {
 			line += fmt.Sprintf(" (%d resumed)", s.Resumed)

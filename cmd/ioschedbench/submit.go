@@ -81,7 +81,7 @@ func runSubmit(args []string) error {
 	err := cl.Events(ctx, id, func(e dispatch.ProgressEvent) {
 		switch e.Kind {
 		case dispatch.ProgressPlan:
-			logger.Printf("%s: %d units planned", id, e.Shards)
+			logger.Printf("%s: planned, %d shards requested", id, e.Shards)
 		case dispatch.ProgressResumed:
 			logger.Printf("%s: unit %d resumed from the journal", id, e.Shard)
 		case dispatch.ProgressAttempt:

@@ -72,7 +72,8 @@ const (
 )
 
 // run is one multiplexed sweep: its ledger plus the coordinator's
-// transport state — leases, the event history and its subscribers.
+// transport state — leases and the event subscribers. The run's journal
+// is its event history.
 type run struct {
 	id  string
 	dir string
@@ -83,8 +84,7 @@ type run struct {
 	state   string
 	failure string
 
-	history []dispatch.ProgressEvent
-	subs    map[chan dispatch.ProgressEvent]struct{}
+	subs map[chan dispatch.ProgressEvent]struct{}
 }
 
 // grant is one lease of a unit to a worker.
@@ -198,21 +198,6 @@ func (c *Coordinator) wakeLocked() {
 	c.wake = make(chan struct{})
 }
 
-// emit appends a progress event to the run's history and fans it out to
-// subscribers. Caller holds c.mu.
-func (c *Coordinator) emit(r *run, e dispatch.ProgressEvent) {
-	r.history = append(r.history, e)
-	for ch := range r.subs {
-		select {
-		case ch <- e:
-		default:
-			// A stalled subscriber must not stall the coordinator; it can
-			// re-read the journal for the full record.
-			c.opts.Logf("coord: run %s: dropping event for slow subscriber", r.id)
-		}
-	}
-}
-
 // terminalLocked marks a run merged or failed, closes its journal and
 // ends its event streams. Caller holds c.mu.
 func (c *Coordinator) terminalLocked(r *run, state, failure string) {
@@ -260,7 +245,7 @@ func (c *Coordinator) Submit(req SubmitRequest) (string, error) {
 }
 
 // openRun opens a run's ledger through open, wiring it to the run's
-// event history and log, and registers the run. Caller holds c.mu.
+// subscribers and log, and registers the run. Caller holds c.mu.
 func (c *Coordinator) openRun(id string, open func(dispatch.LedgerConfig) (*dispatch.Ledger, error)) (*run, error) {
 	r := &run{
 		id: id, dir: c.RunDir(id), state: runRunning,
@@ -269,7 +254,17 @@ func (c *Coordinator) openRun(id string, open func(dispatch.LedgerConfig) (*disp
 	}
 	l, err := open(dispatch.LedgerConfig{
 		Dir: r.dir, MaxAttempts: c.opts.MaxAttempts, Codec: c.opts.Codec, Now: time.Now,
-		Emit: func(e dispatch.ProgressEvent) { c.emit(r, e) },
+		// The ledger journaled e under c.mu; a stalled subscriber must not
+		// stall the coordinator, and can re-read the journal.
+		Emit: func(e dispatch.ProgressEvent) {
+			for ch := range r.subs {
+				select {
+				case ch <- e:
+				default:
+					c.opts.Logf("coord: run %s: dropping event for slow subscriber", id)
+				}
+			}
+		},
 		Logf: func(format string, args ...any) {
 			c.opts.Logf("coord: run %s: "+format, append([]any{id}, args...)...)
 		},
@@ -662,9 +657,10 @@ func (c *Coordinator) sweep(now time.Time) {
 
 // ---- observation ----
 
-// Subscribe returns a copy of the run's event history and, for a live
-// run, a channel of subsequent events (closed at the terminal event).
-// cancel must be called when done with the channel.
+// Subscribe returns the run's event history — its journal, across every
+// coordinator that opened it — and, for a live run, a channel of
+// subsequent events (closed at the terminal event). cancel must be
+// called when done with the channel.
 func (c *Coordinator) Subscribe(runID string) (history []dispatch.ProgressEvent, ch <-chan dispatch.ProgressEvent, cancel func(), err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -672,8 +668,12 @@ func (c *Coordinator) Subscribe(runID string) (history []dispatch.ProgressEvent,
 	if !ok {
 		return nil, nil, nil, ErrUnknownRun
 	}
-	history = append([]dispatch.ProgressEvent(nil), r.history...)
-	if r.state != runRunning {
+	// Read under c.mu, which every journal write holds: no event falls
+	// between the history and the channel.
+	if history, err = dispatch.ReadJournalEvents(filepath.Join(r.dir, dispatch.JournalFileName)); err != nil {
+		return nil, nil, nil, err
+	}
+	if r.state != runRunning || r.subs == nil { // terminal, or Close ended every stream
 		return history, nil, func() {}, nil
 	}
 	sub := make(chan dispatch.ProgressEvent, 1024)

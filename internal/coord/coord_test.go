@@ -3,6 +3,7 @@ package coord_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -163,6 +164,72 @@ func TestCoordinatorEvents(t *testing.T) {
 	}
 	if count[dispatch.ProgressAttempt] < 2 || count[dispatch.ProgressDone] != 2 {
 		t.Fatalf("stream kinds %v: want >=2 attempts and exactly 2 dones", kinds)
+	}
+}
+
+// TestCoordinatorEventsAcrossRestart: a client that attaches after a
+// coordinator restart replays the run's whole journal — the attempt and
+// the failure recorded before the restart included — then follows the
+// resumed run to its merge.
+func TestCoordinatorEventsAcrossRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	ctx := context.Background()
+	rig := coordtest.New(t, testOpts())
+	id := rig.Submit(coord.SubmitRequest{Selection: "tailq", Params: testParams(), Shards: 1})
+	reg, err := rig.Client.Register(ctx, "flaky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := rig.Client.Lease(ctx, reg.WorkerID, 0)
+	if err != nil || l == nil {
+		t.Fatalf("lease = %+v, %v", l, err)
+	}
+	if err := rig.Client.ReportFail(ctx, l, reg.WorkerID, "boom"); err != nil {
+		t.Fatal(err)
+	}
+	rig.Restart()
+	rig.StartWorker("w0", coordtest.Faults{})
+	var events []dispatch.ProgressEvent
+	if err := rig.Client.Events(ctx, id, func(e dispatch.ProgressEvent) { events = append(events, e) }); err != nil {
+		t.Fatalf("Events: %v", err)
+	}
+	var kinds []string
+	for _, e := range events {
+		kinds = append(kinds, fmt.Sprintf("%s/%d", e.Kind, e.Attempt))
+	}
+	got := strings.Join(kinds, " ")
+	want := "plan/0 batch/0 attempt/1 fail/1 plan/0 batch/0 attempt/2 done/2 merged/0"
+	if got != want {
+		t.Fatalf("re-attached stream %s, want %s", got, want)
+	}
+	if events[3].Err != "boom" {
+		t.Fatalf("pre-restart failure streamed as %+v", events[3])
+	}
+}
+
+// TestSubscribeAfterClose: a closed coordinator still serves a run's
+// history from its journal, and hands out no live stream.
+func TestSubscribeAfterClose(t *testing.T) {
+	c, err := coord.New(t.TempDir(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := c.Submit(coord.SubmitRequest{Selection: "fig5", Params: testParams(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	history, ch, cancel, err := c.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	if ch != nil || len(history) != 2 || history[0].Kind != dispatch.ProgressPlan || history[1].Kind != dispatch.ProgressBatch {
+		t.Fatalf("after Close: channel %v, history %+v; want the plan and batch events and no channel", ch, history)
 	}
 }
 

@@ -247,8 +247,9 @@ func TestDispatchStealFirstCompletionWins(t *testing.T) {
 }
 
 // TestDispatchCostSplitOnRetry: a failed cost batch with no concurrent
-// copy re-splits into two child batches, the parent is superseded, and
-// the merge over the mixed batch set stays byte-identical.
+// copy re-splits into two child batches, the parent is superseded — in
+// the journal and in a Tracker on the stream — and the merge over the
+// mixed batch set stays byte-identical.
 func TestDispatchCostSplitOnRetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
@@ -263,14 +264,22 @@ func TestDispatchCostSplitOnRetry(t *testing.T) {
 		}
 		return goodBatchRun(ctx, task)
 	}
+	tr := NewTracker()
 	res, err := Run(context.Background(), spec, pool(1, run),
-		Options{Dir: dir, Balance: BalanceCost, MaxAttempts: 3})
+		Options{Dir: dir, Balance: BalanceCost, MaxAttempts: 3, Progress: tr.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMerged(t, res, want)
 	if res.Retries == 0 {
 		t.Fatal("no retry recorded for the split")
+	}
+	if res.Shards != 3 || res.Resumed+res.Cached+res.Ran != res.Shards {
+		t.Fatalf("shards %d = resumed %d + cached %d + ran %d: want 3 that add up",
+			res.Shards, res.Resumed, res.Cached, res.Ran)
+	}
+	if s := tr.Snapshot(); s.Total != 3 || s.Done != 3 || s.Failed != 0 || s.Pending != 0 || s.ETA != 0 || !s.Merged {
+		t.Fatalf("tracker ends %+v: want 3/3 done, nothing failed or pending, merged", s)
 	}
 
 	st, err := ReadJournalDir(dir)
@@ -341,14 +350,20 @@ func TestDispatchCostResume(t *testing.T) {
 	refuse := pool(1, func(context.Context, Task) error {
 		return fmt.Errorf("worker invoked despite a warm cache")
 	})
+	tr := NewTracker()
 	res, err := Run(context.Background(), spec, refuse,
-		Options{Dir: dir, Balance: BalanceCost, Steal: true, Cache: store})
+		Options{Dir: dir, Balance: BalanceCost, Steal: true, Cache: store, Progress: tr.Observe})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkMerged(t, res, want)
 	if res.Resumed != 1 || res.Cached == 0 || res.Ran != 0 {
 		t.Fatalf("resumed/cached/ran = %d/%d/%d, want 1/>0/0", res.Resumed, res.Cached, res.Ran)
+	}
+	// The resume's stream alone: the dropped batch is no phantom pending
+	// unit.
+	if s := tr.Snapshot(); s.Total != res.Shards || s.Done != res.Shards || s.Pending+s.Failed+s.Running != 0 {
+		t.Fatalf("tracker over the resume ends %+v, want %d units all done", s, res.Shards)
 	}
 
 	raw, err := os.ReadFile(filepath.Join(dir, JournalFileName))
@@ -598,9 +613,8 @@ func TestJournalLongestBatchLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := 0
-	j.write(journalEvent{Event: "plan", V: JournalVersion, Selection: experiment.ExpFig5, Shards: 1, Params: []byte(`{"seed":1}`), Balance: BalanceCost})
-	j.write(journalEvent{Event: "batch", Shard: &id, Kind: "cost", Spec: spec, Cells: shard.MaxCells})
+	j.write(ProgressEvent{Kind: ProgressPlan, Selection: experiment.ExpFig5, Shards: 1, Params: []byte(`{"seed":1}`), Balance: BalanceCost, Shard: -1})
+	j.write(ProgressEvent{Kind: ProgressBatch, Shard: 0, BatchKind: "cost", Spec: spec, Cells: shard.MaxCells})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -644,7 +658,7 @@ func TestReopenLedgerLongBatchLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.write(journalEvent{Event: "plan", V: JournalVersion, Selection: spec.Selection, Shards: spec.Shards, Params: params, Balance: BalanceCost})
+	j.write(ProgressEvent{Kind: ProgressPlan, Selection: spec.Selection, Shards: spec.Shards, Params: params, Balance: BalanceCost, Shard: -1})
 	sets := [][]int{alternating(0, grid.Cells()), {1}, alternating(3, grid.Cells())}
 	for id, set := range sets {
 		s, err := shard.FormatCellSpec([]string{spec.Selection}, [][]int{set})
@@ -654,11 +668,10 @@ func TestReopenLedgerLongBatchLines(t *testing.T) {
 		if id != 1 && len(s) <= 1<<20 {
 			t.Fatalf("batch %d spec is only %d bytes", id, len(s))
 		}
-		j.write(journalEvent{Event: "batch", Shard: &id, Kind: "cost", Spec: s, Cells: len(set), Weight: 1})
-		j.write(journalEvent{Event: "attempt", Shard: &id, Attempt: 1, Worker: "w"})
+		j.write(ProgressEvent{Kind: ProgressBatch, Shard: id, BatchKind: "cost", Spec: s, Cells: len(set), Weight: 1})
+		j.write(ProgressEvent{Kind: ProgressAttempt, Shard: id, Attempt: 1, Worker: "w"})
 	}
-	one := 1
-	j.write(journalEvent{Event: "done", Shard: &one, Attempt: 1, Worker: "w", File: "batch1.json", Cells: 1})
+	j.write(ProgressEvent{Kind: ProgressDone, Shard: 1, Attempt: 1, Worker: "w", File: "batch1.json", Cells: 1})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -171,12 +171,13 @@ type Options struct {
 	// concurrent use (log.Printf and friends are).
 	Logf func(format string, args ...any)
 	// Progress receives the typed progress-event stream (schema version
-	// ProgressVersion): plan, batch, resumed, cached, attempt, steal,
-	// done, fail, partial and merged events recorded with the journal,
-	// suitable for live status displays (feed them to a Tracker) without
-	// parsing log lines. Events arrive in journal order from one
-	// goroutine per dispatch; a handler shared between dispatches must
-	// be safe for concurrent use. nil disables the stream.
+	// ProgressVersion): exactly the events the journal records — plan,
+	// batch, resumed, cached, attempt, steal, done, fail, partial and
+	// merged — suitable for live status displays (feed them to a
+	// Tracker) without parsing log lines. Events arrive in journal order
+	// from one goroutine per dispatch; a handler shared between
+	// dispatches must be safe for concurrent use. nil disables the
+	// stream.
 	Progress func(ProgressEvent)
 	// PartialEvery, when > 0, periodically merges the shards completed so
 	// far into <Dir>/partial.json — a provisional partial cover file that
@@ -233,8 +234,9 @@ type Result struct {
 	Shards int
 	// Resumed counts shards satisfied from the journal without running;
 	// Cached counts shards satisfied from the cell cache without running;
-	// Ran counts shards executed by this invocation; Retries counts
-	// failed attempts that were re-queued.
+	// Ran counts the units a worker completed in this invocation, so
+	// Shards = Resumed + Cached + Ran; Retries counts failed attempts that
+	// were re-queued.
 	Resumed, Cached, Ran, Retries int
 	// Steals counts duplicate attempts started by work stealing;
 	// Duplicates counts completions discarded because another copy won.
@@ -322,7 +324,7 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 	// journal's contract).
 	defer l.Close()
 
-	res := &Result{Dir: dir, Ran: len(l.pending)}
+	res := &Result{Dir: dir}
 	if !l.Finished() {
 		if err := run(ctx, l, workers, opts, res); err != nil {
 			return nil, err
@@ -486,17 +488,15 @@ func run(ctx context.Context, l *Ledger, workers []Worker, opts Options, res *Re
 		}
 		if err != nil {
 			// A failed provisional write must not kill the sweep it
-			// observes; the next tick retries. It must stay visible even
-			// when only the progress stream is watched (the CLI's
-			// -progress mode discards Logf), so it is also emitted as a
-			// partial event carrying the error.
+			// observes; the next tick retries. Its event keeps it visible
+			// where Logf is off (the CLI's -progress mode).
 			l.logf("partial merge: %v", err)
-			l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressPartial, Shard: -1, Err: err.Error()}})
+			l.record(ProgressEvent{Kind: ProgressPartial, Shard: -1, Err: err.Error()})
 			return
 		}
 		partialSaved = len(have)
 		present, cells := len(cover.Present), cover.CellsHave()
-		l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressPartial, Shards: present, Shard: -1, File: path, Cells: cells}})
+		l.record(ProgressEvent{Kind: ProgressPartial, Shards: present, Shard: -1, File: path, Cells: cells})
 		l.logf("partial merge: %d/%d shards (%d cells) written to %s", present, l.spec.Shards, cells, path)
 	}
 
@@ -520,7 +520,9 @@ func run(ctx context.Context, l *Ledger, workers []Worker, opts Options, res *Re
 			}
 			res.Attempts = append(res.Attempts, a)
 			if o.err == nil {
-				l.Complete(o.u, o.attempt, worker, o.Out, o.file)
+				if l.Complete(o.u, o.attempt, worker, o.Out, o.file) {
+					res.Ran++
+				}
 				tryAssign()
 				continue
 			}

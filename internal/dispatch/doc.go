@@ -59,8 +59,9 @@
 //
 // # Journal
 //
-// Every dispatch appends structured events (plan, attempt, fail, done,
-// partial, merged) to a JSONL journal in its working directory. A re-run
+// Every dispatch appends structured events (plan, batch, attempt, fail,
+// done, partial, merged, ...) to a JSONL journal in its working
+// directory. A re-run
 // with the same directory resumes: shards the journal marks done are
 // re-validated from their files and skipped, only missing or invalid
 // shards are executed, and attempt numbers continue from the journal's;
@@ -74,15 +75,14 @@
 // # Observability
 //
 // A running dispatch is observable without a second source of truth:
-// Options.Progress emits a typed, versioned event stream recorded with
-// the journal, and a Tracker folds it with ReadJournal's reducer
-// (JournalState.apply) into per-unit state, counts and an ETA from
-// observed wall-clock. The stream and the journal differ only where
-// docs/DISPATCH.md's event table says. Options.PartialEvery
-// periodically merges the shards completed so far into the working
-// directory's partial.json — a valid partial cover file renderable at
-// any moment (shard.MergePartial, "ioschedbench merge -partial") and
-// removed once the final merge supersedes it.
+// Options.Progress receives exactly the events the journal records
+// (ReadJournalEvents reads them back), and a Tracker folds them with
+// ReadJournal's reducer (JournalState.apply) into per-unit state, counts
+// and an ETA from observed wall-clock. Options.PartialEvery periodically
+// merges the shards completed so far into the working directory's
+// partial.json — a valid partial cover file renderable at any moment
+// (shard.MergePartial, "ioschedbench merge -partial") and removed once
+// the final merge supersedes it.
 //
 // The shard file format the driver produces and consumes is specified in
 // docs/SHARD_FORMAT.md; the journal and progress-event schemas and the

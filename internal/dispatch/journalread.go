@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"time"
@@ -17,8 +18,9 @@ import (
 // prints: which shards are done, which are missing, what failed where,
 // and whether the cover has merged. It is a pure reader: it never locks,
 // truncates or appends, so it is always safe to run against a live
-// dispatch directory. Its fold, JournalState.apply, is also the one a
-// Tracker runs over the progress stream.
+// dispatch directory. The journal holds exactly the progress stream's
+// events, and its fold, JournalState.apply, is the one a Tracker runs
+// over the stream.
 
 // JournalShard is one unit's state as the lifecycle fold
 // (JournalState.apply) leaves it: a shard's or, in a balanced dispatch,
@@ -43,11 +45,11 @@ type JournalShard struct {
 	Err string
 	// File is the output path recorded when the unit completed.
 	File string
-	// Kind, Spec, Cells, Weight and Parent describe a balanced dispatch's
-	// batch entry ("cost"/"split"/"dropped", the cell spec, the cell
-	// count, the predicted weight, the split parent's id or -1). Zero on
-	// classic round-robin shards; Cells is also learned from done events
-	// and, on the stream, from every unit's batch event.
+	// Kind, Spec, Cells, Weight and Parent describe the unit's batch
+	// event ("cost"/"split"/"dropped", the cell spec, the cell count, the
+	// predicted weight, the split parent's id or -1). Kind and Spec are
+	// empty on round-robin shards; Cells is also learned from done
+	// events.
 	Kind   string
 	Spec   string
 	Cells  int
@@ -55,10 +57,9 @@ type JournalShard struct {
 	Parent int
 	// Superseded marks a batch no longer owed: a split parent (its
 	// children carry the cells now) or a batch a resume re-planned away.
-	// Only the journal records either.
 	Superseded bool
 	// Cached and Resumed mark a done unit settled without running, from
-	// the cell cache or (on the stream only) from the journal.
+	// the cell cache or from the journal.
 	Cached, Resumed bool
 	// Duration runs from the winning copy's start to the done event (cost
 	// refinement prices cells by it), Span from the earliest start of a
@@ -125,14 +126,14 @@ func ReadJournal(path string) (*JournalState, error) {
 // Split from ReadJournal so the parser is fuzzable without file IO.
 func parseJournal(path string, data []byte) (*JournalState, error) {
 	st := &JournalState{Path: path}
-	// Lines are split in memory, so no line length is too long: a
-	// balanced batch event carries its whole cell spec.
-	for line := range bytes.Lines(data) {
-		var w journalEvent
-		if json.Unmarshal(line, &w) != nil {
-			continue
+	for w := range journalLines(data) {
+		if w.Kind == ProgressPlan {
+			if w.V > JournalVersion {
+				return nil, fmt.Errorf("dispatch: journal %s is version %d, this build reads %d", path, w.V, JournalVersion)
+			}
+			st.Version = max(w.V, 1)
 		}
-		if err := st.apply(w.event()); err != nil {
+		if err := st.apply(w.ProgressEvent); err != nil {
 			return nil, err
 		}
 	}
@@ -141,6 +142,40 @@ func parseJournal(path string, data []byte) (*JournalState, error) {
 	}
 	st.starts = nil
 	return st, nil
+}
+
+// ReadJournalEvents returns the events journaled at path, in order: the
+// progress stream of every open of the run, as Options.Progress
+// delivered it. Unparseable lines are skipped, as ReadJournal skips them.
+func ReadJournalEvents(path string) ([]ProgressEvent, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("dispatch: journal: %w", err)
+	}
+	var events []ProgressEvent
+	for w := range journalLines(data) {
+		events = append(events, w.ProgressEvent)
+	}
+	return events, nil
+}
+
+// journalLines yields each parseable line of journal bytes, restoring
+// what the line omits: the stream version, and shard -1 on run-level
+// events. Lines are split in memory, so no line length is too long: a
+// balanced batch event carries its whole cell spec.
+func journalLines(data []byte) iter.Seq[*journalLine] {
+	return func(yield func(*journalLine) bool) {
+		for line := range bytes.Lines(data) {
+			w := journalLine{ProgressEvent: ProgressEvent{Shard: -1}}
+			if json.Unmarshal(line, &w) != nil {
+				continue
+			}
+			w.Version = ProgressVersion
+			if !yield(&w) {
+				return
+			}
+		}
+	}
 }
 
 // unit returns unit i's state, extending the states to it. An index at
@@ -165,33 +200,32 @@ func (st *JournalState) unit(i int) *JournalShard {
 
 // apply folds one lifecycle event into the state: the one reducer
 // behind ReadJournal and Tracker. Unknown kinds and units out of range
-// are skipped; a plan of a newer schema version or of more than
-// shard.MaxCells units is an error and changes nothing. Only a
-// round-robin plan pre-extends the states: a stream plan has no balance,
-// a balanced journal announces its batches.
-func (st *JournalState) apply(e event) error {
+// are skipped; a plan of more than shard.MaxCells units is an error and
+// changes nothing. Only a round-robin plan pre-extends the states: a
+// balanced run announces its batches.
+func (st *JournalState) apply(e ProgressEvent) error {
 	switch e.Kind {
 	case ProgressPlan:
-		if e.wire.V > JournalVersion {
-			return fmt.Errorf("dispatch: journal %s is version %d, this build reads %d", st.Path, e.wire.V, JournalVersion)
-		}
 		if e.Shards > shard.MaxCells {
 			return fmt.Errorf("dispatch: journal %s plans %d shards, more than %d", st.Path, e.Shards, shard.MaxCells)
 		}
-		st.Version = max(e.wire.V, 1)
-		st.Selection, st.Shards, st.Params, st.Balance = e.wire.Selection, e.Shards, e.wire.Params, e.wire.Balance
+		st.Selection, st.Shards, st.Params, st.Balance = e.Selection, e.Shards, e.Params, e.Balance
 		if st.Balance == "" {
 			st.unit(e.Shards - 1)
 		}
 	case ProgressBatch:
+		// The open planned (or a split created) the unit: pending until
+		// a resumed or cached event settles it, and no copy of an
+		// earlier open still runs.
 		if s := st.unit(e.Shard); s != nil {
-			s.Kind, s.Spec, s.Weight = e.wire.Kind, e.wire.Spec, e.wire.Weight
+			s.State, s.Kind, s.Spec, s.Weight = ShardPending, e.BatchKind, e.Spec, e.Weight
 			if e.Cells > 0 {
 				s.Cells = e.Cells
 			}
-			if e.wire.Parent != nil {
-				s.Parent = *e.wire.Parent
+			delete(st.starts, e.Shard)
+			if e.Parent != nil {
 				// A split's children own the parent's cells now.
+				s.Parent = *e.Parent
 				if p := st.unit(s.Parent); p != nil {
 					p.Superseded = true
 				}
@@ -236,17 +270,21 @@ func (st *JournalState) apply(e event) error {
 			if e.Worker != "" { // a done event naming its winner
 				s.Attempt, s.Worker, s.Winner = e.Attempt, e.Worker, e.Worker
 			}
-			var first time.Time
-			s.Duration = 0
-			for _, c := range st.starts[e.Shard] {
-				if c.attempt == e.Attempt {
-					s.Duration = since(c.at, e.Time)
+			if e.Kind != ProgressResumed {
+				// A resumed unit keeps the durations of the done that
+				// settled it: cost refinement prices cells by them.
+				var first time.Time
+				s.Duration = 0
+				for _, c := range st.starts[e.Shard] {
+					if c.attempt == e.Attempt {
+						s.Duration = since(c.at, e.Time)
+					}
+					if !c.failed && (first.IsZero() || c.at.Before(first)) {
+						first = c.at
+					}
 				}
-				if !c.failed && (first.IsZero() || c.at.Before(first)) {
-					first = c.at
-				}
+				s.Span = since(first, e.Time)
 			}
-			s.Span = since(first, e.Time)
 			delete(st.starts, e.Shard)
 		}
 	case ProgressPartial:

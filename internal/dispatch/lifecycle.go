@@ -24,6 +24,8 @@ type Unit struct {
 	ncells int     // 0 when unknown
 	weight float64 // predicted cost, steering steal targets
 	path   string  // canonical output: shard<i>.json or batch<i>.json
+	kind   string  // "" for a shard, else "cost" or "split"
+	parent int     // a split child's parent id
 
 	done     bool
 	split    bool // superseded by two children that carry its cells
@@ -186,14 +188,11 @@ func openLedger(cfg LedgerConfig, prior *JournalState) (*Ledger, error) {
 	if l.jr, err = openJournal(path); err != nil {
 		return nil, err
 	}
-	if prior == nil {
-		e := event{ProgressEvent: ProgressEvent{Kind: ProgressPlan, Shards: spec.Shards, Shard: -1},
-			wire: journalEvent{V: JournalVersion, Selection: spec.Selection, Params: params}}
-		if balance != BalanceRoundRobin {
-			e.wire.Balance = balance
-		}
-		l.record(toJournal, e)
+	e := ProgressEvent{Kind: ProgressPlan, Selection: spec.Selection, Shards: spec.Shards, Params: params, Shard: -1}
+	if balance != BalanceRoundRobin {
+		e.Balance = balance // round-robin plans never recorded it
 	}
+	l.record(e)
 	if err := l.plan(prior); err != nil {
 		l.jr.Close()
 		return nil, err
@@ -221,8 +220,8 @@ func (l *Ledger) sameRun(prior *JournalState) error {
 	return nil
 }
 
-// plan builds the run's units, announces them after the plan event, and
-// settles each from the journal or the cell cache, or queues it.
+// plan builds the run's units, announces each, and settles it from the
+// journal or the cell cache, or queues it.
 func (l *Ledger) plan(prior *JournalState) error {
 	var units []*Unit
 	if l.balance == BalanceRoundRobin {
@@ -233,7 +232,6 @@ func (l *Ledger) plan(prior *JournalState) error {
 			return err
 		}
 	}
-	l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressPlan, Shards: l.nextID, Shard: -1}})
 	// One probe for the whole plan: each cache key is read from disk once,
 	// however many units draw cells from it.
 	var probe *experiment.CacheProbe
@@ -248,10 +246,10 @@ func (l *Ledger) plan(prior *JournalState) error {
 			l.stats.Resumed++
 			l.deposit(u, u.file)
 			l.logf("%s %d already complete (journal), skipping", l.noun(), u.id)
-			l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressResumed, Shard: u.id, File: u.filePath}})
+			l.record(ProgressEvent{Kind: ProgressResumed, Shard: u.id, File: u.filePath})
 		case l.fromCache(probe, u):
 			l.stats.Cached++
-			l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressCached, Shard: u.id, File: u.path}})
+			l.record(ProgressEvent{Kind: ProgressCached, Shard: u.id, File: u.path})
 			l.logf("%s %d satisfied from the cell cache, not queued", l.noun(), u.id)
 		default:
 			l.pending = append(l.pending, u)
@@ -318,8 +316,7 @@ func (l *Ledger) planBatches(prior *JournalState) ([]*Unit, error) {
 				}
 				continue
 			}
-			l.record(toJournal, event{ProgressEvent: ProgressEvent{Kind: ProgressBatch, Shard: sh.Index, Cells: sh.Cells},
-				wire: journalEvent{Kind: "dropped", Spec: sh.Spec, Weight: sh.Weight}})
+			l.record(ProgressEvent{Kind: ProgressBatch, Shard: sh.Index, BatchKind: "dropped", Spec: sh.Spec, Cells: sh.Cells, Weight: sh.Weight})
 		}
 	}
 	packed, err := l.packBatches(plan, refineCosts(prior, plan), covered)
@@ -381,20 +378,15 @@ func (l *Ledger) packBatches(plan *experiment.RunPlan, costs [][]float64, covere
 	return out, nil
 }
 
-// newBatch creates and journals a cell batch under the next free id.
+// newBatch creates a cell batch under the next free id.
 func (l *Ledger) newBatch(kind string, parent int, cells [][]int, ncells int, weight float64) (*Unit, error) {
 	spec, err := shard.FormatCellSpec(l.runNames, cells)
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{id: l.nextID, cells: cells, spec: spec, ncells: ncells, weight: weight, path: l.unitPath(l.nextID)}
+	u := &Unit{id: l.nextID, cells: cells, spec: spec, ncells: ncells, weight: weight, path: l.unitPath(l.nextID),
+		kind: kind, parent: parent}
 	l.nextID++
-	e := event{ProgressEvent: ProgressEvent{Kind: ProgressBatch, Shard: u.id, Cells: ncells},
-		wire: journalEvent{Kind: kind, Spec: spec, Weight: weight}}
-	if parent >= 0 {
-		e.wire.Parent = &parent
-	}
-	l.record(toJournal, e)
 	return u, nil
 }
 
@@ -402,7 +394,8 @@ func (l *Ledger) newBatch(kind string, parent int, cells [][]int, ncells int, we
 // come from its journaled cell spec, which names every run in canonical
 // order; a split child's attempts continue its parent's.
 func (l *Ledger) journaledUnit(prior *JournalState, sh JournalShard) *Unit {
-	u := &Unit{id: sh.Index, spec: sh.Spec, ncells: sh.Cells, weight: sh.Weight, path: l.unitPath(sh.Index)}
+	u := &Unit{id: sh.Index, spec: sh.Spec, ncells: sh.Cells, weight: sh.Weight, path: l.unitPath(sh.Index),
+		kind: sh.Kind, parent: sh.Parent}
 	for p := sh; ; p = prior.ShardStates[p.Parent] {
 		u.attempts += p.Attempts
 		if p.Parent < 0 || p.Parent >= p.Index { // parents precede children
@@ -435,18 +428,18 @@ func (l *Ledger) resumable(u *Unit, sh JournalShard) bool {
 	return true
 }
 
-// reopenMerged restores a merged run as finished, from the journal alone.
+// reopenMerged restores a merged run as finished, from the journal alone:
+// it records nothing, as the journal already holds the whole run.
 func (l *Ledger) reopenMerged(prior *JournalState) {
-	l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressPlan, Shards: len(prior.ShardStates), Shard: -1}})
 	for _, sh := range prior.ShardStates {
 		if !sh.Superseded {
 			u := l.journaledUnit(prior, sh)
-			l.add(u)
+			l.units = append(l.units, u)
+			l.byID[u.id] = u
 			l.finish(u, sh.File, nil)
 		}
 	}
-	l.stats.Merged, l.stats.MergedCells = true, prior.MergedCells
-	l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressMerged, Shards: l.stats.Total, Shard: -1, Cells: prior.MergedCells}})
+	l.stats.Total, l.stats.Merged, l.stats.MergedCells = len(l.units), true, prior.MergedCells
 }
 
 func (l *Ledger) unitPath(id int) string {
@@ -461,23 +454,13 @@ func (l *Ledger) noun() string {
 	return "batch"
 }
 
-// record stamps e with the run's clock and writes it to the sinks: the
-// one place a lifecycle event is journaled or emitted. It returns the
-// stamp (zero when no sink takes the event).
-func (l *Ledger) record(to sinks, e event) time.Time {
-	if l.emitFn == nil {
-		to &^= toStream
-	}
-	if to == 0 {
-		return time.Time{}
-	}
-	e.Time = l.now()
-	if to&toJournal != 0 {
-		l.jr.write(e.line())
-	}
-	if to&toStream != 0 {
-		e.Version = ProgressVersion
-		l.emitFn(e.ProgressEvent)
+// record stamps e with the run's clock, journals it and emits it: the
+// one place a lifecycle event is written. It returns the stamp.
+func (l *Ledger) record(e ProgressEvent) time.Time {
+	e.Version, e.Time = ProgressVersion, l.now()
+	l.jr.write(e)
+	if l.emitFn != nil {
+		l.emitFn(e)
 	}
 	return e.Time
 }
@@ -487,7 +470,11 @@ func (l *Ledger) add(u *Unit) {
 	l.units = append(l.units, u)
 	l.byID[u.id] = u
 	l.stats.Total++
-	l.record(toStream, event{ProgressEvent: ProgressEvent{Kind: ProgressBatch, Shard: u.id, Cells: u.ncells}})
+	e := ProgressEvent{Kind: ProgressBatch, Shard: u.id, BatchKind: u.kind, Spec: u.spec, Cells: u.ncells, Weight: u.weight}
+	if parent := u.parent; u.kind == "split" {
+		e.Parent = &parent
+	}
+	l.record(e)
 }
 
 func (l *Ledger) finish(u *Unit, path string, f *shard.File) {
@@ -583,7 +570,7 @@ func (l *Ledger) Start(u *Unit, worker string, steal bool) (Task, int) {
 	} else {
 		l.logf("%s %d attempt %d/%d on %s", l.noun(), u.id, att, l.maxAttempts, worker)
 	}
-	at := l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: kind, Shard: u.id, Attempt: att, Worker: worker}})
+	at := l.record(ProgressEvent{Kind: kind, Shard: u.id, Attempt: att, Worker: worker})
 	if u.started.IsZero() {
 		u.started = at
 	}
@@ -611,7 +598,7 @@ func (l *Ledger) Complete(u *Unit, attempt int, worker, path string, f *shard.Fi
 	u.dropInflight(attempt)
 	l.finish(u, path, f)
 	l.deposit(u, f)
-	l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressDone, Shard: u.id, Attempt: attempt, Worker: worker, File: path, Cells: f.CellCount()}})
+	l.record(ProgressEvent{Kind: ProgressDone, Shard: u.id, Attempt: attempt, Worker: worker, File: path, Cells: f.CellCount()})
 	l.logf("%s %d complete (attempt %d on %s)", l.noun(), u.id, attempt, worker)
 	return true
 }
@@ -635,7 +622,7 @@ func (l *Ledger) Fail(u *Unit, attempt int, worker string, err error) (Verdict, 
 	if !u.dropInflight(attempt) || l.Settled(u) {
 		return FailNone, nil
 	}
-	l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressFailed, Shard: u.id, Attempt: attempt, Worker: worker, Err: err.Error()}})
+	l.record(ProgressEvent{Kind: ProgressFailed, Shard: u.id, Attempt: attempt, Worker: worker, Err: err.Error()})
 	if len(u.inflight) > 0 {
 		l.logf("%s %d attempt %d on %s failed; a concurrent copy is still running: %v", l.noun(), u.id, attempt, worker, err)
 		return FailNone, nil
@@ -745,7 +732,7 @@ func (l *Ledger) Merge(out string) (*shard.File, error) {
 		return nil, err
 	}
 	l.stats.Merged, l.stats.MergedCells = true, merged.CellCount()
-	l.record(toBoth, event{ProgressEvent: ProgressEvent{Kind: ProgressMerged, Shards: len(files), Shard: -1, Cells: merged.CellCount()}})
+	l.record(ProgressEvent{Kind: ProgressMerged, Shards: len(files), Shard: -1, Cells: merged.CellCount()})
 	l.logf("merged %d %ss (%d cells) for %q", len(files), l.noun(), merged.CellCount(), l.spec.Selection)
 	for _, u := range l.units {
 		u.file = nil

@@ -6,15 +6,12 @@ package dispatch
 // invariants both drivers rely on.
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -141,17 +138,42 @@ func (r *ledgerRig) drain() {
 	}
 }
 
-// check asserts the journal on disk reads back as the live ledger and
-// as the progress stream so far. Per unit the ledger holds, the journal
+// check asserts the events the rig received, over every open so far,
+// are the journal decoded, one for one, and that a Tracker folding them
+// agrees with the live ledger. Per unit the ledger holds, the Tracker
 // records its attempt count (a split child counts its parent's attempts
-// too: the budget bounds the lineage) and whether it was split, and the
-// stream, folded by a Tracker, agrees with the journal on state,
-// attempts, winner and cells. Every other journaled entry is superseded,
-// no settled unit is queued, and no (unit, attempt) pair is journaled
-// twice.
+// too: the budget bounds the lineage), whether it is done and whether
+// it was split, and counts what the ledger counts. Every other unit is
+// superseded, no settled unit is queued, and no (unit, attempt) pair is
+// journaled twice.
 func (r *ledgerRig) check() {
 	r.t.Helper()
 	path := filepath.Join(r.cfg.Dir, JournalFileName)
+	journaled, err := ReadJournalEvents(path)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if len(journaled) != len(r.events) {
+		r.t.Fatalf("journal holds %d events, the stream carried %d", len(journaled), len(r.events))
+	}
+	seen := map[[2]int]bool{}
+	for i, got := range r.events {
+		want := journaled[i]
+		if !got.Time.Equal(want.Time) {
+			r.t.Fatalf("event %d at %v, journaled at %v", i, got.Time, want.Time)
+		}
+		got.Time, want.Time = time.Time{}, time.Time{}
+		if !reflect.DeepEqual(got, want) {
+			r.t.Fatalf("event %d streamed as\n%+v\njournaled as\n%+v", i, got, want)
+		}
+		if got.Kind == ProgressAttempt || got.Kind == ProgressSteal {
+			key := [2]int{got.Shard, got.Attempt}
+			if seen[key] {
+				r.t.Fatalf("journal repeats unit %d attempt %d", key[0], key[1])
+			}
+			seen[key] = true
+		}
+	}
 	st, err := ReadJournal(path)
 	if err != nil {
 		r.t.Fatal(err)
@@ -160,39 +182,36 @@ func (r *ledgerRig) check() {
 	for _, e := range r.events {
 		tr.Observe(e)
 	}
-	live := tr.SnapshotAt(r.clock).Shards
+	snap := tr.SnapshotAt(r.clock)
+	if !reflect.DeepEqual(snap.Shards, st.ShardStates) {
+		r.t.Fatalf("the Tracker folds\n%+v\nthe journal\n%+v", snap.Shards, st.ShardStates)
+	}
 	var lineage func(i int) int
 	lineage = func(i int) int {
-		if sh := st.ShardStates[i]; sh.Parent >= 0 {
+		if sh := snap.Shards[i]; sh.Parent >= 0 {
 			return sh.Attempts + lineage(sh.Parent)
 		}
-		return st.ShardStates[i].Attempts
+		return snap.Shards[i].Attempts
 	}
-	for _, sh := range st.ShardStates {
+	for _, sh := range snap.Shards {
 		u := r.l.Unit(sh.Index)
 		if u == nil {
 			if !sh.Superseded {
-				r.t.Fatalf("journal owes unit %d, the ledger does not know it", sh.Index)
+				r.t.Fatalf("the Tracker owes unit %d, the ledger does not know it", sh.Index)
 			}
 			continue
 		}
-		if lineage(sh.Index) != u.attempts || sh.Superseded != u.split {
-			r.t.Fatalf("unit %d: journal says %d attempts/superseded %v, ledger %d/%v",
-				sh.Index, lineage(sh.Index), sh.Superseded, u.attempts, u.split)
-		}
-		if sh.Index >= len(live) {
-			r.t.Fatalf("unit %d never reached the progress stream", sh.Index)
-		}
-		// A round-robin shard's cell count reaches the journal only with
-		// its done event; the stream announces it up front.
-		ls, cellsJournaled := live[sh.Index], sh.Kind != "" || sh.State == ShardDone
-		if ls.State != sh.State || ls.Attempts != sh.Attempts || ls.Winner != sh.Winner || (cellsJournaled && ls.Cells != sh.Cells) {
-			r.t.Fatalf("unit %d: journal folds to %s/%d attempts/winner %q/%d cells, stream to %s/%d/%q/%d",
-				sh.Index, sh.State, sh.Attempts, sh.Winner, sh.Cells, ls.State, ls.Attempts, ls.Winner, ls.Cells)
+		if lineage(sh.Index) != u.attempts || sh.Superseded != u.split || (sh.State == ShardDone) != u.done {
+			r.t.Fatalf("unit %d: the Tracker says %d attempts/superseded %v/%s, the ledger %d/%v/done %v",
+				sh.Index, lineage(sh.Index), sh.Superseded, sh.State, u.attempts, u.split, u.done)
 		}
 	}
+	if ls := r.l.Stats(); snap.Total != ls.Total || snap.Done != ls.Done || snap.Merged != ls.Merged {
+		r.t.Fatalf("the Tracker counts %d/%d done (merged %v), the ledger %d/%d (merged %v)",
+			snap.Done, snap.Total, snap.Merged, ls.Done, ls.Total, ls.Merged)
+	}
 	for _, u := range r.l.units {
-		if u.id >= len(st.ShardStates) {
+		if u.id >= len(snap.Shards) {
 			r.t.Fatalf("ledger unit %d missing from the journal", u.id)
 		}
 	}
@@ -201,28 +220,11 @@ func (r *ledgerRig) check() {
 			r.t.Fatalf("settled unit %d is still queued", u.id)
 		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	seen := map[[2]int]bool{}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		var e journalEvent
-		if json.Unmarshal(sc.Bytes(), &e) != nil || (e.Event != "attempt" && e.Event != "steal") {
-			continue
-		}
-		key := [2]int{*e.Shard, e.Attempt}
-		if seen[key] {
-			r.t.Fatalf("journal repeats unit %d attempt %d", key[0], key[1])
-		}
-		seen[key] = true
-	}
 }
 
 // merge merges the finished run, checking each unit is merged once and
 // the result is byte-identical to the unsharded run; reopens the merged
-// run as finished; and pins the whole history against its golden file.
+// run as finished; and pins the journal against its golden file.
 func (r *ledgerRig) merge() {
 	r.t.Helper()
 	r.tick()
@@ -266,23 +268,17 @@ func (r *ledgerRig) merge() {
 	r.golden()
 }
 
-// golden compares the run's journal bytes and the progress events of
-// every open with testdata/ledger/<test>.golden. Paths read relative to
-// the run directory ($DIR); event times are the journal's.
+// golden compares the run's journal bytes with
+// testdata/ledger/<test>.golden; paths read relative to the run
+// directory ($DIR). check has already held the progress stream to the
+// journal.
 func (r *ledgerRig) golden() {
 	r.t.Helper()
 	journal, err := os.ReadFile(filepath.Join(r.cfg.Dir, JournalFileName))
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	var b bytes.Buffer
-	b.Write(journal)
-	b.WriteString("-- progress events --\n")
-	for _, e := range r.events {
-		fmt.Fprintf(&b, "%s shard=%d attempt=%d worker=%q file=%q cells=%d shards=%d err=%q\n",
-			e.Kind, e.Shard, e.Attempt, e.Worker, e.File, e.Cells, e.Shards, e.Err)
-	}
-	got := []byte(strings.ReplaceAll(b.String(), r.cfg.Dir, "$DIR"))
+	got := bytes.ReplaceAll(journal, []byte(r.cfg.Dir), []byte("$DIR"))
 	path := filepath.Join("testdata", "ledger", r.t.Name()+".golden")
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -297,7 +293,7 @@ func (r *ledgerRig) golden() {
 		r.t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		r.t.Errorf("journal or event stream drifted from %s (re-run with -update after intentional changes):\ngot:\n%s\nwant:\n%s", path, got, want)
+		r.t.Errorf("journal drifted from %s (re-run with -update after intentional changes):\ngot:\n%s\nwant:\n%s", path, got, want)
 	}
 }
 
@@ -407,6 +403,54 @@ func TestLedgerLateCompletion(t *testing.T) {
 		t.Fatal("the first completion lost")
 	}
 	r.check()
+	r.drain()
+	r.merge()
+}
+
+// TestLedgerResumeKeepsCostObservations resumes a balanced run twice. The
+// first resume journals the done batch as resumed; the second must still
+// price cells by that batch's observed duration, exactly as the first
+// did. A Tracker fed only the second resume's events counts the units
+// that open planned: the batches earlier opens superseded are not
+// pending.
+func TestLedgerResumeKeepsCostObservations(t *testing.T) {
+	r := newLedgerRig(t, BalanceCost, 2, 3)
+	b0 := r.l.Next()
+	task, att := r.start(b0, false)
+	r.complete(b0, task, att)
+	r.start(r.l.Next(), false) // interrupted mid-attempt
+
+	plan, err := experiment.PlanSelection(r.l.Spec().Selection, r.l.Spec().Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := func() [][]float64 {
+		t.Helper()
+		prior, err := ReadJournalDir(r.cfg.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return refineCosts(prior, plan)
+	}
+	r.reopen()
+	first := costs()
+	if reflect.DeepEqual(first, plan.Costs) {
+		t.Fatal("the done batch's duration refined nothing")
+	}
+	mark := len(r.events)
+	r.reopen()
+	if second := costs(); !reflect.DeepEqual(second, first) {
+		t.Fatalf("the second resume prices cells at\n%v\nthe first at\n%v", second, first)
+	}
+	tr := NewTracker()
+	for _, e := range r.events[mark:] {
+		tr.Observe(e)
+	}
+	s, ls := tr.SnapshotAt(r.clock), r.l.Stats()
+	if s.Total != ls.Total || s.Done != ls.Done || s.Pending != len(r.l.pending) {
+		t.Fatalf("tracker over the last open counts %d units, %d done, %d pending; the ledger %d, %d, %d",
+			s.Total, s.Done, s.Pending, ls.Total, ls.Done, len(r.l.pending))
+	}
 	r.drain()
 	r.merge()
 }

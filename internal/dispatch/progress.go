@@ -1,41 +1,42 @@
 package dispatch
 
 import (
+	"encoding/json"
+	"slices"
 	"sync"
 	"time"
 )
 
 // ProgressVersion identifies the progress-event schema. It is bumped
 // whenever an event kind is removed or a field changes meaning; adding
-// kinds or fields is backwards-compatible. The schema is specified in
-// docs/DISPATCH.md alongside the journal, one table for both.
-const ProgressVersion = 1
+// kinds or fields is backwards-compatible. Version 2 made the stream
+// carry exactly the journal's events (plan's Shards became the requested
+// shard count); docs/DISPATCH.md specifies both in one table.
+const ProgressVersion = 2
 
 // ProgressKind names one kind of lifecycle event. The journal's event
-// types carry the same names; docs/DISPATCH.md lists which events each
-// of the two carries.
+// types carry the same names: every event is journaled and streamed.
 type ProgressKind string
 
-// The progress-event kinds of schema version 1.
+// The progress-event kinds.
 const (
-	// ProgressPlan opens the stream: Shards carries the planned unit
-	// count (the journal's plan records the requested shard count).
+	// ProgressPlan opens every open of a run, fresh or resumed: it
+	// carries the run's Selection, Params, Balance and requested Shards.
 	ProgressPlan ProgressKind = "plan"
 	// ProgressResumed reports a shard satisfied from the journal without
 	// running.
 	ProgressResumed ProgressKind = "resumed"
 	// ProgressCached reports a shard satisfied from the cell cache
-	// without running (File carries the shard file written from it) — a
-	// compatible addition to schema version 1; old consumers ignore it.
+	// without running (File carries the shard file written from it).
 	ProgressCached ProgressKind = "cached"
 	// ProgressAttempt reports a worker starting an attempt at a shard.
 	ProgressAttempt ProgressKind = "attempt"
-	// ProgressBatch announces one planned cell batch of a balanced
-	// dispatch (Shard = batch id, Cells = its cell count) — a compatible
-	// addition to schema version 1; old consumers ignore it.
+	// ProgressBatch announces one unit an open planned or kept, a split
+	// child, or a batch a resume dropped: Shard is its id, and BatchKind,
+	// Parent, Spec, Cells and Weight describe it.
 	ProgressBatch ProgressKind = "batch"
 	// ProgressSteal reports an idle worker starting a duplicate attempt
-	// at a straggling batch — a compatible addition to schema version 1.
+	// at a straggling batch.
 	ProgressSteal ProgressKind = "steal"
 	// ProgressDone reports a shard completing (file validated).
 	ProgressDone ProgressKind = "done"
@@ -49,36 +50,50 @@ const (
 	ProgressMerged ProgressKind = "merged"
 )
 
-// ProgressEvent is one event of the dispatch progress stream. Events for
-// concurrent attempts are delivered from multiple goroutines; handlers
-// must be safe for concurrent use (Tracker is).
+// ProgressEvent is one lifecycle event of a run: one event of the
+// progress stream and, in the JSON form its tags give, one journal line
+// (docs/DISPATCH.md). A handler shared between dispatches must be safe
+// for concurrent use (Tracker is).
 type ProgressEvent struct {
-	// Version is the schema version (ProgressVersion).
-	Version int
-	// Kind is the event kind.
-	Kind ProgressKind
+	// Version is the schema version (ProgressVersion); journal lines
+	// omit it.
+	Version int `json:"version,omitempty"`
 	// Time is the driver's wall-clock instant of the event.
-	Time time.Time
-	// Shards carries the planned unit count (plan), the merged unit
-	// count (merged) or the number of present shards of a partial merge
-	// (partial).
-	Shards int
+	Time time.Time `json:"time"`
+	// Kind is the event kind.
+	Kind ProgressKind `json:"event"`
+	// Selection, Params and Balance pin the run (plan): the selection,
+	// the normalised params as compact JSON, and the balance mode (""
+	// on round-robin runs). Shards carries the requested shard count
+	// (plan), the merged unit count (merged) or the number of present
+	// shards of a partial merge (partial).
+	Selection string          `json:"selection,omitempty"`
+	Shards    int             `json:"shards,omitempty"`
+	Params    json.RawMessage `json:"params,omitempty"`
+	Balance   string          `json:"balance,omitempty"`
 	// Shard is the shard index the event concerns; -1 for run-level
 	// events (plan, partial, merged).
-	Shard int
+	Shard int `json:"shard"`
 	// Attempt numbers the attempt at the shard, starting at 1.
-	Attempt int
+	Attempt int `json:"attempt,omitempty"`
 	// Worker names the worker running the attempt.
-	Worker string
+	Worker string `json:"worker,omitempty"`
 	// Err is the failure of a fail event, or of a partial event whose
 	// write did not complete.
-	Err string
+	Err string `json:"error,omitempty"`
 	// File is the produced file: the shard file of a done event, the
 	// partial cover file of a partial event.
-	File string
+	File string `json:"file,omitempty"`
+	// BatchKind, Parent, Spec and Weight describe a batch event's unit:
+	// "" for a round-robin shard, "cost", "split" or "dropped"; a split
+	// child's parent id; the cell spec; the predicted weight.
+	BatchKind string  `json:"kind,omitempty"`
+	Parent    *int    `json:"parent,omitempty"`
+	Spec      string  `json:"spec,omitempty"`
+	Weight    float64 `json:"weight,omitempty"`
 	// Cells counts merged cells (merged), covered cells (partial), or the
 	// cells of one shard/batch (batch, done).
-	Cells int
+	Cells int `json:"cells,omitempty"`
 }
 
 // ShardState is a unit's lifecycle state.
@@ -99,11 +114,14 @@ type ShardStatus = JournalShard
 // Snapshot is a point-in-time view of a dispatch derived purely from its
 // progress events.
 type Snapshot struct {
-	// Shards holds the per-shard states, indexed by shard.
+	// Shards holds the per-shard states, indexed by shard (superseded
+	// batches included); nil from Counts.
 	Shards []ShardStatus
-	// Total, Done, Running, Failed and Pending count shards by state
-	// (Done includes Resumed; Failed counts shards whose latest attempt
-	// failed and has not been retried yet).
+	// Total, Done, Running, Failed and Pending count the units the merge
+	// needs by state (Done includes Resumed; Failed counts units whose
+	// latest attempt failed and has not been retried yet). A superseded
+	// batch is not counted, nor, on a balanced run, an id no batch event
+	// announced (a batch an earlier open superseded).
 	Total, Done, Running, Failed, Pending int
 	// Resumed counts shards satisfied from the journal without running.
 	Resumed int
@@ -154,7 +172,7 @@ func (t *Tracker) Observe(e ProgressEvent) {
 		t.start = e.Time
 	}
 	// A plan the journal reader would reject changes nothing.
-	t.st.apply(event{ProgressEvent: e})
+	t.st.apply(e)
 }
 
 // Snapshot returns the current state, with Elapsed and ETA measured
@@ -166,15 +184,30 @@ func (t *Tracker) Snapshot() Snapshot { return t.SnapshotAt(time.Now()) }
 func (t *Tracker) SnapshotAt(now time.Time) Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := Snapshot{
-		Shards: append([]ShardStatus(nil), t.st.ShardStates...),
-		Total:  len(t.st.ShardStates),
-		Merged: t.st.Merged,
-	}
+	s := t.counts(now)
+	s.Shards = slices.Clone(t.st.ShardStates)
+	return s
+}
+
+// Counts returns Snapshot without the per-unit Shards: what a display
+// redrawn on every event reads, without copying every unit's record.
+func (t *Tracker) Counts() Snapshot {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.counts(time.Now())
+}
+
+func (t *Tracker) counts(now time.Time) Snapshot {
+	s := Snapshot{Merged: t.st.Merged}
 	var sumSpan time.Duration
 	nSpan, spanCells, blindSpan := 0, 0, 0
 	remainingCells, cellsKnown := 0, true
-	for _, st := range t.st.ShardStates {
+	for i := range t.st.ShardStates {
+		st := &t.st.ShardStates[i]
+		if st.Superseded || (t.st.Balance != "" && st.Kind == "") {
+			continue
+		}
+		s.Total++
 		s.Steals += st.Steals
 		switch st.State {
 		case ShardDone:

@@ -86,10 +86,11 @@
 // files into a provisional cover with exact accounting of what is
 // missing, and ExperimentFromCellsPartial renders it with per-point
 // coverage. A dispatch streams the same information live: typed progress
-// events (DispatchOptions.Progress, folded into per-shard state and an
-// ETA by DispatchTracker), periodic auto-partial merges
-// (DispatchOptions.PartialEvery) and a pure-reader view of any journal
-// (ReadDispatchJournal). Partial output is the full run's aggregation
+// events (DispatchOptions.Progress: exactly the events its journal
+// records, folded into per-shard state and an ETA by DispatchTracker),
+// periodic auto-partial merges (DispatchOptions.PartialEvery) and a
+// pure-reader view of any journal (ReadDispatchJournal), folded by the
+// Tracker's own reducer. Partial output is the full run's aggregation
 // restricted to the present cells, so it converges byte-identically to
 // the final figures. The CLI equivalents are "merge -partial", "dispatch
 // -progress -partial-every" and "status"; docs/DISPATCH.md specifies the
