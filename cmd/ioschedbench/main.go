@@ -282,7 +282,8 @@ func (a *taskArgs) run() error {
 		}
 		return writeShard(*a.rf.which, params, *a.parallel, n, *a.shardIndex, *a.out, cache, codec)
 	}
-	return render(*a.rf.which, params.Context(*a.parallel).WithCache(cache), nil, *a.csvDir)
+	src := &cellSource{computed: make(map[string][]shard.Cell)}
+	return render(*a.rf.which, params.Context(*a.parallel).WithCache(cache), src, *a.csvDir)
 }
 
 // runTasks is the tasks subcommand: the warm child of a
@@ -544,11 +545,8 @@ func runMerge(args []string) error {
 				return err
 			}
 		}
-		if cover.Complete() {
-			// The cover grew to completion: render exactly the full merge.
-			return renderMerged(cover.File, *csvDir)
-		}
-		return renderPartialCover(cover, *csvDir)
+		// A cover grown to completion renders exactly as the full merge.
+		return renderCover(cover, *csvDir)
 	}
 	merged, err := shard.Merge(files)
 	if err != nil {
@@ -567,35 +565,88 @@ func runMerge(args []string) error {
 // merge and dispatch subcommands share it, which is what makes their
 // stdout byte-identical to the unsharded run's.
 func renderMerged(merged *shard.File, csvDir string) error {
+	return renderCover(&shard.PartialCover{File: merged}, csvDir)
+}
+
+// renderCover renders the runs a shard cover recorded under the params
+// it recorded: a complete cover exactly as the unsharded run, an
+// incomplete one provisionally (partial.go).
+func renderCover(cover *shard.PartialCover, csvDir string) error {
 	var params experiment.ShardParams
-	if err := json.Unmarshal(merged.Params, &params); err != nil {
+	if err := json.Unmarshal(cover.File.Params, &params); err != nil {
 		return fmt.Errorf("recorded params: %w", err)
 	}
-	byName := make(map[string][]shard.Cell, len(merged.Runs))
-	for _, r := range merged.Runs {
-		byName[r.Experiment] = r.Cells
+	src := &cellSource{runs: make(map[string][]shard.Cell, len(cover.File.Runs))}
+	for _, r := range cover.File.Runs {
+		src.runs[r.Experiment] = r.Cells
 	}
-	cells := func(name string) ([]shard.Cell, bool) { cs, ok := byName[name]; return cs, ok }
-	return render(merged.Selection, params.Context(0), cells, csvDir)
+	if !cover.Complete() {
+		src.cover = cover
+	}
+	return render(cover.File.Selection, params.Context(0), src, csvDir)
+}
+
+// cellSource is what render draws cells from: the runs a merged file or
+// a shard cover recorded, or cells it computes in process.
+type cellSource struct {
+	// runs holds each recorded run's cells by experiment name.
+	runs map[string][]shard.Cell
+	// computed, when non-nil, replaces runs: cells computed in process,
+	// by cell key, so Figures 6 and 7 share one computation.
+	computed map[string][]shard.Cell
+	// cover is set only for an incomplete cover: its results are
+	// provisional.
+	cover *shard.PartialCover
+}
+
+// errRunNotRecorded marks a registered grid experiment absent from a
+// cover's recorded runs (a file from before the experiment registered).
+var errRunNotRecorded = fmt.Errorf("shard files carry no cells for this experiment")
+
+// result aggregates e's result and its coverage from the source.
+func (s *cellSource) result(e experiment.Experiment, rc experiment.RunContext) (experiment.Result, experiment.Coverage, error) {
+	name := e.Name()
+	var cells []shard.Cell
+	// A closed-form experiment has no cells: it is aggregated from none
+	// at render time on every path.
+	if e.Codec().New != nil {
+		var ok bool
+		if s.computed != nil {
+			if cells, ok = s.computed[e.CellKey()]; !ok {
+				var err error
+				if cells, _, err = experiment.RunCells(name, rc, nil); err != nil {
+					return nil, experiment.Coverage{}, err
+				}
+				s.computed[e.CellKey()] = cells
+			}
+		} else if cells, ok = s.runs[name]; !ok {
+			return nil, experiment.Coverage{}, errRunNotRecorded
+		}
+	}
+	if s.cover != nil {
+		return experiment.FromCellsPartial(name, rc, cells)
+	}
+	res, err := experiment.FromCells(name, rc, cells)
+	return res, experiment.Coverage{}, err
 }
 
 // render draws the selected experiments in the registry's canonical
-// order. cells supplies a merged run's cell sets; nil runs the
-// experiments in process. Both paths aggregate and render through the
-// same registry hooks, which is what makes merged output byte-identical
-// to an unsharded run's — and what makes a newly registered experiment
-// renderable with no CLI edit.
+// order from the cell source. Every source aggregates and renders
+// through the same registry hooks, which is what makes merged output
+// byte-identical to an unsharded run's — and what makes a newly
+// registered experiment renderable with no CLI edit. Only an incomplete
+// cover adds its banner, the gap notes and the coverage column.
 //
-// An "all" merge renders the grid experiments the file recorded: a file
+// An "all" cover renders the grid experiments the file recorded: a file
 // written before an experiment registered legitimately lacks its cells,
 // and its recorded run list — not this binary's registry — says what
 // the sweep computed. A specifically selected experiment must be
 // present.
-func render(which string, rc experiment.RunContext, cells func(name string) ([]shard.Cell, bool), csvDir string) error {
+func render(which string, rc experiment.RunContext, src *cellSource, csvDir string) error {
+	if src.cover != nil {
+		printPartialBanner(src.cover)
+	}
 	ran := false
-	// In-process "all" runs reuse one cell computation per cell key
-	// (Figures 6 and 7 share their grid).
-	liveCache := map[string][]shard.Cell{}
 	for _, e := range experiment.All() {
 		name := e.Name()
 		if which != experiment.ExpAll && which != name {
@@ -607,55 +658,33 @@ func render(which string, rc experiment.RunContext, cells func(name string) ([]s
 			// seed on every machine.
 			continue
 		}
-		res, err := resultFor(e, rc, cells, liveCache)
+		res, cov, err := src.result(e, rc)
+		if err == errRunNotRecorded && which == experiment.ExpAll {
+			continue
+		}
 		if err != nil {
-			if err == errRunNotRecorded && which == experiment.ExpAll {
-				continue
-			}
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		ran = true
 		fmt.Print(e.Header(rc))
-		if err := renderBody(e, res, nil, csvDir); err != nil {
+		var gap *experiment.Coverage
+		if !cov.Complete() {
+			gap = &cov
+			printGap(e, res, cov, src.cover.Missing)
+		}
+		if res == nil {
+			continue
+		}
+		if err := renderBody(e, res, gap, csvDir); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
 	if !ran {
+		// A hand-edited selection passes Decode and the merges; fail
+		// instead of printing nothing.
 		return fmt.Errorf("%w %q", experiment.ErrUnknownExperiment, which)
 	}
 	return nil
-}
-
-// errRunNotRecorded marks a registered grid experiment absent from a
-// merged file's recorded runs (a file from before the experiment
-// registered).
-var errRunNotRecorded = fmt.Errorf("shard files carry no cells for this experiment")
-
-// resultFor aggregates one experiment's result from the cell source (or
-// in process when cells is nil).
-func resultFor(e experiment.Experiment, rc experiment.RunContext, cells func(name string) ([]shard.Cell, bool), liveCache map[string][]shard.Cell) (experiment.Result, error) {
-	name := e.Name()
-	if e.Codec().New == nil {
-		// Closed-form: recomputed at render time on every path.
-		return experiment.Run(name, rc)
-	}
-	if cells != nil {
-		cs, ok := cells(name)
-		if !ok {
-			return nil, errRunNotRecorded
-		}
-		return experiment.FromCells(name, rc, cs)
-	}
-	key := e.CellKey()
-	cs, ok := liveCache[key]
-	if !ok {
-		var err error
-		if cs, _, err = experiment.RunCells(name, rc, nil); err != nil {
-			return nil, err
-		}
-		liveCache[key] = cs
-	}
-	return experiment.FromCells(name, rc, cs)
 }
 
 // renderBody renders a result below its header: optional chart, table

@@ -1,17 +1,16 @@
 package main
 
-// Provisional rendering of an incomplete shard cover (merge -partial):
-// every figure is drawn from the cells that exist, the gaps are named
-// explicitly — overall banner, per-experiment coverage lines, and a
-// per-point "cells" column in the tables and CSVs — and any run whose own
-// grid happens to be fully covered renders exactly as the final output
-// will. A complete cover never reaches this file: runMerge routes it
-// through renderMerged, which is what keeps the finished sweep
-// byte-identical to the unsharded run. The loop below is registry-driven:
-// a newly registered experiment gets partial rendering with no edit here.
+// Provisional rendering of an incomplete shard cover (merge -partial).
+// render (main.go) draws an incomplete cover through the same loop as a
+// complete one; this file holds only what the gaps add: the overall
+// banner, a line naming each experiment's gap, and a per-point "cells"
+// column in the tables and CSVs. Every figure is drawn from the cells
+// that exist, and a run whose own grid happens to be fully covered
+// renders exactly as the final output will. A complete cover adds none
+// of this, which is what keeps the finished sweep byte-identical to the
+// unsharded run.
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -28,9 +27,30 @@ func shardList(idxs []int) string {
 	return b.String()
 }
 
-// partialNote is the per-experiment annotation line naming the gap.
-func partialNote(cov experiment.Coverage, missing []int) string {
-	return fmt.Sprintf("PARTIAL: %s; missing shards:%s\n\n", cov, shardList(missing))
+// printPartialBanner prints the banner above an incomplete cover's
+// provisional results.
+func printPartialBanner(cover *shard.PartialCover) {
+	fmt.Printf("PARTIAL results: %d/%d shards present (missing shards:%s); %d/%d cells (%.1f%%)\n",
+		len(cover.Present), cover.Shards, shardList(cover.Missing),
+		cover.CellsHave(), cover.CellsTotal(), 100*cover.Fraction())
+	fmt.Printf("Provisional output: every value is computed over the cells present; the\n")
+	fmt.Printf("complete merge of all %d shards is byte-identical to the unsharded run.\n\n", cover.Shards)
+}
+
+// printGap prints the line naming an experiment's gap: above its
+// provisional result, or — when res is nil, as the experiment has no
+// provisional result for the subset — in the result's place.
+func printGap(e experiment.Experiment, res experiment.Result, cov experiment.Coverage, missing []int) {
+	sk, skips := e.(experiment.PartialSkipper)
+	switch {
+	case res != nil:
+		fmt.Printf("PARTIAL: %s; missing shards:%s\n\n", cov, shardList(missing))
+	case skips:
+		fmt.Print(sk.PartialSkipNote(cov, shardList(missing)))
+	default:
+		fmt.Printf("PARTIAL: %s; missing shards:%s — no provisional result for an incomplete grid.\n\n",
+			cov, shardList(missing))
+	}
 }
 
 // coverageColumn appends a per-point "cells" column to a result table, so
@@ -41,90 +61,4 @@ func coverageColumn(headers []string, rows [][]string, cov experiment.Coverage) 
 		rows[i] = append(rows[i], cov.Point(i))
 	}
 	return headers, rows
-}
-
-// renderPartialCover renders provisional results from an incomplete
-// cover, in the registry's canonical experiment order.
-func renderPartialCover(cover *shard.PartialCover, csvDir string) error {
-	var params experiment.ShardParams
-	if err := json.Unmarshal(cover.File.Params, &params); err != nil {
-		return fmt.Errorf("recorded params: %w", err)
-	}
-	rc := params.Context(0)
-
-	fmt.Printf("PARTIAL results: %d/%d shards present (missing shards:%s); %d/%d cells (%.1f%%)\n",
-		len(cover.Present), cover.Shards, shardList(cover.Missing),
-		cover.CellsHave(), cover.CellsTotal(), 100*cover.Fraction())
-	fmt.Printf("Provisional output: every value is computed over the cells present; the\n")
-	fmt.Printf("complete merge of all %d shards is byte-identical to the unsharded run.\n\n", cover.Shards)
-
-	byName := make(map[string][]shard.Cell, len(cover.File.Runs))
-	for _, r := range cover.File.Runs {
-		byName[r.Experiment] = r.Cells
-	}
-	which := cover.File.Selection
-	ran := false
-	for _, e := range experiment.All() {
-		name := e.Name()
-		if which != experiment.ExpAll && which != name {
-			continue
-		}
-		ran = true
-		if e.Codec().New == nil {
-			// Closed-form experiments carry no cells: a partial cover
-			// renders them in full, in their canonical place.
-			res, err := experiment.Run(name, rc)
-			if err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			fmt.Print(e.Header(rc))
-			if err := renderBody(e, res, nil, csvDir); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			continue
-		}
-		cells, ok := byName[name]
-		if !ok {
-			if which == experiment.ExpAll {
-				// The cover was written before this experiment registered:
-				// the file's recorded run list says what the sweep
-				// computed, so render that, not this binary's registry.
-				continue
-			}
-			return fmt.Errorf("%s: shard files carry no cells", name)
-		}
-		res, cov, err := experiment.FromCellsPartial(name, rc, cells)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Print(e.Header(rc))
-		switch {
-		case res == nil:
-			// The experiment has no provisional result for this subset;
-			// explain the gap in its place.
-			if sk, ok := e.(experiment.PartialSkipper); ok {
-				fmt.Print(sk.PartialSkipNote(cov, shardList(cover.Missing)))
-			} else {
-				fmt.Printf("PARTIAL: %s; missing shards:%s — no provisional result for an incomplete grid.\n\n",
-					cov, shardList(cover.Missing))
-			}
-		case cov.Complete():
-			// This run's own grid is fully covered (smaller than the shard
-			// count): it renders exactly as the final output will.
-			if err := renderBody(e, res, nil, csvDir); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		default:
-			fmt.Print(partialNote(cov, cover.Missing))
-			if err := renderBody(e, res, &cov, csvDir); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		}
-	}
-	if !ran {
-		// A hand-edited selection passes Decode and MergePartial; mirror
-		// the full render path's failure instead of printing nothing.
-		return fmt.Errorf("%w %q", experiment.ErrUnknownExperiment, which)
-	}
-	return nil
 }

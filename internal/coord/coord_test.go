@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -206,6 +207,35 @@ func TestCoordinatorEventsAcrossRestart(t *testing.T) {
 	}
 	if events[3].Err != "boom" {
 		t.Fatalf("pre-restart failure streamed as %+v", events[3])
+	}
+}
+
+// TestSubmitRefusesOversizedGrid: a submit's params, chosen by a remote
+// client, size the plan. Params asking for a grid over
+// shard.MaxGridCells are refused on either decomposition before the
+// plan sizes anything by them, within a small fixed allocation, and
+// leave no run behind.
+func TestSubmitRefusesOversizedGrid(t *testing.T) {
+	c, err := coord.New(t.TempDir(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := experiment.ShardParams{Systems: 2_000_000_000, Seed: 1}
+	for _, balance := range []string{dispatch.BalanceRoundRobin, dispatch.BalanceCost} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := c.Submit(coord.SubmitRequest{Selection: experiment.ExpFig5, Params: p, Shards: 2, Balance: balance})
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("%s submit asking for 2e9 systems: %v, want the grid refused", balance, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Errorf("refusing the %s submit allocated %d bytes, want <= 1 MiB", balance, alloc)
+		}
+	}
+	if st, err := c.Status("run-0001"); err == nil {
+		t.Errorf("a refused submit left a run behind: %+v", st)
 	}
 }
 

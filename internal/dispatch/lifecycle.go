@@ -223,14 +223,13 @@ func (l *Ledger) sameRun(prior *JournalState) error {
 // plan builds the run's units, announces each, and settles it from the
 // journal or the cell cache, or queues it.
 func (l *Ledger) plan(prior *JournalState) error {
-	var units []*Unit
+	plan := l.planBatches
 	if l.balance == BalanceRoundRobin {
-		units = l.planShards(prior)
-	} else {
-		var err error
-		if units, err = l.planBatches(prior); err != nil {
-			return err
-		}
+		plan = l.planShards
+	}
+	units, err := plan(prior)
+	if err != nil {
+		return err
 	}
 	// One probe for the whole plan: each cache key is read from disk once,
 	// however many units draw cells from it.
@@ -260,17 +259,18 @@ func (l *Ledger) plan(prior *JournalState) error {
 
 // planShards returns the round-robin shards, each keeping its journaled
 // state and attempt count. Per-shard cell counts feed the batch events
-// (and the Tracker's cell-weighted ETA); shards work without them, so a
-// plan failure is not fatal.
-func (l *Ledger) planShards(prior *JournalState) []*Unit {
+// (and the Tracker's cell-weighted ETA). A selection the params cannot
+// plan — a grid no experiment accepts, or one over shard.MaxGridCells —
+// is refused here, before any unit exists: no worker could run it.
+func (l *Ledger) planShards(prior *JournalState) ([]*Unit, error) {
+	plan, err := experiment.PlanSelection(l.spec.Selection, l.spec.Params)
+	if err != nil {
+		return nil, err
+	}
 	ncells := make([]int, l.spec.Shards)
-	if plan, err := experiment.PlanSelection(l.spec.Selection, l.spec.Params); err == nil {
-		if assign, err := (shard.RoundRobin{}).Split(plan.Grids, l.spec.Shards); err == nil {
-			for ri := range assign {
-				for _, part := range assign[ri] {
-					ncells[part]++
-				}
-			}
+	for _, g := range plan.Grids {
+		for gi := range g.Cells() {
+			ncells[gi%l.spec.Shards]++
 		}
 	}
 	units := make([]*Unit, l.spec.Shards)
@@ -284,7 +284,7 @@ func (l *Ledger) planShards(prior *JournalState) []*Unit {
 		units[i] = u
 	}
 	l.nextID = l.spec.Shards
-	return units
+	return units, nil
 }
 
 // planBatches returns the cost-balanced batches. A resume keeps every done

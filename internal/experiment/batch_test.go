@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/cellcache"
@@ -84,14 +85,14 @@ func TestCachedBatchServesWarmStore(t *testing.T) {
 	}
 	// Cold probe misses; a computed batch deposits; the warm probe must
 	// return byte-identical bytes.
-	if _, ok, err := CachedBatch(store, ExpFig5, p, cells); err != nil || ok {
+	if _, ok, err := NewCacheProbe(store).Batch(ExpFig5, p, cells); err != nil || ok {
 		t.Fatalf("cold probe = %v, %v; want miss", ok, err)
 	}
 	computed, err := RunBatchCached(ExpFig5, p, 1, cells, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, ok, err := CachedBatch(store, ExpFig5, p, cells)
+	warm, ok, err := NewCacheProbe(store).Batch(ExpFig5, p, cells)
 	if err != nil || !ok {
 		t.Fatalf("warm probe = %v, %v; want hit", ok, err)
 	}
@@ -137,6 +138,32 @@ func TestPlanSelectionGroupsAndCosts(t *testing.T) {
 	}
 	if rp.TotalCost(rowsAll(rp)) <= 0 {
 		t.Error("TotalCost of everything <= 0")
+	}
+}
+
+// TestPlanSelectionAllocatesItsCostTable: pricing a plan allocates its
+// cost table, 8 bytes a cell, plus a constant — never per-cell scratch,
+// which every ledger open would pay at paper scale and beyond.
+func TestPlanSelectionAllocatesItsCostTable(t *testing.T) {
+	p := ShardParams{Systems: 2000, Seed: 1}
+	for _, selection := range []string{ExpFig5, ExpAll} {
+		rp, err := PlanSelection(selection, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := 0
+		for _, g := range rp.Grids {
+			cells += g.Cells()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := PlanSelection(selection, p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(cells)+64<<10 {
+			t.Errorf("PlanSelection(%s) over %d cells allocated %d bytes, want <= 8 a cell + 64 KiB", selection, cells, alloc)
+		}
 	}
 }
 

@@ -4,9 +4,10 @@ package experiment
 // shard already in the cache?" so a dispatch driver can journal it as
 // cached instead of queueing a worker, and DepositFile feeds a validated
 // worker output back into the cache so later runs — wider grids, more
-// shards, a re-render — start from a warm store. Both speak the same key
-// derivation as the engine's frontier evaluation (cacheKey), so every
-// run path shares one namespace.
+// shards, a re-render — start from a warm store. A probe walks a unit's
+// cells through the same loop a computing run does (unitCells), and
+// every path derives its keys through cacheKey and packs its records
+// through packEntry, so every run path shares one namespace.
 
 import (
 	"encoding/json"
@@ -28,19 +29,23 @@ func CachedShard(cache *cellcache.Store, selection string, p ShardParams, shards
 	return NewCacheProbe(cache).Shard(selection, p, shards, index)
 }
 
-// CacheProbe answers CachedShard and CachedBatch questions for many units
-// of one run while loading each cache key at most once: the first probe
-// that needs a key loads it, and every later probe reads that view. A
-// probe therefore sees the cache as it stood when it first loaded each
-// key, never later deposits; make a new one for a fresh look. A
-// CacheProbe is not safe for concurrent use.
+// CacheProbe answers CachedShard questions, and their cell-batch
+// counterpart Batch, for many units of one run while loading each cache
+// key at most once: the first probe that needs a key loads it, and every
+// later probe reads that view. A probe therefore sees the cache as it
+// stood when it first loaded each key, never later deposits; make a new
+// one for a fresh look. A CacheProbe is not safe for concurrent use.
 type CacheProbe struct {
 	cache *cellcache.Store
 	views map[cellcache.Key]*cellcache.View
 }
 
-// NewCacheProbe returns a probe over cache.
+// NewCacheProbe returns a probe over cache. A nil cache gives a nil
+// probe, which holds no cell.
 func NewCacheProbe(cache *cellcache.Store) *CacheProbe {
+	if cache == nil {
+		return nil
+	}
 	return &CacheProbe{cache: cache, views: make(map[cellcache.Key]*cellcache.View)}
 }
 
@@ -56,9 +61,6 @@ func (cp *CacheProbe) view(k cellcache.Key) *cellcache.View {
 
 // Shard is CachedShard over the probe's views.
 func (cp *CacheProbe) Shard(selection string, p ShardParams, shards, index int) (*shard.File, bool, error) {
-	if _, err := shard.NewPlan(shards, index); err != nil {
-		return nil, false, err
-	}
 	s, err := newSelectionFile(selection, p, 1, shards, index)
 	if err != nil {
 		return nil, false, err
@@ -66,53 +68,36 @@ func (cp *CacheProbe) Shard(selection string, p ShardParams, shards, index int) 
 	return s.cached(cp)
 }
 
-// Batch is CachedBatch over the probe's views.
+// Batch builds a cell batch (see RunBatchCached) purely from the probe's
+// views, like Shard: ok=false as soon as any listed cell is absent, and
+// otherwise a file byte-identical to what RunBatchCached would produce
+// for the same cells.
 func (cp *CacheProbe) Batch(selection string, p ShardParams, cells [][]int) (*shard.File, bool, error) {
-	s, err := newSelectionFile(selection, p, 1, 1, 0)
-	if err == nil {
-		err = s.restrict(cells)
-	}
+	s, err := newBatchFile(selection, p, 1, cells)
 	if err != nil {
 		return nil, false, err
 	}
 	return s.cached(cp)
 }
 
-// cached fills the file purely from the probe's views (see CachedShard
-// and CachedBatch).
+// cached fills the file purely from the probe's views.
 func (s *selectionFile) cached(cp *CacheProbe) (*shard.File, bool, error) {
 	if !SelectionReproducible(s.f.Selection) {
 		// Non-reproducible cells are never cached, so the cache can
 		// never answer for them — a fresh measurement is required.
 		return nil, false, nil
 	}
-	ok, err := s.fill(func(e Experiment, g shard.Grid, sel CellSelector) ([]shard.Cell, bool, error) {
-		key, err := cacheKey(e, s.rc)
-		if err != nil {
-			return nil, false, err
-		}
-		view, codec := cp.view(key), payloadCodec(e)
-		// Non-nil even when the file owns no cell of this grid, so the
-		// encoded file matches a computed one's ("[]", never "null").
-		cells := []shard.Cell{}
-		for o := 0; o < g.Points; o++ {
-			for i := 0; i < g.Systems; i++ {
-				if !sel(o, i) {
-					continue
-				}
-				c, hit := cachedCell(view, codec, o, i, e.CellSeed(s.rc, o, i))
-				if !hit {
-					return nil, false, nil
-				}
-				cells = append(cells, c)
-			}
-		}
-		return cells, true, nil
-	})
-	if err != nil || !ok {
+	if ok, err := s.fill(cp, false); err != nil || !ok {
 		return nil, false, err
 	}
 	return s.f, true, nil
+}
+
+// packEntry packs a cell into the record the cache stores for it.
+func packEntry(codec shard.PayloadCodec, c shard.Cell) (cellcache.Entry, error) {
+	w := &shard.ColumnWriter{}
+	err := codec.Pack(w, c.Data)
+	return cellcache.Entry{Point: c.Point, System: c.System, Seed: c.Seed, Record: w.Bytes()}, err
 }
 
 // DepositFile deposits every cell of a shard (or merged) file into the
@@ -154,11 +139,9 @@ func DepositFile(cache *cellcache.Store, f *shard.File, p ShardParams) error {
 		codec := payloadCodec(e)
 		entries := make([]cellcache.Entry, len(r.Cells))
 		for j, c := range r.Cells {
-			w := &shard.ColumnWriter{}
-			if err := codec.Pack(w, c.Data); err != nil {
+			if entries[j], err = packEntry(codec, c); err != nil {
 				return fmt.Errorf("experiment: run %q cell (%d,%d): %w", r.Experiment, c.Point, c.System, err)
 			}
-			entries[j] = cellcache.Entry{Point: c.Point, System: c.System, Seed: c.Seed, Record: w.Bytes()}
 		}
 		if err := cache.Put(key, entries); err != nil {
 			return err

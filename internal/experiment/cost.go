@@ -11,6 +11,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/shard"
 )
@@ -33,11 +34,27 @@ func gaBudget(rc RunContext) float64 {
 	return float64(n)
 }
 
+// utilAxis is a utilisation axis built on its first use and shared
+// after it: a cost model prices every cell of a plan, so it must not
+// rebuild the axis per cell, and package init does no work for it.
+type utilAxis struct {
+	once  sync.Once
+	build func() []float64
+	us    []float64
+}
+
+func (a *utilAxis) get() []float64 {
+	a.once.Do(func() { a.us = a.build() })
+	return a.us
+}
+
+var fig5Axis, figqAxis = utilAxis{build: Fig5Utils}, utilAxis{build: FigQUtils}
+
 // CellCost implements CellCoster for Figure 5: the GA budget scaled by
 // the cell's utilisation point (higher utilisation → more jobs → more
 // expensive fitness evaluations).
 func (fig5Experiment) CellCost(rc RunContext, point, system int) float64 {
-	us := Fig5Utils()
+	us := fig5Axis.get()
 	if point < 0 || point >= len(us) {
 		return gaBudget(rc)
 	}
@@ -47,7 +64,7 @@ func (fig5Experiment) CellCost(rc RunContext, point, system int) float64 {
 // CellCost implements CellCoster for Figures 6/7, which share one cell
 // computation over the quality sweep's utilisation axis.
 func (figqExperiment) CellCost(rc RunContext, point, system int) float64 {
-	us := FigQUtils()
+	us := figqAxis.get()
 	if point < 0 || point >= len(us) {
 		return gaBudget(rc)
 	}
@@ -88,7 +105,7 @@ func PlanSelection(selection string, p ShardParams) (*RunPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := e.Grid(rc)
+		g, err := gridOf(e, rc)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s: %w", name, err)
 		}

@@ -79,6 +79,12 @@ func restricted(ref *shard.File, keep func(ri, g int) bool) *shard.File {
 	return &f
 }
 
+// rotated returns files rotated left by k: merges must not depend on
+// the order their inputs arrive in.
+func rotated(files []*shard.File, k int) []*shard.File {
+	return append(slices.Clone(files[k:]), files[:k]...)
+}
+
 // fuzzDraws hands out values drawn from fuzz bytes; once they run out
 // every draw is 0.
 type fuzzDraws []byte
@@ -105,7 +111,8 @@ func (d *fuzzDraws) draw(n int) int {
 // over 1–8 shards, cost-packed batches, or a random partition that
 // duplicates some cells); a fresh cache pre-warmed with a random cell
 // subset; per unit a codec, a parallelism and whether the cache is
-// probed first; and the units of a partial merge.
+// probed first; the units of a partial merge; and the order each merge
+// receives its files in.
 func FuzzCoverEquivalence(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{7, 1, 0, 2, 3, 1, 0, 1, 1, 1, 0, 1, 2, 1, 1})
@@ -224,10 +231,10 @@ func FuzzCoverEquivalence(f *testing.F) {
 		// The complete merge is the unsharded run, and aggregates to the
 		// in-process results on both aggregation paths.
 		var merged *shard.File
-		if kind == 0 {
-			merged, err = shard.Merge(files)
+		if order := rotated(files, d.draw(n)); kind == 0 {
+			merged, err = shard.Merge(order)
 		} else {
-			merged, _, err = shard.MergeBatches(files)
+			merged, _, err = shard.MergeBatches(order)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +282,7 @@ func FuzzCoverEquivalence(f *testing.F) {
 		}
 		expect := restricted(ref.file, func(ri, g int) bool { return have[ri][g] })
 		if kind == 0 {
-			cover, err := shard.MergePartial(sub)
+			cover, err := shard.MergePartial(rotated(sub, d.draw(len(sub))))
 			if err != nil {
 				t.Fatal(err)
 			}

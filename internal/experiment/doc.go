@@ -13,14 +13,18 @@
 //	              extensibility example: registered, never plumbed)
 //
 // The generic engines drive any registered experiment: Run evaluates
-// and aggregates in process, RunCells/RunShard evaluate arbitrary cell
-// subsets for cross-process sharding, FromCells rebuilds exact results
-// from complete merged sets, and FromCellsPartial renders provisional
-// results from any subset with an exact Coverage report — the same
-// Aggregate hook on every path, restricted to the present cells, so
-// partial output converges byte-identically to the full run's once the
-// cover completes. The engines are the only way to run an experiment;
-// a RunContext comes from ShardParams.Context.
+// and aggregates in process, RunCells/RunShard/RunBatchCached evaluate
+// arbitrary cell subsets for cross-process sharding, and CacheProbe
+// answers whether the cache already holds a whole unit — every one of
+// them walks its cells through one loop, which either computes a miss
+// or reports the unit uncached. FromCellsPartial renders provisional
+// results from any subset with an exact Coverage report, and FromCells
+// is its complete case — the same Aggregate hook on every path,
+// restricted to the present cells, so partial output converges
+// byte-identically to the full run's once the cover completes. Every
+// grid is resolved from the params in one place, which refuses any grid
+// over shard.MaxGridCells. The engines are the only way to run an
+// experiment; a RunContext comes from ShardParams.Context.
 //
 // Every experiment is deterministic given its seed: cells derive their
 // randomness from their (experiment, point, system) grid path via

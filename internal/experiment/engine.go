@@ -39,75 +39,103 @@ func Run(name string, rc RunContext) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.Codec().New == nil {
-		// Closed-form: no grid, nothing to fan out.
-		return e.Aggregate(rc, nil, nil)
+	var cells []shard.Cell
+	if e.Codec().New != nil {
+		// A closed-form model has no grid: FromCells aggregates it from
+		// no cells.
+		if cells, _, err = RunCells(name, rc, nil); err != nil {
+			return nil, err
+		}
 	}
-	cells, _, err := runCells(e, rc, nil)
-	if err != nil {
-		return nil, err
-	}
-	return fromCells(e, rc, cells)
+	return FromCells(name, rc, cells)
 }
 
 // RunCells evaluates the selected cells of the named experiment's grid
 // (nil selects all) and returns them as shard cells with their derived
-// seeds recorded — the engine under the shard workflow.
+// seeds recorded, through the context's cache when it has one.
 func RunCells(name string, rc RunContext, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
 	e, err := get(name)
 	if err != nil {
 		return nil, shard.Grid{}, err
 	}
-	return runCells(e, rc, sel)
-}
-
-// runCells evaluates the selected cells in grid order. Cells the
-// context's cache holds under this run's seeds are reused — the key is
-// loaded once, before any cell is probed; only the rest is computed,
-// fanned over rc's workers, and deposited back as one pack of packed
-// records. The cells are the same either way: each derives its randomness
-// from a sub-seed over its (runner, point, system) path, so it evaluates
-// to the same value in any subset, process or parallelism.
-func runCells(e Experiment, rc RunContext, sel CellSelector) ([]shard.Cell, shard.Grid, error) {
-	g, err := e.Grid(rc)
+	g, err := gridOf(e, rc)
 	if err != nil {
 		return nil, g, err
 	}
-	if e.Codec().New == nil {
-		return nil, g, fmt.Errorf("experiment: %q is a closed-form model with no cell grid", e.Name())
+	var idx []int
+	for gi := range g.Cells() {
+		if sel == nil || sel(gi/g.Systems, gi%g.Systems) {
+			idx = append(idx, gi)
+		}
 	}
+	cells, _, err := unitCells(e, rc, g, idx, NewCacheProbe(rc.Cache), true)
+	return cells, g, err
+}
+
+// gridOf resolves e's cell grid under rc: the one place a grid is
+// derived from params. It refuses a closed-form model, which has no
+// grid, and any grid over shard.MaxGridCells — params a remote client
+// chooses must not size an allocation that no shard file could record.
+func gridOf(e Experiment, rc RunContext) (shard.Grid, error) {
+	if e.Codec().New == nil {
+		return shard.Grid{}, fmt.Errorf("experiment: %q is a closed-form model with no cell grid", e.Name())
+	}
+	g, err := e.Grid(rc)
+	if err != nil {
+		return shard.Grid{}, err
+	}
+	if err := g.Validate(); err != nil {
+		return shard.Grid{}, fmt.Errorf("experiment: %s: %w", e.Name(), err)
+	}
+	return g, nil
+}
+
+// unitCells returns the cells at the ascending global indices idx of e's
+// grid g, in that order: the one loop under every run, shard, batch and
+// cache probe. A cell the probe's view of e's key holds under its
+// derived seed is served from it (a nil probe, or a non-reproducible
+// experiment, serves nothing); every other cell is a miss. Without
+// compute, the first miss ends the walk with ok false: the unit is not
+// fully cached. With compute, the misses are evaluated over rc's workers
+// and deposited back to the probe's store as one pack. The cells are the
+// same either way: each derives its randomness from a sub-seed over its
+// (runner, point, system) path, so it evaluates to the same value in any
+// subset, process or parallelism.
+func unitCells(e Experiment, rc RunContext, g shard.Grid, idx []int, cp *CacheProbe, compute bool) ([]shard.Cell, bool, error) {
 	// A non-reproducible experiment's payloads measure the host, so the
 	// cache — whose contract is "a hit's bytes equal a recomputation's"
-	// — can neither serve nor store them: the cache is bypassed, never
-	// poisoned.
-	cache, codec := rc.Cache, payloadCodec(e)
+	// — can neither serve nor store them: it is bypassed, never poisoned.
+	if !Reproducible(e) {
+		cp = nil
+	}
 	var (
 		key  cellcache.Key
 		view *cellcache.View
+		err  error
 	)
-	if !Reproducible(e) {
-		cache = nil
-	} else if cache != nil {
+	if cp != nil {
 		if key, err = cacheKey(e, rc); err != nil {
-			return nil, g, err
+			return nil, false, err
 		}
-		view = cache.Load(key)
+		view = cp.view(key)
 	}
-	cells := []shard.Cell{}
+	codec := payloadCodec(e)
+	// Non-nil even when the unit owns no cell of this grid, so the
+	// encoded file reads "[]", never "null".
+	cells := make([]shard.Cell, 0, len(idx))
 	var frontier []int // indices into cells the cache does not cover
-	for o := 0; o < g.Points; o++ {
-		for i := 0; i < g.Systems; i++ {
-			if sel != nil && !sel(o, i) {
-				continue
+	for _, gi := range idx {
+		o, i := gi/g.Systems, gi%g.Systems
+		seed := e.CellSeed(rc, o, i)
+		c, ok := cachedCell(view, codec, o, i, seed)
+		if !ok {
+			if !compute {
+				return nil, false, nil
 			}
-			seed := e.CellSeed(rc, o, i)
-			c, ok := cachedCell(view, codec, o, i, seed)
-			if !ok {
-				c = shard.Cell{Point: o, System: i, Seed: seed}
-				frontier = append(frontier, len(cells))
-			}
-			cells = append(cells, c)
+			c = shard.Cell{Point: o, System: i, Seed: seed}
+			frontier = append(frontier, len(cells))
 		}
+		cells = append(cells, c)
 	}
 	vals, err := exec.Map(exec.New(rc.Config.Parallelism), context.Background(), len(frontier),
 		func(_ context.Context, m int) (any, error) {
@@ -115,27 +143,27 @@ func runCells(e Experiment, rc RunContext, sel CellSelector) ([]shard.Cell, shar
 			return e.Cell(rc, c.Point, c.System)
 		})
 	if err != nil {
-		return nil, g, err
+		return nil, false, err
 	}
 	var deposit []cellcache.Entry
 	for m, k := range frontier {
 		c := &cells[k]
 		if c.Data, err = cellData(e, vals[m]); err != nil {
-			return nil, g, fmt.Errorf("experiment: encode cell (%d,%d): %w", c.Point, c.System, err)
+			return nil, false, fmt.Errorf("experiment: encode cell (%d,%d): %w", c.Point, c.System, err)
 		}
-		if cache == nil {
+		if cp == nil {
 			continue
 		}
-		if w := (&shard.ColumnWriter{}); codec.Pack(w, c.Data) == nil {
-			deposit = append(deposit, cellcache.Entry{Point: c.Point, System: c.System, Seed: c.Seed, Record: w.Bytes()})
+		if ent, err := packEntry(codec, *c); err == nil {
+			deposit = append(deposit, ent)
 		}
 	}
-	if cache != nil {
+	if cp != nil {
 		// Deposits are best-effort: a full or read-only cache directory
 		// must not fail the run it merely accelerates.
-		_ = cache.Put(key, deposit)
+		_ = cp.cache.Put(key, deposit)
 	}
-	return cells, g, nil
+	return cells, true, nil
 }
 
 // cellData turns a computed payload into the value a cell carries: a
@@ -192,40 +220,23 @@ func cacheKey(e Experiment, rc RunContext) (cellcache.Key, error) {
 }
 
 // FromCells rebuilds the named experiment's result from a complete
-// (merged) cell set, via the exact Aggregate hook the in-process run
-// uses. Incomplete, duplicated, out-of-range or undecodable cells are
-// rejected.
+// (merged) cell set: FromCellsPartial's result, once the set covers the
+// whole grid. Incomplete, duplicated, out-of-range or undecodable cells
+// are rejected.
 func FromCells(name string, rc RunContext, cells []shard.Cell) (Result, error) {
-	e, err := get(name)
-	if err != nil {
-		return nil, err
+	res, cov, err := FromCellsPartial(name, rc, cells)
+	if err == nil && !cov.Complete() {
+		return nil, fmt.Errorf("%s: experiment: %d cells for a %dx%d grid", name, len(cells), len(cov.PointHave), cov.Inner)
 	}
-	return fromCells(e, rc, cells)
-}
-
-func fromCells(e Experiment, rc RunContext, cells []shard.Cell) (Result, error) {
-	if e.Codec().New == nil {
-		return e.Aggregate(rc, nil, nil)
-	}
-	g, err := e.Grid(rc)
-	if err != nil {
-		return nil, err
-	}
-	at, _, cov, err := decodeCells(e, g, cells)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", e.Name(), err)
-	}
-	if !cov.Complete() {
-		return nil, fmt.Errorf("%s: experiment: %d cells for a %dx%d grid", e.Name(), len(cells), g.Points, g.Systems)
-	}
-	return e.Aggregate(rc, at, nil)
+	return res, err
 }
 
 // FromCellsPartial rebuilds a provisional result from any subset of the
 // named experiment's grid cells, alongside an exact Coverage report: the
 // full run's aggregation restricted to the present cells. A complete
-// subset returns the same result as FromCells; a nil result (with nil
-// error) means the experiment has no provisional result for the subset.
+// subset aggregates with no presence predicate, exactly as the in-process
+// run does; a nil result (with nil error) means the experiment has no
+// provisional result for the subset.
 func FromCellsPartial(name string, rc RunContext, cells []shard.Cell) (Result, Coverage, error) {
 	e, err := get(name)
 	if err != nil {
@@ -236,7 +247,7 @@ func FromCellsPartial(name string, rc RunContext, cells []shard.Cell) (Result, C
 		res, err := e.Aggregate(rc, nil, nil)
 		return res, Coverage{}, err
 	}
-	g, err := e.Grid(rc)
+	g, err := gridOf(e, rc)
 	if err != nil {
 		return nil, Coverage{}, err
 	}
@@ -244,39 +255,14 @@ func FromCellsPartial(name string, rc RunContext, cells []shard.Cell) (Result, C
 	if err != nil {
 		return nil, Coverage{}, fmt.Errorf("%s: %w", e.Name(), err)
 	}
+	if cov.Complete() {
+		has = nil
+	}
 	res, err := e.Aggregate(rc, at, has)
 	if err != nil {
 		return nil, Coverage{}, err
 	}
 	return res, cov, nil
-}
-
-// CellCoverage reports how much of the named experiment's grid a cell
-// subset covers, validating positions without decoding payloads.
-func CellCoverage(name string, rc RunContext, cells []shard.Cell) (Coverage, error) {
-	e, err := get(name)
-	if err != nil {
-		return Coverage{}, err
-	}
-	g, err := e.Grid(rc)
-	if err != nil {
-		return Coverage{}, err
-	}
-	cov := Coverage{Total: g.Cells(), PointHave: make([]int, g.Points), Inner: g.Systems}
-	present := make([]bool, g.Cells())
-	for _, c := range cells {
-		idx, err := g.Index(c.Point, c.System)
-		if err != nil {
-			return Coverage{}, fmt.Errorf("%s: experiment: %w", name, err)
-		}
-		if present[idx] {
-			return Coverage{}, fmt.Errorf("%s: experiment: cell (%d,%d) appears twice", name, c.Point, c.System)
-		}
-		present[idx] = true
-		cov.Have++
-		cov.PointHave[c.Point]++
-	}
-	return cov, nil
 }
 
 // decodeCells gathers an arbitrary subset of a grid's typed cell payloads
@@ -336,7 +322,7 @@ func ValidateRuns(f *shard.File, p ShardParams) error {
 		if !ok {
 			return fmt.Errorf("experiment: %w %q in shard file", ErrUnknownExperiment, r.Experiment)
 		}
-		g, err := e.Grid(rc)
+		g, err := gridOf(e, rc)
 		if err != nil {
 			return err
 		}

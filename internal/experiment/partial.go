@@ -4,9 +4,10 @@ package experiment
 // any subset of a run's grid cells — typically the contents of a
 // shard.PartialCover built from whichever shard files exist — and
 // renders provisional results over the present cells only, alongside an
-// exact Coverage report. It re-enters the same Aggregate hook the
-// complete FromCells path uses with a presence predicate, so a complete
-// cell set produces results identical to the full run's: partial output
+// exact Coverage report. It is the one aggregation: FromCells is
+// FromCellsPartial plus a completeness check. An incomplete subset
+// reaches the Aggregate hook with a presence predicate, a complete one
+// without, exactly as the in-process run does — so partial output
 // converges to, never diverges from, the final figures.
 
 import "fmt"

@@ -31,7 +31,7 @@ type RunContext struct {
 	Config     Config
 	Motivation MotivationConfig
 	// Cache, when non-nil, is consulted before any cell is computed and
-	// receives every cell computed (engine.go's frontier evaluation). The
+	// receives every cell computed (engine.go's unitCells). The
 	// cache key is built from Params, so it is sound only while Config
 	// and Motivation are what Params resolves to. Context never sets it;
 	// callers opt in explicitly.
@@ -247,19 +247,6 @@ func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
 	return append([]string(nil), regOrder...)
-}
-
-// GridExperiments lists the registered experiments that carry a
-// shardable cell grid, in canonical order (Table I is closed-form and
-// excluded).
-func GridExperiments() []string {
-	var out []string
-	for _, e := range All() {
-		if e.Codec().New != nil {
-			out = append(out, e.Name())
-		}
-	}
-	return out
 }
 
 // ReproducibleGridExperiments lists the grid experiments that keep the

@@ -21,12 +21,8 @@ func TestRegistryCanonicalOrder(t *testing.T) {
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	wantGrid := []string{ExpFig5, ExpFig6, ExpFig7, ExpMotivation, ExpAblation, ExpMultiDevice, ExpJitter, ExpTailQ}
-	if got := GridExperiments(); !reflect.DeepEqual(got, wantGrid) {
-		t.Fatalf("GridExperiments() = %v, want %v", got, wantGrid)
-	}
-	// The "all" selection is the grid list minus the non-reproducible
-	// experiments: jitter only runs when named.
+	// The "all" selection is the grid experiments minus the
+	// non-reproducible ones: jitter only runs when named.
 	wantAll := []string{ExpFig5, ExpFig6, ExpFig7, ExpMotivation, ExpAblation, ExpMultiDevice, ExpTailQ}
 	if got := ReproducibleGridExperiments(); !reflect.DeepEqual(got, wantAll) {
 		t.Fatalf("ReproducibleGridExperiments() = %v, want %v", got, wantAll)
@@ -148,40 +144,6 @@ func TestTailQRegistryOnly(t *testing.T) {
 	_, cov, err = FromCellsPartial(ExpTailQ, rc, sub)
 	if err != nil || cov.Complete() || cov.Have != len(sub) {
 		t.Fatalf("subset coverage = %+v err=%v", cov, err)
-	}
-}
-
-// TestCellCoverage: the decode-free coverage engine agrees with the
-// decoding partial path and rejects the same malformed subsets.
-func TestCellCoverage(t *testing.T) {
-	p := ShardParams{Systems: 4, Seed: 1}
-	rc := p.Context(1)
-	f, err := RunShard(ExpMultiDevice, p, 1, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := f.Runs[0].Cells
-	cov, err := CellCoverage(ExpMultiDevice, rc, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, decCov, err := FromCellsPartial(ExpMultiDevice, rc, sub)
-	if err != nil || !reflect.DeepEqual(cov, decCov) {
-		t.Errorf("CellCoverage = %+v, partial decode reports %+v (err=%v)", cov, decCov, err)
-	}
-	if cov.Complete() || cov.Have != len(sub) {
-		t.Errorf("subset coverage = %+v for %d cells", cov, len(sub))
-	}
-	if _, err := CellCoverage(ExpMultiDevice, rc, append([]shard.Cell{sub[0]}, sub...)); err == nil {
-		t.Error("duplicate cell accepted")
-	}
-	oob := sub[0]
-	oob.System = 99
-	if _, err := CellCoverage(ExpMultiDevice, rc, []shard.Cell{oob}); err == nil {
-		t.Error("out-of-range cell accepted")
-	}
-	if _, err := CellCoverage("bogus", rc, nil); err == nil {
-		t.Error("unknown experiment accepted")
 	}
 }
 

@@ -228,23 +228,13 @@ func RunShard(selection string, p ShardParams, parallelism, shards, index int) (
 // RunShardCached is RunShard with a cell cache attached (nil behaves
 // exactly like RunShard): cached cells are reused, computed cells are
 // deposited, and the returned file is byte-identical to an uncached run's
-// (see runCellsCached).
+// (see unitCells).
 func RunShardCached(selection string, p ShardParams, parallelism, shards, index int, cache *cellcache.Store) (*shard.File, error) {
-	if _, err := shard.NewPlan(shards, index); err != nil {
-		return nil, err
-	}
 	s, err := newSelectionFile(selection, p, parallelism, shards, index)
 	if err != nil {
 		return nil, err
 	}
-	rc := s.rc.WithCache(cache)
-	if _, err := s.fill(func(e Experiment, _ shard.Grid, sel CellSelector) ([]shard.Cell, bool, error) {
-		cells, _, err := runCells(e, rc, sel)
-		return cells, true, err
-	}); err != nil {
-		return nil, err
-	}
-	return s.f, nil
+	return s.run(cache)
 }
 
 // selectionFile is one file of a selection being assembled — a round-
@@ -262,6 +252,9 @@ type selectionFile struct {
 // run of them records: the normalised params, the decomposition header
 // and, for a non-reproducible selection, the host fingerprint.
 func newSelectionFile(selection string, p ShardParams, parallelism, shards, index int) (*selectionFile, error) {
+	if _, err := shard.NewPlan(shards, index); err != nil {
+		return nil, err
+	}
 	names, err := SelectionRuns(selection)
 	if err != nil {
 		return nil, err
@@ -287,7 +280,7 @@ func newSelectionFile(selection string, p ShardParams, parallelism, shards, inde
 		if err != nil {
 			return nil, err
 		}
-		g, err := e.Grid(s.rc)
+		g, err := gridOf(e, s.rc)
 		if err != nil {
 			return nil, err
 		}
@@ -296,29 +289,39 @@ func newSelectionFile(selection string, p ShardParams, parallelism, shards, inde
 	return s, nil
 }
 
+// run computes the file's cells, serving what cache holds (nil: nothing)
+// and depositing the rest.
+func (s *selectionFile) run(cache *cellcache.Store) (*shard.File, error) {
+	if _, err := s.fill(NewCacheProbe(cache), true); err != nil {
+		return nil, err
+	}
+	return s.f, nil
+}
+
 // fill appends the file's runs, each holding the cells the file owns as
-// cells(e, grid, selector) produces them. Runs sharing a cell key and a
-// cell set (Figures 6 and 7) are produced once and recorded under each
-// name, exactly as an unsharded "all" run renders one computation twice.
-// A false ok from cells stops the fill and is returned.
-func (s *selectionFile) fill(cells func(e Experiment, g shard.Grid, sel CellSelector) ([]shard.Cell, bool, error)) (bool, error) {
+// unitCells produces them through cp: a batch's cell set, or the shard's
+// round-robin stride index, index+shards, … of the grid. Runs sharing a
+// cell key and a cell set (Figures 6 and 7) are produced once and
+// recorded under each name, exactly as an unsharded "all" run renders
+// one computation twice. Without compute, the first run the cache does
+// not hold in full stops the fill with ok false.
+func (s *selectionFile) fill(cp *CacheProbe, compute bool) (bool, error) {
 	byKey := make(map[string][]shard.Cell)
 	for ri, e := range s.exps {
 		g, key := s.grids[ri], e.CellKey()
-		sel := shard.Plan{Shards: s.f.Shards, Index: s.f.Index}.Selector(g.Systems)
+		var idx []int
 		if s.f.Batch != nil {
-			set := s.f.Batch.Cells[ri]
-			key += "|" + shard.FormatRanges(set)
-			member := make(map[int]bool, len(set))
-			for _, gi := range set {
-				member[gi] = true
+			idx = s.f.Batch.Cells[ri]
+			key += "|" + shard.FormatRanges(idx)
+		} else {
+			for gi := s.f.Index; gi < g.Cells(); gi += s.f.Shards {
+				idx = append(idx, gi)
 			}
-			sel = func(o, i int) bool { return member[o*g.Systems+i] }
 		}
 		cs, ok := byKey[key]
 		if !ok {
 			var err error
-			if cs, ok, err = cells(e, g, sel); err != nil || !ok {
+			if cs, ok, err = unitCells(e, s.rc, g, idx, cp, compute); err != nil || !ok {
 				return false, err
 			}
 			byKey[key] = cs

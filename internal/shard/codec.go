@@ -550,7 +550,7 @@ func decodeBinary(data []byte) (*File, error) {
 	}
 	for _, br := range hdr.Runs {
 		run := Run{Experiment: br.Experiment, Grid: br.Grid, PayloadVersion: br.PayloadVersion}
-		if err := br.Grid.validate(); err != nil {
+		if err := br.Grid.Validate(); err != nil {
 			return nil, fmt.Errorf("shard: run %q: %w", br.Experiment, err)
 		}
 		if br.Cells < 0 || br.Cells > br.Grid.Cells() {

@@ -41,7 +41,7 @@ func (RoundRobin) Split(grids []Grid, parts int) ([][]int, error) {
 	}
 	assign := make([][]int, len(grids))
 	for ri, g := range grids {
-		if err := g.validate(); err != nil {
+		if err := g.Validate(); err != nil {
 			return nil, err
 		}
 		a := make([]int, g.Cells())
@@ -80,7 +80,7 @@ func (d CostPacked) Split(grids []Grid, parts int) ([][]int, error) {
 	}
 	total := 0.0
 	for ri, g := range grids {
-		if err := g.validate(); err != nil {
+		if err := g.Validate(); err != nil {
 			return nil, err
 		}
 		if len(d.Costs[ri]) != g.Cells() {

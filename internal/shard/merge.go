@@ -305,7 +305,7 @@ func gather(files []*File, owners []owner, ri int, r rules, label func(*File, in
 	grid, n := run.Grid, run.Grid.Cells()
 	// Inputs need not have passed Decode: validate before the grid sizes
 	// anything.
-	if err := grid.validate(); err != nil {
+	if err := grid.Validate(); err != nil {
 		return nil, 0, fmt.Errorf("shard: run %q: %w", run.Experiment, err)
 	}
 	var filled []bool

@@ -48,10 +48,11 @@ func (g Grid) Cells() int { return g.Points * g.Systems }
 // int-overflowed Cells()) at merge time.
 const MaxGridCells = 16 << 20
 
-// validate rejects grids no runner produces, so a corrupt or hand-edited
-// file fails with a clean error instead of a panic or an absurd
-// allocation at merge time.
-func (g Grid) validate() error {
+// Validate rejects grids no runner produces — negative, or over
+// MaxGridCells by a check that cannot overflow — so a corrupt or
+// hand-edited file, or params asking for an absurd grid, fail with a
+// clean error instead of a panic or an absurd allocation.
+func (g Grid) Validate() error {
 	if g.Points < 0 || g.Systems < 0 {
 		return fmt.Errorf("shard: negative grid %dx%d", g.Points, g.Systems)
 	}
@@ -216,7 +217,7 @@ func (f *File) validateDecoded() error {
 		return fmt.Errorf("shard: file format version %d, this build reads %d", f.Version, FormatVersion)
 	}
 	for _, r := range f.Runs {
-		if err := r.Grid.validate(); err != nil {
+		if err := r.Grid.Validate(); err != nil {
 			return fmt.Errorf("shard: run %q: %w", r.Experiment, err)
 		}
 		if len(r.Cells) > r.Grid.Cells() {
