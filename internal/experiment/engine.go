@@ -81,11 +81,11 @@ func gridOf(e Experiment, rc RunContext) (shard.Grid, error) {
 		return shard.Grid{}, fmt.Errorf("experiment: %q is a closed-form model with no cell grid", e.Name())
 	}
 	g, err := e.Grid(rc)
+	if err == nil {
+		err = g.Validate()
+	}
 	if err != nil {
 		return shard.Grid{}, err
-	}
-	if err := g.Validate(); err != nil {
-		return shard.Grid{}, fmt.Errorf("experiment: %s: %w", e.Name(), err)
 	}
 	return g, nil
 }
