@@ -150,6 +150,10 @@ func BenchmarkCodecEncodeBinary(b *testing.B) { benchtraj.CodecEncodeBinary(b) }
 
 func BenchmarkCodecDecodeBinary(b *testing.B) { benchtraj.CodecDecodeBinary(b) }
 
+func BenchmarkCodecEncodeJSON(b *testing.B) { benchtraj.CodecEncodeJSON(b) }
+
+func BenchmarkCodecDecodeJSON(b *testing.B) { benchtraj.CodecDecodeJSON(b) }
+
 func BenchmarkFPSOnlineAnalysis(b *testing.B) {
 	cfg := gen.PaperConfig()
 	ts, err := cfg.System(rand.New(rand.NewSource(1)), 0.7)

@@ -42,3 +42,16 @@ func TestProgressLineReplay(t *testing.T) {
 		t.Errorf("final status line %q", last)
 	}
 }
+
+// TestDispatchRefusedRunLeavesNoJournal: a dispatch whose plan is refused
+// writes no journal, so the corrected run in the same -dir succeeds.
+func TestDispatchRefusedRunLeavesNoJournal(t *testing.T) {
+	c := newCLI(t)
+	if _, stderr, err := c.run("dispatch", "-experiment", "fig5", "-systems", "2000000000", "-dir", "dd"); err == nil || !strings.Contains(stderr, "exceeds") {
+		t.Fatalf("dispatch of 2e9 systems: %v\n%s", err, stderr)
+	}
+	if c.exists("dd/" + dispatch.JournalFileName) {
+		t.Fatal("the refused dispatch left a journal")
+	}
+	c.must("dispatch", "-experiment", "fig5", "-systems", "2", "-gapop", "4", "-gagens", "2", "-dir", "dd")
+}

@@ -42,6 +42,8 @@ func Tier() []Bench {
 		{"DispatchPack", DispatchPack},
 		{"CodecEncodeBinary", CodecEncodeBinary},
 		{"CodecDecodeBinary", CodecDecodeBinary},
+		{"CodecEncodeJSON", CodecEncodeJSON},
+		{"CodecDecodeJSON", CodecDecodeJSON},
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/shard"
@@ -144,6 +146,57 @@ func CodecDecodeBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := shard.Decode(bin); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// CodecEncodeJSON measures encoding the paper-scale file into the v1
+// JSON container, the CLI's default -codec. json.Marshal keeps its
+// encoder in a sync.Pool, held per processor and emptied by every
+// collection, so how many allocations an encode makes depends on where
+// the goroutine ran and when the collector last ran. The body therefore
+// runs on one processor and collects between iterations, outside the
+// timer, never during one: allocs/op, the gated half, is the same on
+// every run, and ns/op leaves out collection.
+func CodecEncodeJSON(b *testing.B) {
+	f, err := codecBenchFile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	encode := func() {
+		if _, err := f.Encode(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+	}
+	encode() // warms the pool
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encode()
+	}
+}
+
+// CodecDecodeJSON measures decoding the v1 JSON container back into
+// typed cells.
+func CodecDecodeJSON(b *testing.B) {
+	f, err := codecBenchFile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	v1, err := f.Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := shard.Decode(v1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -663,30 +663,42 @@ func (c *Coordinator) sweep(now time.Time) {
 // called when done with the channel.
 func (c *Coordinator) Subscribe(runID string) (history []dispatch.ProgressEvent, ch <-chan dispatch.ProgressEvent, cancel func(), err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	r, ok := c.runs[runID]
 	if !ok {
+		c.mu.Unlock()
 		return nil, nil, nil, ErrUnknownRun
 	}
-	// Read under c.mu, which every journal write holds: no event falls
-	// between the history and the channel.
-	if history, err = dispatch.ReadJournalEvents(filepath.Join(r.dir, dispatch.JournalFileName)); err != nil {
-		return nil, nil, nil, err
+	// Under c.mu, which every journal write holds, note how much of the
+	// journal is written and register the channel: the history is that
+	// prefix and every later event arrives on the channel. The prefix is
+	// read after unlocking, so a long journal stalls no lease, push or
+	// heartbeat.
+	path := filepath.Join(r.dir, dispatch.JournalFileName)
+	info, err := os.Stat(path)
+	if err != nil {
+		c.mu.Unlock()
+		return nil, nil, nil, fmt.Errorf("dispatch: journal: %w", err)
 	}
-	if r.state != runRunning || r.subs == nil { // terminal, or Close ended every stream
-		return history, nil, func() {}, nil
-	}
-	sub := make(chan dispatch.ProgressEvent, 1024)
-	r.subs[sub] = struct{}{}
-	cancel = func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if _, live := r.subs[sub]; live {
-			delete(r.subs, sub)
-			close(sub)
+	cancel = func() {}
+	if r.state == runRunning && r.subs != nil { // else terminal, or Close ended every stream
+		sub := make(chan dispatch.ProgressEvent, 1024)
+		r.subs[sub] = struct{}{}
+		ch, cancel = sub, func() {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if _, live := r.subs[sub]; live {
+				delete(r.subs, sub)
+				close(sub)
+			}
 		}
 	}
-	return history, sub, cancel, nil
+	c.mu.Unlock()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		cancel()
+		return nil, nil, nil, fmt.Errorf("dispatch: journal: %w", err)
+	}
+	return dispatch.JournalEvents(data[:min(int(info.Size()), len(data))]), ch, cancel, nil
 }
 
 // RunStatuses lists every run, submission order.

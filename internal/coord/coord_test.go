@@ -3,9 +3,12 @@ package coord_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -466,5 +469,74 @@ func TestLeaseUnknownWorker(t *testing.T) {
 	l, err := rig.Client.Lease(ctx, reg.WorkerID, 0)
 	if err != nil || l != nil {
 		t.Errorf("lease with no work = %+v, %v; want nil, nil", l, err)
+	}
+}
+
+// TestSubscribeDoesNotStallLease: a subscriber re-reading a long journal
+// — a 10 000-unit run, each unit with an attempt and a failure — holds
+// no lock while it decodes, so a Lease that starts meanwhile completes
+// within a small fixed bound (a quarter of the decode on a host slow
+// enough, as under the race detector, that the decode takes seconds).
+func TestSubscribeDoesNotStallLease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	const units = 10000
+	opts := testOpts()
+	opts.HeartbeatTimeout = time.Minute // the lessee never heartbeats
+	rig := coordtest.New(t, opts)
+	id := rig.Submit(coord.SubmitRequest{Selection: "tailq", Params: testParams(), Shards: units})
+	c := rig.Coordinator()
+	var pad bytes.Buffer
+	t0 := time.Date(2026, 10, 1, 12, 0, 0, 0, time.UTC)
+	for u := range units {
+		for _, e := range []dispatch.ProgressEvent{
+			{Kind: dispatch.ProgressAttempt, Time: t0, Shard: u, Attempt: 1, Worker: "w-lost"},
+			{Kind: dispatch.ProgressFailed, Time: t0, Shard: u, Attempt: 1, Worker: "w-lost", Err: "lease expired after 1m0s"},
+		} {
+			line, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pad.Write(append(line, '\n'))
+		}
+	}
+	journal, err := os.OpenFile(filepath.Join(c.RunDir(id), dispatch.JournalFileName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := journal.Write(pad.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	journal.Close()
+
+	worker := c.Register("w").WorkerID
+	subscribed := make(chan time.Duration)
+	go func() {
+		start := time.Now()
+		history, _, cancel, err := c.Subscribe(id)
+		if err != nil || len(history) < 3*units {
+			t.Errorf("Subscribe: %d events, %v", len(history), err)
+		} else {
+			cancel()
+		}
+		subscribed <- time.Since(start)
+	}()
+	var worst time.Duration
+	for leases := 0; ; leases++ {
+		select {
+		case took := <-subscribed:
+			t.Logf("Subscribe took %v; %d leases meanwhile, the slowest %v", took, leases, worst)
+			if bound := max(25*time.Millisecond, took/4); worst > bound {
+				t.Fatalf("a Lease during Subscribe took %v, want <= %v", worst, bound)
+			}
+			return
+		default:
+		}
+		start := time.Now()
+		if _, err := c.Lease(worker, 0); err != nil {
+			t.Fatal(err)
+		}
+		worst = max(worst, time.Since(start))
 	}
 }

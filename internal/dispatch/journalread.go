@@ -152,11 +152,17 @@ func ReadJournalEvents(path string) ([]ProgressEvent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: journal: %w", err)
 	}
+	return JournalEvents(data), nil
+}
+
+// JournalEvents returns the events of journal bytes, in order, as
+// ReadJournalEvents reads them from a file.
+func JournalEvents(data []byte) []ProgressEvent {
 	var events []ProgressEvent
 	for w := range journalLines(data) {
 		events = append(events, w.ProgressEvent)
 	}
-	return events, nil
+	return events
 }
 
 // journalLines yields each parseable line of journal bytes, restoring

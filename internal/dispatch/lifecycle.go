@@ -111,7 +111,8 @@ type Ledger struct {
 	logf        func(string, ...any)
 
 	jr      *journal
-	units   []*Unit // ascending id
+	held    []ProgressEvent // recorded while planning, before jr opens
+	units   []*Unit         // ascending id
 	byID    map[int]*Unit
 	pending []*Unit // FIFO
 	nextID  int
@@ -185,17 +186,24 @@ func openLedger(cfg LedgerConfig, prior *JournalState) (*Ledger, error) {
 			return l, nil
 		}
 	}
-	if l.jr, err = openJournal(path); err != nil {
-		return nil, err
-	}
+	// The plan's events are held until it stands: an open that fails
+	// writes and emits nothing, so a refused run leaves no journal and an
+	// existing journal keeps its bytes.
 	e := ProgressEvent{Kind: ProgressPlan, Selection: spec.Selection, Shards: spec.Shards, Params: params, Shard: -1}
 	if balance != BalanceRoundRobin {
 		e.Balance = balance // round-robin plans never recorded it
 	}
 	l.record(e)
 	if err := l.plan(prior); err != nil {
-		l.jr.Close()
 		return nil, err
+	}
+	if l.jr, err = openJournal(path); err != nil {
+		return nil, err
+	}
+	held := l.held
+	l.held = nil
+	for _, e := range held {
+		l.emit(e)
 	}
 	return l, nil
 }
@@ -455,14 +463,25 @@ func (l *Ledger) noun() string {
 }
 
 // record stamps e with the run's clock, journals it and emits it: the
-// one place a lifecycle event is written. It returns the stamp.
+// one place a lifecycle event is written. While openLedger plans, the
+// journal is not open yet and the event is held until the plan stands.
+// It returns the stamp.
 func (l *Ledger) record(e ProgressEvent) time.Time {
 	e.Version, e.Time = ProgressVersion, l.now()
+	if l.jr == nil { // planning: openLedger emits it once the plan stands
+		l.held = append(l.held, e)
+	} else {
+		l.emit(e)
+	}
+	return e.Time
+}
+
+// emit journals a stamped event and emits it.
+func (l *Ledger) emit(e ProgressEvent) {
 	l.jr.write(e)
 	if l.emitFn != nil {
 		l.emitFn(e)
 	}
-	return e.Time
 }
 
 // add registers and announces a unit; the caller settles or queues it.

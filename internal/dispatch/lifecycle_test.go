@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -453,4 +454,77 @@ func TestLedgerResumeKeepsCostObservations(t *testing.T) {
 	}
 	r.drain()
 	r.merge()
+}
+
+// hugeRun is a fig5 run whose plan is refused: 2·10⁹ systems per point
+// is over shard.MaxGridCells.
+func hugeRun(balance, dir string) LedgerConfig {
+	return LedgerConfig{
+		Spec: Spec{
+			Selection: experiment.ExpFig5, Shards: 2,
+			Params: experiment.ShardParams{Systems: 2000000000, Seed: 1, GAPopulation: 4, GAGenerations: 2},
+		},
+		Balance: balance, Dir: dir, Now: time.Now,
+	}
+}
+
+// TestLedgerRefusedOpenLeavesNoJournal: a fresh open whose plan fails
+// writes no journal, so the corrected run opens in the same directory.
+func TestLedgerRefusedOpenLeavesNoJournal(t *testing.T) {
+	for _, balance := range []string{BalanceRoundRobin, BalanceCost} {
+		dir := t.TempDir()
+		huge := hugeRun(balance, dir)
+		if _, err := OpenLedger(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("%s: opening a 2e9-system plan: %v, want the grid refused", balance, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, JournalFileName)); !os.IsNotExist(err) {
+			t.Fatalf("%s: the refused open left a journal: %v", balance, err)
+		}
+		fixed := huge
+		fixed.Spec.Params.Systems = 2
+		l, err := OpenLedger(fixed)
+		if err != nil {
+			t.Fatalf("%s: the corrected run after a refused one: %v", balance, err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLedgerRefusedResumeKeepsJournal: a resume whose plan fails — here
+// of a journal recording a grid over the bound, as a build without the
+// bound could have written — leaves the journal byte-identical.
+func TestLedgerRefusedResumeKeepsJournal(t *testing.T) {
+	for _, balance := range []string{BalanceRoundRobin, BalanceCost} {
+		dir := t.TempDir()
+		huge := hugeRun(balance, dir)
+		small := huge
+		small.Spec.Params.Systems = 2
+		l, err := OpenLedger(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, JournalFileName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded := bytes.Replace(data, []byte(`"systems":2,`), []byte(`"systems":2000000000,`), 1)
+		if bytes.Equal(recorded, data) {
+			t.Fatal("the plan line records no systems")
+		}
+		if err := os.WriteFile(path, recorded, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenLedger(huge); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("%s: resuming a journal of a 2e9-system plan: %v, want the grid refused", balance, err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, recorded) {
+			t.Fatalf("%s: the refused resume changed the journal (%v):\n%s", balance, err, after)
+		}
+	}
 }

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"sync"
 	"unicode/utf8"
 )
@@ -112,15 +113,18 @@ func (f *File) WriteFileAs(path, encoding string) error {
 // (experiment, payload version). The interface is sealed: NewCodec
 // builds typed codecs, and payload layouts without one travel under the
 // generic JSON codec (PayloadCodecFor), whose value is a json.RawMessage.
+// A typed codec decodes v1 JSON cells through the field table NewCodec
+// builds from its payload type: bool, the signed int kinds, float64 and
+// string, nested in structs, pointers and slices.
 type PayloadCodec interface {
 	// Pack appends the binary record of one payload (a Cell.Data value).
 	Pack(w *ColumnWriter, v any) error
 	// Unpack reads one record per cell from untrusted r into the cells'
 	// Data, backing all of them with one allocation.
 	Unpack(r *ColumnReader, cells []Cell) error
-	// decodeCells decodes the v1 JSON cell array next in dec in one pass
-	// (strictly, when dec disallows unknown fields).
-	decodeCells(dec *json.Decoder) ([]Cell, error)
+	// decodeCells decodes the v1 JSON cell array next in s strictly,
+	// backing all the payloads with one allocation.
+	decodeCells(s *jsonScanner) ([]Cell, error)
 	// column names the v2 payload column kind the codec writes.
 	column() string
 }
@@ -129,13 +133,24 @@ type PayloadCodec interface {
 // carry *T, and pack and unpack must be exact inverses (floats as raw
 // bits, nil-ness as an explicit flag), so an unpacked value renders
 // exactly as the packed one did.
+//
+// NewCodec also builds T's v1 JSON field table, once per type. T may be
+// built of bool, the signed int kinds, float64 and string, nested in
+// structs, pointers and slices; any other kind, a type with its own JSON
+// or text unmarshaler, a recursive type, an embedded field or a
+// ",string" tag panics — a wiring bug, as duplicate registration is.
 func NewCodec[T any](pack func(w *ColumnWriter, v *T), unpack func(r *ColumnReader, v *T) error) PayloadCodec {
-	return typedCodec[T]{pack: pack, unpack: unpack}
+	return typedCodec[T]{
+		pack:   pack,
+		unpack: unpack,
+		json:   jsonDecoderFor(reflect.TypeFor[T]()),
+	}
 }
 
 type typedCodec[T any] struct {
 	pack   func(w *ColumnWriter, v *T)
 	unpack func(r *ColumnReader, v *T) error
+	json   jsonDecoder
 }
 
 func (c typedCodec[T]) Pack(w *ColumnWriter, v any) error {
@@ -158,8 +173,14 @@ func (c typedCodec[T]) Unpack(r *ColumnReader, cells []Cell) error {
 	return nil
 }
 
-func (c typedCodec[T]) decodeCells(dec *json.Decoder) ([]Cell, error) {
-	return decodeCells(dec, func(v *T) any { return v })
+func (c typedCodec[T]) decodeCells(s *jsonScanner) ([]Cell, error) {
+	cells, vals, err := decodeCellArray(s, func(s *jsonScanner, v *T) error {
+		return c.json(s, reflect.ValueOf(v).Elem())
+	})
+	for i := range vals {
+		cells[i].Data = &vals[i]
+	}
+	return cells, err
 }
 
 func (typedCodec[T]) column() string { return columnNative }
@@ -194,34 +215,19 @@ func (jsonCodec) Unpack(r *ColumnReader, cells []Cell) error {
 	return nil
 }
 
-func (jsonCodec) decodeCells(dec *json.Decoder) ([]Cell, error) {
-	return decodeCells(dec, func(v *json.RawMessage) any { return *v })
+func (jsonCodec) decodeCells(s *jsonScanner) ([]Cell, error) {
+	cells, vals, err := decodeCellArray(s, func(s *jsonScanner, v *json.RawMessage) error {
+		raw, err := s.skip(2) // inside the cell array and the cell
+		*v = append((*v)[:0], raw...)
+		return err
+	})
+	for i := range vals {
+		cells[i].Data = vals[i]
+	}
+	return cells, err
 }
 
 func (jsonCodec) column() string { return columnJSON }
-
-// jsonCell is one v1 cell with its payload decoded as T.
-type jsonCell[T any] struct {
-	Point  int   `json:"point"`
-	System int   `json:"system"`
-	Seed   int64 `json:"seed"`
-	Data   T     `json:"data"`
-}
-
-// decodeCells decodes a v1 JSON cell array into one []jsonCell[T] and
-// hands out data(&cell.Data) as each cell's payload.
-func decodeCells[T any](dec *json.Decoder, data func(*T) any) ([]Cell, error) {
-	var jc []jsonCell[T]
-	if err := dec.Decode(&jc); err != nil || jc == nil {
-		return nil, err
-	}
-	cells := make([]Cell, len(jc))
-	for i := range jc {
-		c := &jc[i]
-		cells[i] = Cell{Point: c.Point, System: c.System, Seed: c.Seed, Data: data(&c.Data)}
-	}
-	return cells, nil
-}
 
 type payloadKey struct {
 	experiment string
@@ -643,9 +649,9 @@ func unpackLegacyJSON(c PayloadCodec, r *ColumnReader, cells []Cell) error {
 	if err != nil {
 		return err
 	}
-	typed, err := c.decodeCells(strictDecoder(arr))
+	typed, err := c.decodeCells(&jsonScanner{data: arr})
 	if err != nil {
-		return badCell(c, arr, err)
+		return err
 	}
 	for i := range cells {
 		cells[i].Data = typed[i].Data

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -99,14 +100,26 @@ func FuzzDecodeBinary(f *testing.F) {
 	})
 }
 
-// FuzzDecodeJSON hammers the v1 JSON decoder, the streaming reader every
-// JSON shard file goes through. The contract under fuzzing: decoding
-// never panics, stays within containerBound, and anything it accepts
-// re-encodes to a fixed point — encode it as v1, decode and encode
-// again, and the bytes are stable.
-// The checked-in corpus seeds a valid typed file, a truncation, an
-// unknown payload field and a wrong-typed payload field.
+// FuzzDecodeJSON hammers the v1 JSON decoder, the scanner every JSON
+// shard file goes through, against the reference decoder it replaced
+// (jsonref_test.go). The contract under fuzzing: decoding never panics
+// and stays within containerBound; the two decoders accept exactly the
+// same inputs, and what they accept renders to the same v1 bytes; and
+// an accepted file re-encodes to a fixed point — encode it as v1,
+// decode and encode again, and the bytes are stable.
+// The checked-in corpus seeds valid, truncated, unknown-field and
+// wrong-typed files and the quirks of encoding/json's input language:
+// folded, escaped and repeated keys, null and missing payloads, numbers
+// an int or a float64 cannot hold, and a whole file laid out anew.
 func FuzzDecodeJSON(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 8; i++ {
+		js, err := genFile(rng).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(js)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if IsBinary(data) {
 			return // FuzzDecodeBinary covers the v2 container
@@ -116,12 +129,19 @@ func FuzzDecodeJSON(f *testing.F) {
 		if alloc := allocated(func() { decoded, err = Decode(data) }); alloc > containerBound(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), alloc)
 		}
+		ref, refErr := refDecode(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decoders disagree: error %v, reference error %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
 		js, err := decoded.Encode()
 		if err != nil {
 			t.Fatalf("decoded file does not re-encode: %v", err)
+		}
+		if refJS, err := ref.Encode(); err != nil || !bytes.Equal(js, refJS) {
+			t.Fatalf("decoders disagree on the file (reference encode error %v):\n%s\nreference\n%s", err, js, refJS)
 		}
 		again, err := Decode(js)
 		if err != nil {

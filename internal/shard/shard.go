@@ -169,13 +169,16 @@ func (p Plan) Selector(inner int) func(point, system int) bool {
 
 // Encode renders the file as indented JSON. The encoding is deterministic
 // — struct fields in declaration order, cells in the order they are held
-// — so identical runs produce byte-identical shard files.
+// — so identical runs produce byte-identical shard files. The bytes are
+// json.MarshalIndent(f, "", "  ")'s plus a newline: json.Marshal writes
+// the values (its float formatting and string escaping) and indentJSON
+// lays them out in one pass.
 func (f *File) Encode() ([]byte, error) {
-	data, err := json.MarshalIndent(f, "", "  ")
+	data, err := json.Marshal(f)
 	if err != nil {
 		return nil, fmt.Errorf("shard: encode: %w", err)
 	}
-	return append(data, '\n'), nil
+	return append(indentJSON(make([]byte, 0, 3*len(data)), data), '\n'), nil
 }
 
 // WriteFile writes the encoded file to path.
