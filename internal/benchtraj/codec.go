@@ -116,19 +116,18 @@ func codecRegistered() error {
 }
 
 // CodecEncodeBinary measures encoding the paper-scale file into the v2
-// binary container (native columnar payload packing included).
+// binary container (native columnar payload packing included). Its
+// header goes through json.Marshal, so it runs pinned, as
+// CodecEncodeJSON does.
 func CodecEncodeBinary(b *testing.B) {
 	f, err := codecBenchFile()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.EncodeBinary(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	pinned(b, func() error {
+		_, err := f.EncodeBinary()
+		return err
+	})
 }
 
 // CodecDecodeBinary measures decoding the v2 binary container back into
@@ -152,33 +151,41 @@ func CodecDecodeBinary(b *testing.B) {
 }
 
 // CodecEncodeJSON measures encoding the paper-scale file into the v1
-// JSON container, the CLI's default -codec. json.Marshal keeps its
-// encoder in a sync.Pool, held per processor and emptied by every
-// collection, so how many allocations an encode makes depends on where
-// the goroutine ran and when the collector last ran. The body therefore
-// runs on one processor and collects between iterations, outside the
-// timer, never during one: allocs/op, the gated half, is the same on
-// every run, and ns/op leaves out collection.
+// JSON container, the CLI's default -codec.
 func CodecEncodeJSON(b *testing.B) {
 	f, err := codecBenchFile()
 	if err != nil {
 		b.Fatal(err)
 	}
+	pinned(b, func() error {
+		_, err := f.Encode()
+		return err
+	})
+}
+
+// pinned runs an encode body that goes through json.Marshal. That keeps
+// its encoder in a sync.Pool, held per processor and emptied by every
+// collection, so how many allocations an encode makes depends on where
+// the goroutine ran and when the collector last ran. The body therefore
+// runs on one processor and collects between iterations, outside the
+// timer, never during one: allocs/op, the gated half, is the same on
+// every run, and ns/op leaves out collection.
+func pinned(b *testing.B, encode func() error) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	encode := func() {
-		if _, err := f.Encode(); err != nil {
+	run := func() {
+		if err := encode(); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
 		runtime.GC()
 		b.StartTimer()
 	}
-	encode() // warms the pool
+	run() // warms the pool
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		encode()
+		run()
 	}
 }
 

@@ -3,6 +3,7 @@ package coord
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,35 +29,41 @@ type Client struct {
 	HTTPClient *http.Client
 }
 
-func (cl *Client) http() *http.Client {
-	if cl.HTTPClient != nil {
-		return cl.HTTPClient
-	}
-	return &http.Client{}
-}
-
-func (cl *Client) url(path string) string {
-	return strings.TrimRight(cl.BaseURL, "/") + path
-}
-
-// do performs one request and returns the response body; non-2xx maps
-// to an error carrying the server's message (404 to the sentinel the
-// path implies, so callers can react to a dropped registration).
-func (cl *Client) do(ctx context.Context, method, path string, body []byte, contentType string, notFound error) ([]byte, error) {
+// send performs one request. A non-2xx response maps to an error
+// carrying the server's message (404 to the sentinel the path implies,
+// so callers can react to a dropped registration).
+func (cl *Client) send(ctx context.Context, method, path string, body []byte, notFound error) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, cl.url(path), rd)
+	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(cl.BaseURL, "/")+path, rd)
 	if err != nil {
 		return nil, fmt.Errorf("coord: %w", err)
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := cl.http().Do(req)
+	resp, err := cmp.Or(cl.HTTPClient, http.DefaultClient).Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("coord: %s %s: %w", method, path, err)
+	}
+	if resp.StatusCode/100 == 2 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, MaxJSONBody))
+	if resp.StatusCode == http.StatusNotFound && notFound != nil {
+		return nil, fmt.Errorf("%w: %s", notFound, strings.TrimSpace(string(msg)))
+	}
+	return nil, fmt.Errorf("coord: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
+}
+
+// do performs one request and returns the response body.
+func (cl *Client) do(ctx context.Context, method, path string, body []byte, notFound error) ([]byte, error) {
+	resp, err := cl.send(ctx, method, path, body, notFound)
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	var data []byte
@@ -70,13 +77,20 @@ func (cl *Client) do(ctx context.Context, method, path string, body []byte, cont
 	if err != nil {
 		return nil, fmt.Errorf("coord: %s %s: %w", method, path, err)
 	}
-	if resp.StatusCode == http.StatusNotFound && notFound != nil {
-		return nil, fmt.Errorf("%w: %s", notFound, strings.TrimSpace(string(data)))
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, fmt.Errorf("coord: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(data)))
-	}
 	return data, nil
+}
+
+// call performs one request and decodes its JSON response into resp,
+// unless resp is nil.
+func (cl *Client) call(ctx context.Context, method, path string, body []byte, resp any, notFound error) error {
+	data, err := cl.do(ctx, method, path, body, notFound)
+	if err != nil || resp == nil {
+		return err
+	}
+	if err := json.Unmarshal(data, resp); err != nil {
+		return fmt.Errorf("coord: decode response: %w", err)
+	}
+	return nil
 }
 
 func (cl *Client) postJSON(ctx context.Context, path string, req, resp any, notFound error) error {
@@ -84,17 +98,7 @@ func (cl *Client) postJSON(ctx context.Context, path string, req, resp any, notF
 	if err != nil {
 		return fmt.Errorf("coord: %w", err)
 	}
-	data, err := cl.do(ctx, http.MethodPost, path, body, "application/json", notFound)
-	if err != nil {
-		return err
-	}
-	if resp == nil {
-		return nil
-	}
-	if err := json.Unmarshal(data, resp); err != nil {
-		return fmt.Errorf("coord: decode response: %w", err)
-	}
-	return nil
+	return cl.call(ctx, http.MethodPost, path, body, resp, notFound)
 }
 
 // Register announces a worker and returns its assigned identity.
@@ -147,13 +151,9 @@ func (cl *Client) Submit(ctx context.Context, req SubmitRequest) (string, error)
 // Push delivers a computed result file for a leased unit.
 func (cl *Client) Push(ctx context.Context, l *Lease, workerID string, data []byte) (*PushResponse, error) {
 	path := fmt.Sprintf("/api/v1/runs/%s/units/%d/result?worker=%s&attempt=%d", l.RunID, l.Unit, workerID, l.Attempt)
-	body, err := cl.do(ctx, http.MethodPost, path, data, "application/json", ErrUnknownRun)
-	if err != nil {
-		return nil, err
-	}
 	var resp PushResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, fmt.Errorf("coord: decode response: %w", err)
+	if err := cl.call(ctx, http.MethodPost, path, data, &resp, ErrUnknownRun); err != nil {
+		return nil, err
 	}
 	return &resp, nil
 }
@@ -167,55 +167,36 @@ func (cl *Client) ReportFail(ctx context.Context, l *Lease, workerID, msg string
 
 // Runs lists the coordinator's runs.
 func (cl *Client) Runs(ctx context.Context) ([]RunStatus, error) {
-	data, err := cl.do(ctx, http.MethodGet, "/api/v1/runs", nil, "", nil)
-	if err != nil {
-		return nil, err
-	}
 	var resp RunsResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, fmt.Errorf("coord: decode response: %w", err)
+	if err := cl.call(ctx, http.MethodGet, "/api/v1/runs", nil, &resp, nil); err != nil {
+		return nil, err
 	}
 	return resp.Runs, nil
 }
 
 // Run fetches one run's status.
 func (cl *Client) Run(ctx context.Context, runID string) (*RunStatus, error) {
-	data, err := cl.do(ctx, http.MethodGet, "/api/v1/runs/"+runID, nil, "", ErrUnknownRun)
-	if err != nil {
-		return nil, err
-	}
 	var st RunStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("coord: decode response: %w", err)
+	if err := cl.call(ctx, http.MethodGet, "/api/v1/runs/"+runID, nil, &st, ErrUnknownRun); err != nil {
+		return nil, err
 	}
 	return &st, nil
 }
 
 // Result fetches a merged run's shard-file bytes.
 func (cl *Client) Result(ctx context.Context, runID string) ([]byte, error) {
-	return cl.do(ctx, http.MethodGet, "/api/v1/runs/"+runID+"/result", nil, "", ErrUnknownRun)
+	return cl.do(ctx, http.MethodGet, "/api/v1/runs/"+runID+"/result", nil, ErrUnknownRun)
 }
 
 // Events streams a run's progress events (history, then live) to fn
 // until the run reaches its terminal state, the stream drops, or ctx is
 // done. It returns nil when the server ended the stream.
 func (cl *Client) Events(ctx context.Context, runID string, fn func(dispatch.ProgressEvent)) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.url("/api/v1/runs/"+runID+"/events"), nil)
+	resp, err := cl.send(ctx, http.MethodGet, "/api/v1/runs/"+runID+"/events", nil, ErrUnknownRun)
 	if err != nil {
-		return fmt.Errorf("coord: %w", err)
-	}
-	resp, err := cl.http().Do(req)
-	if err != nil {
-		return fmt.Errorf("coord: events: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, MaxJSONBody))
-		if resp.StatusCode == http.StatusNotFound {
-			return fmt.Errorf("%w: %s", ErrUnknownRun, strings.TrimSpace(string(body)))
-		}
-		return fmt.Errorf("coord: events: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), MaxJSONBody)
 	for sc.Scan() {

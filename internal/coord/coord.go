@@ -7,7 +7,6 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -71,28 +70,18 @@ const (
 	runFailed  = "failed"
 )
 
-// run is one multiplexed sweep: its ledger plus the coordinator's
-// transport state — leases and the event subscribers. The run's journal
-// is its event history.
+// run is one multiplexed sweep: its ledger, which also holds its leases
+// as in-flight copies, plus the event subscribers. The run's journal is
+// its event history.
 type run struct {
 	id  string
 	dir string
 	l   *dispatch.Ledger
-	// leases maps a unit id to its current lease; a unit has at most one.
-	leases map[int]*grant
 
 	state   string
 	failure string
 
 	subs map[chan dispatch.ProgressEvent]struct{}
-}
-
-// grant is one lease of a unit to a worker.
-type grant struct {
-	worker   string // worker id
-	name     string // worker name at lease time
-	attempt  int
-	leasedAt time.Time
 }
 
 // workerState is one registered worker.
@@ -175,10 +164,7 @@ func (c *Coordinator) Close() error {
 			if err := r.l.Close(); err != nil && c.closeErr == nil {
 				c.closeErr = err
 			}
-			for ch := range r.subs {
-				close(ch)
-			}
-			r.subs = nil
+			r.endStreams()
 		}
 		c.wakeLocked()
 	})
@@ -202,14 +188,18 @@ func (c *Coordinator) wakeLocked() {
 // ends its event streams. Caller holds c.mu.
 func (c *Coordinator) terminalLocked(r *run, state, failure string) {
 	r.state, r.failure = state, failure
-	r.leases = nil
 	if err := r.l.Close(); err != nil {
 		c.opts.Logf("coord: run %s: journal: %v", r.id, err)
 	}
+	r.endStreams()
+}
+
+// endStreams closes the run's event streams; no new one opens.
+func (r *run) endStreams() {
 	for ch := range r.subs {
 		close(ch)
 	}
-	r.subs = make(map[chan dispatch.ProgressEvent]struct{})
+	r.subs = nil
 }
 
 // ---- submission ----
@@ -249,11 +239,14 @@ func (c *Coordinator) Submit(req SubmitRequest) (string, error) {
 func (c *Coordinator) openRun(id string, open func(dispatch.LedgerConfig) (*dispatch.Ledger, error)) (*run, error) {
 	r := &run{
 		id: id, dir: c.RunDir(id), state: runRunning,
-		leases: make(map[int]*grant),
-		subs:   make(map[chan dispatch.ProgressEvent]struct{}),
+		subs: make(map[chan dispatch.ProgressEvent]struct{}),
 	}
 	l, err := open(dispatch.LedgerConfig{
 		Dir: r.dir, MaxAttempts: c.opts.MaxAttempts, Codec: c.opts.Codec, Now: time.Now,
+		// A lease is a copy to the ledger: it times them out and prefers
+		// a live worker that has not failed the unit. One lease per unit:
+		// no steal.
+		AttemptTimeout: c.opts.LeaseTimeout, Live: maps.Keys(c.workers),
 		// The ledger journaled e under c.mu; a stalled subscriber must not
 		// stall the coordinator, and can re-read the journal.
 		Emit: func(e dispatch.ProgressEvent) {
@@ -411,20 +404,20 @@ func (c *Coordinator) Lease(workerID string, wait time.Duration) (*Lease, error)
 	}
 }
 
-// leaseLocked grants the first queued unit across runs in submission
-// order. Caller holds c.mu.
+// leaseLocked grants the unit the first running run's ledger picks for
+// the worker, runs in submission order. Caller holds c.mu.
 func (c *Coordinator) leaseLocked(w *workerState) *Lease {
+	now := time.Now()
 	for _, id := range c.order {
 		r := c.runs[id]
 		if r.state != runRunning {
 			continue
 		}
-		u := r.l.Next()
+		u, _ := r.l.Next(w.id, now)
 		if u == nil {
 			continue
 		}
-		t, attempt := r.l.Start(u, w.name, false)
-		r.leases[u.ID()] = &grant{worker: w.id, name: w.name, attempt: attempt, leasedAt: time.Now()}
+		t, attempt := r.l.Start(u, w.id, w.name, false)
 		return &Lease{
 			RunID: r.id, Unit: u.ID(), Attempt: attempt,
 			Selection: t.Spec.Selection, Params: t.Spec.Params,
@@ -483,11 +476,10 @@ func (c *Coordinator) Push(runID string, unitID int, workerID string, attempt in
 	if resp, settled := c.settledPushLocked(r, u, workerID, attempt, tmp); settled {
 		return resp, nil
 	}
-	name := c.workerName(r, unitID, workerID)
 	if verr != nil {
 		os.Remove(tmp)
-		if g := r.leases[unitID]; g != nil && g.worker == workerID && g.attempt == attempt {
-			c.failLocked(r, u, attempt, name, verr)
+		if leased(u, attempt, workerID) {
+			c.failLocked(r, u, attempt, verr)
 		}
 		return PushResponse{Wire: WireVersion, Accepted: false, Reason: verr.Error()}, nil
 	}
@@ -495,10 +487,7 @@ func (c *Coordinator) Push(runID string, unitID int, workerID string, attempt in
 		os.Remove(tmp)
 		return PushResponse{}, fmt.Errorf("coord: %w", err)
 	}
-	// The unit may still be leased to someone else (reassigned, then the
-	// original worker finished first); that lease is moot now.
-	delete(r.leases, unitID)
-	r.l.Complete(u, attempt, name, u.Path(), f)
+	r.l.Complete(u, attempt, c.workerName(u, attempt, workerID), u.Path(), f)
 	if r.l.Finished() {
 		if err := c.mergeLocked(r); err != nil {
 			return PushResponse{}, err
@@ -513,7 +502,7 @@ func (c *Coordinator) Push(runID string, unitID int, workerID string, attempt in
 // discarded. Caller holds c.mu.
 func (c *Coordinator) settledPushLocked(r *run, u *dispatch.Unit, workerID string, attempt int, path string) (PushResponse, bool) {
 	if r.l.Settled(u) {
-		r.l.Discard(u, attempt, c.workerName(r, u.ID(), workerID), path)
+		r.l.Discard(u, attempt, c.workerName(u, attempt, workerID), path)
 		return PushResponse{Wire: WireVersion, Accepted: false, Duplicate: true}, true
 	}
 	if r.state != runRunning {
@@ -526,16 +515,24 @@ func (c *Coordinator) settledPushLocked(r *run, u *dispatch.Unit, workerID strin
 }
 
 // workerName resolves a display name for a worker id: the registered
-// name while the worker is alive, the lease's recorded name after it
-// was dropped, the raw id as a last resort. Caller holds c.mu.
-func (c *Coordinator) workerName(r *run, unitID int, workerID string) string {
+// name while the worker is alive, the name its lease of attempt at u
+// recorded after it was dropped, the raw id as a last resort. Caller
+// holds c.mu.
+func (c *Coordinator) workerName(u *dispatch.Unit, attempt int, workerID string) string {
 	if w, ok := c.workers[workerID]; ok {
 		return w.name
 	}
-	if g := r.leases[unitID]; g != nil && g.worker == workerID {
-		return g.name
+	if cp, ok := u.Copy(attempt); ok && cp.Worker == workerID {
+		return cp.Name
 	}
 	return workerID
+}
+
+// leased reports whether attempt at u is in flight under workerID's
+// lease: a report about any other attempt is stale.
+func leased(u *dispatch.Unit, attempt int, workerID string) bool {
+	cp, ok := u.Copy(attempt)
+	return ok && cp.Worker == workerID
 }
 
 // ReportFail records a worker's failed attempt at its leased unit. A
@@ -552,27 +549,22 @@ func (c *Coordinator) ReportFail(runID string, unitID int, req FailRequest) erro
 	if u == nil {
 		return fmt.Errorf("coord: run %s has no unit %d", runID, unitID)
 	}
-	g := r.leases[unitID]
-	if r.state != runRunning || g == nil || g.worker != req.WorkerID || g.attempt != req.Attempt {
+	if r.state != runRunning || !leased(u, req.Attempt, req.WorkerID) {
 		return nil // stale: the sweeper or a rival already settled this attempt
 	}
-	c.failLocked(r, u, req.Attempt, c.workerName(r, unitID, req.WorkerID), fmt.Errorf("%s", req.Error))
+	c.failLocked(r, u, req.Attempt, fmt.Errorf("%s", req.Error))
 	return nil
 }
 
 // failLocked ends the unit's lease as a failed attempt and acts on the
-// ledger's verdict: requeue, split (already queued), or fail the run
-// when the attempt budget is exhausted. Caller holds c.mu.
-func (c *Coordinator) failLocked(r *run, u *dispatch.Unit, attempt int, worker string, ferr error) {
-	delete(r.leases, u.ID())
-	switch verdict, _ := r.l.Fail(u, attempt, worker, ferr); verdict {
+// ledger's verdict: wake the pollers for a requeue or a split, or fail
+// the run when the attempt budget is exhausted. Caller holds c.mu.
+func (c *Coordinator) failLocked(r *run, u *dispatch.Unit, attempt int, ferr error) {
+	switch verdict, _ := r.l.Fail(u, attempt, ferr); verdict {
 	case dispatch.FailExhausted:
 		c.opts.Logf("coord: run %s: unit %d failed %d times; failing run: %v", r.id, u.ID(), attempt, ferr)
 		c.terminalLocked(r, runFailed, fmt.Sprintf("unit %d: %d attempts exhausted: %v", u.ID(), attempt, ferr))
-	case dispatch.FailRequeue:
-		r.l.Requeue(u)
-		c.wakeLocked()
-	case dispatch.FailSplit:
+	case dispatch.FailRequeue, dispatch.FailSplit:
 		c.wakeLocked()
 	}
 }
@@ -618,38 +610,36 @@ func (c *Coordinator) sweeper() {
 	}
 }
 
-// sweep drops workers whose heartbeats expired (reassigning their
-// leases) and, with LeaseTimeout set, expires overlong leases.
+// sweep drops workers whose heartbeats expired, failing their leases,
+// and fails the leases the ledgers report past LeaseTimeout.
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	lost := map[string]string{} // id -> name
+	lost := map[string]bool{}
 	for id, w := range c.workers {
 		if now.Sub(w.lastBeat) > c.opts.HeartbeatTimeout {
-			lost[id] = w.name
+			lost[id] = true
 			delete(c.workers, id)
 			c.opts.Logf("coord: worker %s (%q) lost: heartbeat timeout", id, w.name)
+			c.wakeLocked() // a unit every remaining worker failed is anyone's now
 		}
 	}
+	// failLocked may exhaust a unit's attempt budget and fail the whole
+	// run mid-loop, closing its journal; the run's remaining leases are
+	// moot then.
 	for _, rid := range c.order {
 		r := c.runs[rid]
-		ids := slices.Sorted(maps.Keys(r.leases))
-		for _, id := range ids {
-			if r.state != runRunning {
-				// failLocked may exhaust a unit's attempt budget and fail
-				// the whole run mid-loop, closing its journal; the run's
-				// remaining expired leases are moot then.
-				break
+		if r.state != runRunning {
+			continue
+		}
+		for _, cp := range r.l.InFlight() {
+			if lost[cp.Worker] && r.state == runRunning {
+				c.failLocked(r, cp.Unit, cp.Attempt, fmt.Errorf("worker %q lost: heartbeat timeout", cp.Name))
 			}
-			g := r.leases[id]
-			if name, isLost := lost[g.worker]; isLost {
-				c.failLocked(r, r.l.Unit(id), g.attempt, name,
-					fmt.Errorf("worker %q lost: heartbeat timeout", name))
-				continue
-			}
-			if c.opts.LeaseTimeout > 0 && now.Sub(g.leasedAt) > c.opts.LeaseTimeout {
-				c.failLocked(r, r.l.Unit(id), g.attempt, g.name,
-					fmt.Errorf("lease expired after %s", c.opts.LeaseTimeout))
+		}
+		for _, cp := range r.l.Expired(now) {
+			if r.state == runRunning {
+				c.failLocked(r, cp.Unit, cp.Attempt, fmt.Errorf("lease expired after %s", c.opts.LeaseTimeout))
 			}
 		}
 	}
@@ -734,13 +724,6 @@ func (c *Coordinator) statusLocked(r *run) RunStatus {
 	}
 }
 
-// WorkerCount returns the number of live registered workers.
-func (c *Coordinator) WorkerCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
-}
-
 // StatusText renders a deterministic status summary: the coordinator
 // counterpart of `ioschedbench status`, golden-tested. It carries no
 // wall-clock so that identical state renders identical bytes.
@@ -764,8 +747,8 @@ func (c *Coordinator) StatusText() string {
 		case st.State == runMerged && st.Duplicates > 0:
 			note = fmt.Sprintf("%d duplicate(s) discarded", st.Duplicates)
 		case st.State == runRunning:
-			if len(r.leases) > 0 {
-				note = fmt.Sprintf("%d in flight", len(r.leases))
+			if n := len(r.l.InFlight()); n > 0 {
+				note = fmt.Sprintf("%d in flight", n)
 			}
 		}
 		rows = append(rows, []string{

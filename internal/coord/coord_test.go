@@ -540,3 +540,55 @@ func TestSubscribeDoesNotStallLease(t *testing.T) {
 		worst = max(worst, time.Since(start))
 	}
 }
+
+// TestLeasePrefersFreshWorker: a worker that failed a unit is not leased
+// it again while another live worker has not failed it; once every live
+// worker has, anyone may lease it.
+func TestLeasePrefersFreshWorker(t *testing.T) {
+	c, err := coord.New(t.TempDir(), coord.Options{HeartbeatTimeout: time.Minute, MaxAttempts: 5})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer c.Close()
+	a, b := c.Register("same").WorkerID, c.Register("same").WorkerID
+	id, err := c.Submit(coord.SubmitRequest{Selection: "fig5", Params: testParams(), Shards: 1})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	failed := func(worker string, want int) {
+		t.Helper()
+		l, err := c.Lease(worker, 0)
+		if err != nil || l == nil || l.Attempt != want {
+			t.Fatalf("lease = %+v, %v; want attempt %d", l, err, want)
+		}
+		if err := c.ReportFail(id, l.Unit, coord.FailRequest{WorkerID: worker, Attempt: l.Attempt, Error: "boom"}); err != nil {
+			t.Fatalf("ReportFail: %v", err)
+		}
+	}
+	failed(a, 1)
+	if l, err := c.Lease(a, 0); err != nil || l != nil {
+		t.Fatalf("the failed worker leased %+v, %v while a fresh one is live", l, err)
+	}
+	failed(b, 2)
+	failed(a, 3) // both failed it: anyone may lease it
+}
+
+// TestLeaseNoSteal: the coordinator keeps one lease per unit, so an idle
+// worker gets nothing while the only unit is in flight.
+func TestLeaseNoSteal(t *testing.T) {
+	c, err := coord.New(t.TempDir(), coord.Options{HeartbeatTimeout: time.Minute})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer c.Close()
+	a, b := c.Register("a").WorkerID, c.Register("b").WorkerID
+	if _, err := c.Submit(coord.SubmitRequest{Selection: "fig5", Params: testParams(), Shards: 1}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if l, err := c.Lease(a, 0); err != nil || l == nil {
+		t.Fatalf("first lease = %+v, %v", l, err)
+	}
+	if l, err := c.Lease(b, 0); err != nil || l != nil {
+		t.Fatalf("an idle worker leased %+v, %v while the only unit is in flight", l, err)
+	}
+}

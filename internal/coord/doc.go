@@ -12,8 +12,9 @@
 // under <dir>/runs/<run-id>/, so `ioschedbench status` reads a
 // coordinator run directory unchanged and a restarted coordinator
 // resumes every run from its journal. Progress is streamed per run over
-// SSE. What the coordinator adds is transport: leases, heartbeats, the
-// liveness sweeper and the event fan-out.
+// SSE. The ledger also picks what each lease carries and says when a
+// lease has run too long. What the coordinator adds is transport:
+// leases, heartbeats, the liveness sweeper and the event fan-out.
 //
 // Failure semantics are the dispatcher's: pushed files pass the same
 // validation (outside the lock); a worker that stops heartbeating (or,

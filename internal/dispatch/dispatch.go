@@ -3,8 +3,8 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -148,9 +148,9 @@ type Options struct {
 	// over budget is killed (via its context) and re-queued like any
 	// other failure. 0 means no per-attempt bound.
 	AttemptTimeout time.Duration
-	// RetryDelay pauses a failed shard before it is re-queued, so a pool
+	// RetryDelay pauses a failed shard before it is retried, so a pool
 	// whose failures are transient (a rebooting host) does not burn its
-	// attempt budget in milliseconds. 0 re-queues immediately.
+	// attempt budget in milliseconds. 0 retries immediately.
 	RetryDelay time.Duration
 	// Balance selects the decomposition: BalanceRoundRobin (default) or
 	// BalanceCost.
@@ -247,13 +247,13 @@ type Result struct {
 }
 
 // outcome is one finished attempt, sent from its goroutine to the
-// coordinator loop.
+// driver loop.
 type outcome struct {
 	Task
-	u         *Unit
-	attempt   int
-	steal     bool
-	workerIdx int
+	u       *Unit
+	attempt int
+	steal   bool
+	slot    int
 	// file is the decoded, validated file of a successful attempt; the
 	// ledger merges these directly rather than re-reading the paths.
 	file *shard.File
@@ -302,6 +302,12 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 		return nil, fmt.Errorf("dispatch: PartialEvery requires round-robin balance (partial merges read classic shard files)")
 	}
 
+	// The ledger knows each worker by its pool slot: two workers of one
+	// name stay two workers.
+	slots := make([]string, len(workers))
+	for i := range slots {
+		slots[i] = strconv.Itoa(i)
+	}
 	dir, tempDir := opts.Dir, false
 	if dir == "" {
 		if dir, err = os.MkdirTemp("", "ioschedbench-dispatch-"); err != nil {
@@ -313,7 +319,9 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 	l, err := OpenLedger(LedgerConfig{
 		Spec: spec, Balance: balance, Dir: dir, MaxAttempts: opts.MaxAttempts,
 		Cache: opts.Cache, Codec: codec, Now: time.Now, Emit: opts.Progress,
-		Logf: func(format string, args ...any) { logf("dispatch: "+format, args...) },
+		Logf:  func(format string, args ...any) { logf("dispatch: "+format, args...) },
+		Steal: opts.Steal, RetryDelay: opts.RetryDelay, AttemptTimeout: opts.AttemptTimeout,
+		Live: slices.Values(slots),
 	})
 	if err != nil {
 		return nil, err
@@ -326,7 +334,7 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 
 	res := &Result{Dir: dir}
 	if !l.Finished() {
-		if err := run(ctx, l, workers, opts, res); err != nil {
+		if err := run(ctx, l, workers, slots, opts, res); err != nil {
 			return nil, err
 		}
 	}
@@ -356,164 +364,77 @@ func Run(ctx context.Context, spec Spec, workers []Worker, opts Options) (*Resul
 	return res, nil
 }
 
-// run drains the ledger's queue through the worker pool: a pull-based
-// work queue where the coordinator loop hands each attempt to an idle
-// worker explicitly rather than letting workers race on a shared queue.
-// That is what lets a retry prefer a worker that has not already failed
-// the unit — a single dead worker cannot consume a unit's whole attempt
-// budget while healthy workers sit idle — and what lets idle workers
-// steal a second copy of a straggling batch once the queue drains
-// (Options.Steal).
-func run(ctx context.Context, l *Ledger, workers []Worker, opts Options, res *Result) error {
+// errAttemptTimeout ends an attempt the ledger reports expired.
+var errAttemptTimeout = errors.New("attempt timeout")
+
+// run drains the ledger through the worker pool: it hands each idle
+// worker what the ledger's Next picks for its slot, runs the attempt in
+// a goroutine and reports the outcome back. The ledger decides which
+// unit a worker runs, when to steal, when a retry is due and when an
+// attempt has timed out; one timer wakes the loop at the ledger's Wake.
+func run(ctx context.Context, l *Ledger, workers []Worker, slots []string, opts Options, res *Result) error {
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	results := make(chan outcome)
-	// Sized so a delayed requeue never blocks: at most one per failed
-	// attempt of every queued unit and its split children.
-	requeue := make(chan *Unit, len(l.pending)*l.maxAttempts*2+len(workers)+1)
+	results := make(chan outcome, len(workers)) // one attempt per slot: a send never blocks
 	var wg sync.WaitGroup
+	cancels := make([]context.CancelCauseFunc, len(workers)) // of each slot's running attempt; nil when idle
 
-	// failedOn records the pool indices of workers whose attempt at a unit
-	// failed, so retries prefer a different worker.
-	failedOn := make(map[*Unit]map[int]bool)
-	freshWorker := func(u *Unit, idle []int) int {
-		for ii, wi := range idle {
-			if !failedOn[u][wi] {
-				return ii
+	// assign asks the ledger for work for each idle slot. It starts over
+	// after each start: a start can make a steal possible for a slot
+	// passed over.
+	assign := func(now time.Time) {
+		for slot := 0; slot < len(workers); slot++ {
+			wi := slot
+			if cancels[wi] != nil {
+				continue
 			}
-		}
-		return -1
-	}
-	idle := make([]int, len(workers))
-	for i := range idle {
-		idle[i] = i
-	}
-	// assign starts an attempt at u on idle worker ii; its goroutine
-	// reports back on results.
-	assign := func(u *Unit, ii int, steal bool) {
-		wi := idle[ii]
-		idle = slices.Delete(idle, ii, ii+1)
-		t, att := l.Start(u, workers[wi].Name(), steal)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			o := outcome{Task: t, u: u, attempt: att, steal: steal, workerIdx: wi}
-			o.file, o.err = runAttempt(runCtx, workers[wi], l, u, t, opts.AttemptTimeout)
-			select {
-			case results <- o:
-			case <-runCtx.Done():
+			u, steal := l.Next(slots[wi], now)
+			if u == nil {
+				continue
 			}
-		}()
-	}
-
-	// tryAssign hands queued units to idle workers, preferring for each a
-	// worker that has not failed it yet; units whose only fresh workers
-	// are busy stay queued until one frees up. With the queue drained and
-	// Steal on, leftover idle workers take a second copy of the heaviest
-	// single-copy straggler (ties: earliest started, then lowest id).
-	tryAssign := func() {
-		for assigned := true; assigned && len(idle) > 0; {
-			assigned = false
-			for _, u := range l.pending {
-				pick := freshWorker(u, idle)
-				if pick == -1 && len(failedOn[u]) >= len(workers) {
-					pick = 0 // every worker failed it once; anyone may retry
-				}
-				if pick != -1 {
-					assign(u, pick, false)
-					assigned = true
-					break
-				}
-			}
-		}
-		if !opts.Steal || len(l.pending) > 0 {
-			return
-		}
-		for len(idle) > 0 {
-			var target *Unit
-			pick := -1
-			for _, u := range l.units {
-				if u.done || u.split || len(u.inflight) != 1 || u.attempts >= l.maxAttempts {
-					continue
-				}
-				wpick := freshWorker(u, idle)
-				if wpick == -1 {
-					continue
-				}
-				if target == nil || u.weight > target.weight ||
-					(u.weight == target.weight && u.started.Before(target.started)) {
-					target, pick = u, wpick
-				}
-			}
-			if target == nil {
-				return
-			}
-			assign(target, pick, true)
+			t, att := l.Start(u, slots[wi], workers[wi].Name(), steal)
+			actx, acancel := context.WithCancelCause(runCtx)
+			cancels[wi] = acancel
+			slot = -1
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o := outcome{Task: t, u: u, attempt: att, steal: steal, slot: wi}
+				o.file, o.err = runAttempt(actx, workers[wi], l, u, t, opts.AttemptTimeout)
+				results <- o
+			}()
 		}
 	}
 
-	// The auto-partial ticker shares the coordinator loop, so it reads the
-	// ledger race-free between completions.
+	// The auto-partial ticker shares the driver loop, so the ledger reads
+	// its units race-free between completions.
 	var partialTick <-chan time.Time
 	if opts.PartialEvery > 0 {
 		ticker := time.NewTicker(opts.PartialEvery)
 		defer ticker.Stop()
 		partialTick = ticker.C
 	}
-	partialSaved := -1 // done-count at the last successful write
-	// savePartial merges the validated shard files completed so far into
-	// partial.json.
-	savePartial := func() {
-		var have []*shard.File
-		for _, u := range l.units {
-			if u.done {
-				have = append(have, u.file)
-			}
-		}
-		if len(have) == partialSaved || len(have) == 0 || len(have) == len(l.units) {
-			// Nothing new since the last write, nothing yet, or the final
-			// merge is about to supersede the cover.
-			return
-		}
-		path := filepath.Join(opts.Dir, partialFileName)
-		cover, err := shard.MergePartial(have)
-		if err == nil {
-			// Write-then-rename: the file is documented as renderable at
-			// any moment, so a concurrent "merge -partial" must never
-			// observe a truncated in-place rewrite.
-			if err = cover.File.WriteFileAs(path+".tmp", opts.Codec); err == nil {
-				err = os.Rename(path+".tmp", path)
-			}
-		}
-		if err != nil {
-			// A failed provisional write must not kill the sweep it
-			// observes; the next tick retries. Its event keeps it visible
-			// where Logf is off (the CLI's -progress mode).
-			l.logf("partial merge: %v", err)
-			l.record(ProgressEvent{Kind: ProgressPartial, Shard: -1, Err: err.Error()})
-			return
-		}
-		partialSaved = len(have)
-		present, cells := len(cover.Present), cover.CellsHave()
-		l.record(ProgressEvent{Kind: ProgressPartial, Shards: present, Shard: -1, File: path, Cells: cells})
-		l.logf("partial merge: %d/%d shards (%d cells) written to %s", present, l.spec.Shards, cells, path)
-	}
-
-	tryAssign()
 	var fatal error
 	for !l.Finished() && fatal == nil {
+		now := time.Now()
+		for _, c := range l.Expired(now) {
+			cancels[slices.Index(slots, c.Worker)](errAttemptTimeout)
+		}
+		assign(now)
+		var wake <-chan time.Time
+		if at := l.Wake(now); !at.IsZero() {
+			wake = time.After(at.Sub(now))
+		}
 		select {
 		case <-ctx.Done():
 			fatal = ctx.Err()
 		case <-partialTick:
-			savePartial()
-		case u := <-requeue:
-			l.Requeue(u)
-			tryAssign()
+			l.SavePartial()
+		case <-wake:
 		case o := <-results:
-			idle = append(idle, o.workerIdx)
-			worker := workers[o.workerIdx].Name()
+			cancels[o.slot](nil)
+			cancels[o.slot] = nil
+			worker := workers[o.slot].Name()
 			a := Attempt{Shard: o.u.id, Attempt: o.attempt, Steal: o.steal, Worker: worker}
 			if o.err != nil {
 				a.Err = o.err.Error()
@@ -523,37 +444,10 @@ func run(ctx context.Context, l *Ledger, workers []Worker, opts Options, res *Re
 				if l.Complete(o.u, o.attempt, worker, o.Out, o.file) {
 					res.Ran++
 				}
-				tryAssign()
-				continue
-			}
-			verdict, children := l.Fail(o.u, o.attempt, worker, o.err)
-			if failedOn[o.u] == nil {
-				failedOn[o.u] = make(map[int]bool)
-			}
-			failedOn[o.u][o.workerIdx] = true
-			switch verdict {
-			case FailExhausted:
+			} else if v, _ := l.Fail(o.u, o.attempt, o.err); v == FailExhausted {
 				fatal = fmt.Errorf("dispatch: shard %d failed all %d attempts, last on %s: %w",
 					o.u.id, o.attempt, worker, o.err)
-				continue
-			case FailSplit:
-				for _, c := range children {
-					failedOn[c] = maps.Clone(failedOn[o.u])
-				}
-			case FailRequeue:
-				if opts.RetryDelay > 0 {
-					go func(u *Unit) {
-						select {
-						case <-time.After(opts.RetryDelay):
-							requeue <- u
-						case <-runCtx.Done():
-						}
-					}(o.u)
-				} else {
-					l.Requeue(o.u)
-				}
 			}
-			tryAssign()
 		}
 	}
 	cancel()
@@ -561,26 +455,20 @@ func run(ctx context.Context, l *Ledger, workers []Worker, opts Options, res *Re
 	return fatal
 }
 
-// runAttempt runs one attempt under the per-attempt timeout and validates
-// the produced file, returning its decoded form on success.
+// runAttempt runs one attempt and validates the produced file, returning
+// its decoded form on success.
 func runAttempt(ctx context.Context, w Worker, l *Ledger, u *Unit, t Task, timeout time.Duration) (*shard.File, error) {
-	actx := ctx
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
 	// Drop any partial file a previous attempt left, so validation can
 	// never accept stale output.
 	if err := os.Remove(t.Out); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
 	var f *shard.File
-	err := w.Run(actx, t)
+	err := w.Run(ctx, t)
 	if err == nil {
 		f, err = l.Validate(u, t.Out)
 	}
-	if err != nil && actx.Err() != nil && ctx.Err() == nil {
+	if err != nil && context.Cause(ctx) == errAttemptTimeout {
 		return nil, fmt.Errorf("dispatch: attempt exceeded the %v timeout: %w", timeout, err)
 	}
 	return f, err

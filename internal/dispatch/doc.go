@@ -36,12 +36,16 @@
 //
 // The unit lifecycle — plan or resume, attempt and steal starts,
 // validation, first completion wins, fail → requeue | split, merge — is
-// written once, as Ledger. The ledger records each lifecycle event once
-// (Ledger.record): one clock reading, one journal line, one progress
-// event. Run is a Ledger plus worker goroutines, a pick/steal policy,
-// RetryDelay and the partial ticker; internal/coord drives one Ledger per
-// run over HTTP. A Ledger is single-goroutine and takes its clock as a
-// parameter, so tests drive it step by step.
+// written once, as Ledger, and so is the scheduling policy: Ledger.Next
+// picks a worker's unit or steal target, skipping a retry that is not
+// due and preferring a worker that has not failed the unit; Expired
+// names the copies past their attempt timeout; Wake names the next
+// instant either answer changes. The ledger records each lifecycle event
+// once (Ledger.record): one clock reading, one journal line, one
+// progress event. Run is a Ledger plus worker goroutines, one timer and
+// the partial ticker; internal/coord drives one Ledger per run over
+// HTTP. A Ledger is single-goroutine and takes its clock as a parameter,
+// so tests drive it step by step.
 //
 // # Workers
 //

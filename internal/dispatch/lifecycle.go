@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,10 +31,11 @@ type Unit struct {
 	done     bool
 	split    bool // superseded by two children that carry its cells
 	file     *shard.File
-	filePath string // the winning (or resumed) file
-	attempts int    // journaled attempts and steals, restored on reopen
-	inflight []int  // attempt numbers started and not yet settled
-	started  time.Time
+	filePath string    // the winning (or resumed) file
+	attempts int       // journaled attempts and steals, restored on reopen
+	inflight []Copy    // copies started and not yet settled
+	failed   []string  // identities of the workers whose attempt failed
+	ready    time.Time // a queued retry is due at ready
 }
 
 // ID returns the unit's id (the journal's "shard" field).
@@ -42,12 +44,38 @@ func (u *Unit) ID() int { return u.id }
 // Path returns the unit's canonical output file.
 func (u *Unit) Path() string { return u.path }
 
-func (u *Unit) dropInflight(attempt int) bool {
-	if i := slices.Index(u.inflight, attempt); i >= 0 {
-		u.inflight = slices.Delete(u.inflight, i, i+1)
-		return true
+// Copy is one in-flight attempt at a unit: who runs it, and since when.
+type Copy struct {
+	Unit    *Unit
+	Attempt int
+	// Worker is the identity the driver started it under: the
+	// coordinator's worker id, or the pool slot in Run. Failures are
+	// keyed by it, so two workers of the same name stay two workers.
+	Worker  string
+	Name    string    // the worker's display name, as journaled
+	Started time.Time // the stamp of its attempt or steal event
+	expired bool      // reported by Expired
+}
+
+// Copy returns the in-flight copy of attempt at u.
+func (u *Unit) Copy(attempt int) (Copy, bool) {
+	i := slices.IndexFunc(u.inflight, func(c Copy) bool { return c.Attempt == attempt })
+	if i < 0 {
+		return Copy{}, false
 	}
-	return false
+	return u.inflight[i], true
+}
+
+// dropCopy settles the in-flight copy of attempt at u and returns it.
+// A unit with no copy left keeps no array: the coordinator holds every
+// run's units for as long as it runs.
+func (u *Unit) dropCopy(attempt int) (Copy, bool) {
+	c, ok := u.Copy(attempt)
+	u.inflight = slices.DeleteFunc(u.inflight, func(c Copy) bool { return c.Attempt == attempt })
+	if len(u.inflight) == 0 {
+		u.inflight = nil
+	}
+	return c, ok
 }
 
 // Verdict is the ledger's ruling on a failed attempt.
@@ -56,7 +84,7 @@ type Verdict int
 // The verdicts of Ledger.Fail.
 const (
 	FailNone      Verdict = iota // settled, not in flight, or another copy still runs
-	FailRequeue                  // the driver calls Requeue, at once or after a delay
+	FailRequeue                  // queued again; Next hands it out once RetryDelay has passed
 	FailSplit                    // the batch was split into two queued children
 	FailExhausted                // the attempt budget is spent; the run fails
 )
@@ -81,6 +109,19 @@ type LedgerConfig struct {
 	// nothing re-validated or merged again — for a driver that serves
 	// the merged file it already wrote.
 	KeepMerged bool
+
+	// The scheduling policy of Next, Expired and Wake. Steal lets Next
+	// hand a worker a second copy of a straggler once no queued unit is
+	// ready. RetryDelay holds a failed unit back from Next that long.
+	// AttemptTimeout, when positive, is how long a copy may run before
+	// Expired reports it. Live lists the identities of the driver's live
+	// workers: Next hands a worker a unit it failed only when every live
+	// worker has failed it. A nil Live lists none, so any worker may run
+	// any unit.
+	Steal          bool
+	RetryDelay     time.Duration
+	AttemptTimeout time.Duration
+	Live           iter.Seq[string]
 }
 
 // LedgerStats counts a run's units and lifecycle outcomes. Total counts
@@ -92,9 +133,9 @@ type LedgerStats struct {
 	MergedCells                                  int
 }
 
-// Ledger is the unit lifecycle of one run, shared by Run and
-// internal/coord (see the package documentation). It is
-// single-goroutine: Run calls it from its coordinator loop, the
+// Ledger is the unit lifecycle of one run and its scheduling policy,
+// shared by Run and internal/coord (see the package documentation). It
+// is single-goroutine: Run calls it from its driver loop, the
 // coordinator service under its mutex. Validate alone may be called from
 // any goroutine; it reads only what never changes after open.
 type Ledger struct {
@@ -109,6 +150,10 @@ type Ledger struct {
 	now         func() time.Time
 	emitFn      func(ProgressEvent)
 	logf        func(string, ...any)
+	steal       bool
+	retryDelay  time.Duration
+	timeout     time.Duration
+	live        iter.Seq[string]
 
 	jr      *journal
 	held    []ProgressEvent // recorded while planning, before jr opens
@@ -117,6 +162,7 @@ type Ledger struct {
 	pending []*Unit // FIFO
 	nextID  int
 	stats   LedgerStats
+	partial int // done units in the last partial cover written
 }
 
 // OpenLedger opens the run of cfg.Spec in cfg.Dir: a fresh journal is
@@ -155,6 +201,7 @@ func openLedger(cfg LedgerConfig, prior *JournalState) (*Ledger, error) {
 		spec: spec, params: params, runNames: runNames, balance: balance,
 		dir: cfg.Dir, maxAttempts: cfg.MaxAttempts, cache: cfg.Cache, codec: cfg.Codec,
 		now: cfg.Now, emitFn: cfg.Emit, logf: cfg.Logf, byID: make(map[int]*Unit),
+		steal: cfg.Steal, retryDelay: cfg.RetryDelay, timeout: cfg.AttemptTimeout, live: cfg.Live,
 	}
 	if l.maxAttempts <= 0 {
 		l.maxAttempts = 3
@@ -557,12 +604,106 @@ func (l *Ledger) Stats() LedgerStats { return l.stats }
 // Unit returns the unit with the given id, or nil.
 func (l *Ledger) Unit(id int) *Unit { return l.byID[id] }
 
-// Next returns the first queued unit, or nil.
-func (l *Ledger) Next() *Unit {
-	if len(l.pending) == 0 {
+// Next returns the unit worker should run at now, and whether it is a
+// steal: a second copy of a unit already in flight. Queued units go in
+// order, skipping a retry that is not due yet and a unit worker failed
+// while a live worker that has not failed it exists. With Steal on and
+// no queued unit ready, it returns the heaviest single-copy straggler
+// worker has neither failed nor runs (ties: the earliest started copy,
+// then the lowest id). It returns nil when worker should wait.
+func (l *Ledger) Next(worker string, now time.Time) (*Unit, bool) {
+	ready := false
+	for _, u := range l.pending {
+		if u.ready.After(now) {
+			continue
+		}
+		ready = true
+		if l.mayRun(u, worker) {
+			return u, false
+		}
+	}
+	if ready || !l.steal {
+		return nil, false
+	}
+	var target *Unit
+	for _, u := range l.units {
+		if l.Settled(u) || len(u.inflight) != 1 || u.attempts >= l.maxAttempts ||
+			u.inflight[0].Worker == worker || slices.Contains(u.failed, worker) {
+			continue
+		}
+		if target == nil || u.weight > target.weight ||
+			(u.weight == target.weight && u.inflight[0].Started.Before(target.inflight[0].Started)) {
+			target = u
+		}
+	}
+	return target, target != nil
+}
+
+// mayRun reports whether worker may run u: it has not failed u, or every
+// live worker has.
+func (l *Ledger) mayRun(u *Unit, worker string) bool {
+	if !slices.Contains(u.failed, worker) || l.live == nil {
+		return true
+	}
+	for w := range l.live {
+		if !slices.Contains(u.failed, w) {
+			return false
+		}
+	}
+	return true
+}
+
+// Expired returns, once each and in unit order, the in-flight copies that
+// have run for AttemptTimeout or longer at now. The driver ends each one:
+// the coordinator fails its lease, Run cancels its attempt.
+func (l *Ledger) Expired(now time.Time) []Copy {
+	if l.timeout <= 0 {
 		return nil
 	}
-	return l.pending[0]
+	var out []Copy
+	for _, u := range l.units {
+		for i := range u.inflight {
+			if c := &u.inflight[i]; !c.expired && !now.Before(c.Started.Add(l.timeout)) {
+				c.expired = true
+				out = append(out, *c)
+			}
+		}
+	}
+	return out
+}
+
+// Wake returns the next instant at which Next or Expired may answer
+// differently with no ledger call in between: a queued retry falls due
+// after now, or an unreported copy times out (at or before now when it
+// already has). Zero means no such instant.
+func (l *Ledger) Wake(now time.Time) (at time.Time) {
+	soonest := func(t time.Time) {
+		if at.IsZero() || t.Before(at) {
+			at = t
+		}
+	}
+	for _, u := range l.pending {
+		if u.ready.After(now) {
+			soonest(u.ready)
+		}
+	}
+	if l.timeout > 0 {
+		for _, c := range l.InFlight() {
+			if !c.expired {
+				soonest(c.Started.Add(l.timeout))
+			}
+		}
+	}
+	return at
+}
+
+// InFlight returns the in-flight copies in unit order.
+func (l *Ledger) InFlight() []Copy {
+	var out []Copy
+	for _, u := range l.units {
+		out = append(out, u.inflight...)
+	}
+	return out
 }
 
 // Finished reports whether every unit the merge needs is done.
@@ -572,27 +713,24 @@ func (l *Ledger) Finished() bool { return l.stats.Done == l.stats.Total }
 // into children that carry its cells.
 func (l *Ledger) Settled(u *Unit) bool { return u.done || u.split }
 
-// Start begins an attempt at u by worker — with steal, a second
-// concurrent copy — and returns its task and attempt number. A steal
-// writes <path>.s<attempt>, so copies never collide and the canonical
-// path stays the regular attempts'.
-func (l *Ledger) Start(u *Unit, worker string, steal bool) (Task, int) {
+// Start begins an attempt at u by the worker of the given identity and
+// display name — with steal, a second concurrent copy — and returns its
+// task and attempt number. A steal writes <path>.s<attempt>, so copies
+// never collide and the canonical path stays the regular attempts'.
+func (l *Ledger) Start(u *Unit, worker, name string, steal bool) (Task, int) {
 	l.unqueue(u)
 	u.attempts++
 	att := u.attempts
-	u.inflight = append(u.inflight, att)
 	out, kind := u.path, ProgressAttempt
 	if steal {
 		out, kind = fmt.Sprintf("%s.s%d", u.path, att), ProgressSteal
 		l.stats.Steals++
-		l.logf("%s %d stolen by idle %s (attempt %d/%d)", l.noun(), u.id, worker, att, l.maxAttempts)
+		l.logf("%s %d stolen by idle %s (attempt %d/%d)", l.noun(), u.id, name, att, l.maxAttempts)
 	} else {
-		l.logf("%s %d attempt %d/%d on %s", l.noun(), u.id, att, l.maxAttempts, worker)
+		l.logf("%s %d attempt %d/%d on %s", l.noun(), u.id, att, l.maxAttempts, name)
 	}
-	at := l.record(ProgressEvent{Kind: kind, Shard: u.id, Attempt: att, Worker: worker})
-	if u.started.IsZero() {
-		u.started = at
-	}
+	at := l.record(ProgressEvent{Kind: kind, Shard: u.id, Attempt: att, Worker: name})
+	u.inflight = append(u.inflight, Copy{Unit: u, Attempt: att, Worker: worker, Name: name, Started: at})
 	return Task{Spec: l.spec, Index: u.id, Cells: u.spec, Out: out}, att
 }
 
@@ -603,9 +741,9 @@ func (l *Ledger) Validate(u *Unit, path string) (*shard.File, error) {
 	return validateFile(path, l.spec, u.id, l.params, l.runNames, u.cells)
 }
 
-// Complete records a validated completion of attempt at u, whose file is
-// at path. The first completion wins and reports true; a completion of a
-// settled unit is discarded.
+// Complete records a validated completion of attempt at u by the named
+// worker, whose file is at path. The first completion wins and reports
+// true; a completion of a settled unit is discarded.
 func (l *Ledger) Complete(u *Unit, attempt int, worker, path string, f *shard.File) bool {
 	if l.Settled(u) {
 		l.Discard(u, attempt, worker, path)
@@ -614,7 +752,7 @@ func (l *Ledger) Complete(u *Unit, attempt int, worker, path string, f *shard.Fi
 	// A late copy can win after its unit was failed and re-queued (a
 	// stale push past its lease): nobody may start the unit again.
 	l.unqueue(u)
-	u.dropInflight(attempt)
+	u.dropCopy(attempt)
 	l.finish(u, path, f)
 	l.deposit(u, f)
 	l.record(ProgressEvent{Kind: ProgressDone, Shard: u.id, Attempt: attempt, Worker: worker, File: path, Cells: f.CellCount()})
@@ -626,7 +764,7 @@ func (l *Ledger) Complete(u *Unit, attempt int, worker, path string, f *shard.Fi
 // never journaled or merged, whose file at path ("" for none) is removed
 // unless it is the winner's.
 func (l *Ledger) Discard(u *Unit, attempt int, worker, path string) {
-	u.dropInflight(attempt)
+	u.dropCopy(attempt)
 	l.stats.Duplicates++
 	l.logf("%s %d duplicate completion (attempt %d on %s) discarded", l.noun(), u.id, attempt, worker)
 	if path != "" && path != u.filePath {
@@ -634,16 +772,22 @@ func (l *Ledger) Discard(u *Unit, attempt int, worker, path string) {
 	}
 }
 
-// Fail records a failed attempt at u and rules on it. A failed batch with
-// no copy still in flight is re-split into two children, so a retry
-// re-runs half the work per worker instead of all of it.
-func (l *Ledger) Fail(u *Unit, attempt int, worker string, err error) (Verdict, []*Unit) {
-	if !u.dropInflight(attempt) || l.Settled(u) {
+// Fail records a failed attempt at u and rules on it; the failure is
+// charged to the copy's worker, whom Next then passes over for u. A
+// failed batch with no copy still in flight is re-split into two
+// children, so a retry re-runs half the work per worker instead of all
+// of it; any other unit is queued again, due after RetryDelay.
+func (l *Ledger) Fail(u *Unit, attempt int, err error) (Verdict, []*Unit) {
+	c, ok := u.dropCopy(attempt)
+	if !ok || l.Settled(u) {
 		return FailNone, nil
 	}
-	l.record(ProgressEvent{Kind: ProgressFailed, Shard: u.id, Attempt: attempt, Worker: worker, Err: err.Error()})
+	if !slices.Contains(u.failed, c.Worker) {
+		u.failed = append(u.failed, c.Worker)
+	}
+	at := l.record(ProgressEvent{Kind: ProgressFailed, Shard: u.id, Attempt: attempt, Worker: c.Name, Err: err.Error()})
 	if len(u.inflight) > 0 {
-		l.logf("%s %d attempt %d on %s failed; a concurrent copy is still running: %v", l.noun(), u.id, attempt, worker, err)
+		l.logf("%s %d attempt %d on %s failed; a concurrent copy is still running: %v", l.noun(), u.id, attempt, c.Name, err)
 		return FailNone, nil
 	}
 	if u.attempts >= l.maxAttempts {
@@ -652,10 +796,12 @@ func (l *Ledger) Fail(u *Unit, attempt int, worker string, err error) (Verdict, 
 	l.stats.Retries++
 	if children := l.split(u); children != nil {
 		l.logf("batch %d attempt %d on %s failed; re-splitting %d cells into batches %d+%d: %v",
-			u.id, attempt, worker, u.ncells, children[0].id, children[1].id, err)
+			u.id, attempt, c.Name, u.ncells, children[0].id, children[1].id, err)
 		return FailSplit, children
 	}
-	l.logf("%s %d attempt %d on %s failed, retrying: %v", l.noun(), u.id, attempt, worker, err)
+	l.logf("%s %d attempt %d on %s failed, retrying: %v", l.noun(), u.id, attempt, c.Name, err)
+	u.ready = at.Add(l.retryDelay)
+	l.pending = append(l.pending, u)
 	return FailRequeue, nil
 }
 
@@ -665,16 +811,10 @@ func (l *Ledger) unqueue(u *Unit) {
 	}
 }
 
-// Requeue queues u again after a FailRequeue verdict.
-func (l *Ledger) Requeue(u *Unit) {
-	if !l.Settled(u) {
-		l.pending = append(l.pending, u)
-	}
-}
-
 // split halves a batch's cells, walked in run/cell order, into two queued
 // children that inherit its attempt count, so the budget still bounds the
-// lineage. It returns nil for a shard or a one-cell batch.
+// lineage, and the workers that failed it. It returns nil for a shard or
+// a one-cell batch.
 func (l *Ledger) split(u *Unit) []*Unit {
 	if u.cells == nil || u.ncells < 2 {
 		return nil
@@ -697,7 +837,7 @@ func (l *Ledger) split(u *Unit) []*Unit {
 		if err != nil {
 			return nil
 		}
-		c.attempts = u.attempts
+		c.attempts, c.failed = u.attempts, slices.Clone(u.failed)
 		children[h] = c
 	}
 	u.split = true
@@ -757,6 +897,45 @@ func (l *Ledger) Merge(out string) (*shard.File, error) {
 		u.file = nil
 	}
 	return merged, nil
+}
+
+// SavePartial merges the unit files completed so far into the run
+// directory's partial.json and records a partial event. It writes
+// nothing when no unit completed since the last cover, or when every
+// unit has and the final merge is about to supersede the cover. Only
+// round-robin shards make a partial cover.
+func (l *Ledger) SavePartial() {
+	var have []*shard.File
+	for _, u := range l.units {
+		if u.done {
+			have = append(have, u.file)
+		}
+	}
+	if len(have) == l.partial || len(have) == len(l.units) {
+		return
+	}
+	path := filepath.Join(l.dir, partialFileName)
+	cover, err := shard.MergePartial(have)
+	if err == nil {
+		// Write-then-rename: the file is documented as renderable at any
+		// moment, so a concurrent "merge -partial" must never observe a
+		// truncated in-place rewrite.
+		if err = cover.File.WriteFileAs(path+".tmp", l.codec); err == nil {
+			err = os.Rename(path+".tmp", path)
+		}
+	}
+	if err != nil {
+		// A failed provisional write must not kill the sweep it observes;
+		// the next call retries. Its event keeps it visible where Logf is
+		// off (the CLI's -progress mode).
+		l.logf("partial merge: %v", err)
+		l.record(ProgressEvent{Kind: ProgressPartial, Shard: -1, Err: err.Error()})
+		return
+	}
+	l.partial = len(have)
+	present, cells := len(cover.Present), cover.CellsHave()
+	l.record(ProgressEvent{Kind: ProgressPartial, Shards: present, Shard: -1, File: path, Cells: cells})
+	l.logf("partial merge: %d/%d shards (%d cells) written to %s", present, l.spec.Shards, cells, path)
 }
 
 // Close closes the journal and reports its first write error. Idempotent.

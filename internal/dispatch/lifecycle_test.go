@@ -9,10 +9,14 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,7 +40,7 @@ type ledgerRig struct {
 	events  []ProgressEvent // every event of every open, in order
 }
 
-func newLedgerRig(t *testing.T, balance string, shards, maxAttempts int) *ledgerRig {
+func newLedgerRig(t *testing.T, balance string, shards, maxAttempts int, tune ...func(*LedgerConfig)) *ledgerRig {
 	t.Helper()
 	r := &ledgerRig{t: t, highest: map[int]int{}, clock: time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)}
 	r.cfg = LedgerConfig{
@@ -48,11 +52,20 @@ func newLedgerRig(t *testing.T, balance string, shards, maxAttempts int) *ledger
 		Now:  func() time.Time { return r.clock },
 		Emit: func(e ProgressEvent) { r.events = append(r.events, e) },
 	}
+	for _, f := range tune {
+		f(&r.cfg)
+	}
 	r.reopen()
 	return r
 }
 
 func (r *ledgerRig) tick() { r.clock = r.clock.Add(time.Second) }
+
+// next returns the unit the ledger picks for worker at the rig's clock.
+func (r *ledgerRig) next(worker string) *Unit {
+	u, _ := r.l.Next(worker, r.clock)
+	return u
+}
 
 // reopen closes the current ledger (if any) and opens the run again.
 func (r *ledgerRig) reopen() {
@@ -71,11 +84,25 @@ func (r *ledgerRig) reopen() {
 	r.check()
 }
 
-// start begins an attempt at u, checking attempt numbers never go back.
+// start begins an attempt at u by worker "w".
 func (r *ledgerRig) start(u *Unit, steal bool) (Task, int) {
 	r.t.Helper()
+	return r.startAs("w", u, steal)
+}
+
+// startAs begins an attempt at u by the worker of the given identity.
+func (r *ledgerRig) startAs(worker string, u *Unit, steal bool) (Task, int) {
+	r.t.Helper()
 	r.tick()
-	task, att := r.l.Start(u, "w", steal)
+	return r.begin(worker, u, steal)
+}
+
+// begin starts an attempt at u at the rig's clock, checking attempt
+// numbers never go back. Every copy is journaled under the name "w":
+// the ledger tells workers apart by identity alone.
+func (r *ledgerRig) begin(worker string, u *Unit, steal bool) (Task, int) {
+	r.t.Helper()
+	task, att := r.l.Start(u, worker, "w", steal)
 	if att <= r.highest[u.id] {
 		r.t.Fatalf("unit %d: attempt %d after attempt %d", u.id, att, r.highest[u.id])
 	}
@@ -84,9 +111,20 @@ func (r *ledgerRig) start(u *Unit, steal bool) (Task, int) {
 	return task, att
 }
 
+// computed caches the files compute builds, by task: many scripts and
+// fuzz inputs ask for the same few units.
+var computed sync.Map // fmt.Sprint(task.Spec, task.Index, task.Cells) → *shard.File
+
 // compute writes the task's file as an honest worker would.
 func (r *ledgerRig) compute(task Task) *shard.File {
 	r.t.Helper()
+	key := fmt.Sprint(task.Spec, task.Index, task.Cells)
+	if f, ok := computed.Load(key); ok {
+		if err := f.(*shard.File).WriteFile(task.Out); err != nil {
+			r.t.Fatal(err)
+		}
+		return f.(*shard.File)
+	}
 	var (
 		f   *shard.File
 		err error
@@ -105,6 +143,7 @@ func (r *ledgerRig) compute(task Task) *shard.File {
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	computed.Store(key, f)
 	return f
 }
 
@@ -125,7 +164,7 @@ func (r *ledgerRig) complete(u *Unit, task Task, att int) bool {
 func (r *ledgerRig) fail(u *Unit, att int) (Verdict, []*Unit) {
 	r.t.Helper()
 	r.tick()
-	v, children := r.l.Fail(u, att, "w", errors.New("injected failure"))
+	v, children := r.l.Fail(u, att, errors.New("injected failure"))
 	r.check()
 	return v, children
 }
@@ -133,7 +172,7 @@ func (r *ledgerRig) fail(u *Unit, att int) (Verdict, []*Unit) {
 // drain runs every queued unit to completion.
 func (r *ledgerRig) drain() {
 	r.t.Helper()
-	for u := r.l.Next(); u != nil; u = r.l.Next() {
+	for u := r.next("w"); u != nil; u = r.next("w") {
 		task, att := r.start(u, false)
 		r.complete(u, task, att)
 	}
@@ -223,10 +262,18 @@ func (r *ledgerRig) check() {
 	}
 }
 
-// merge merges the finished run, checking each unit is merged once and
-// the result is byte-identical to the unsharded run; reopens the merged
-// run as finished; and pins the journal against its golden file.
+// merge merges the finished run and pins the journal against its golden
+// file.
 func (r *ledgerRig) merge() {
+	r.t.Helper()
+	r.mergeChecked()
+	r.golden()
+}
+
+// mergeChecked merges the finished run, checking each unit is merged
+// once and the result is byte-identical to the unsharded run, and
+// reopens the merged run as finished.
+func (r *ledgerRig) mergeChecked() {
 	r.t.Helper()
 	r.tick()
 	if !r.l.Finished() {
@@ -243,19 +290,11 @@ func (r *ledgerRig) merge() {
 		r.t.Fatal(err)
 	}
 	r.check()
-	ref, err := experiment.RunShard(r.cfg.Spec.Selection, r.cfg.Spec.Params, 1, 1, 0)
-	if err != nil {
-		r.t.Fatal(err)
-	}
 	got, err := merged.Encode()
 	if err != nil {
 		r.t.Fatal(err)
 	}
-	want, err := ref.Encode()
-	if err != nil {
-		r.t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if !bytes.Equal(got, r.reference()) {
 		r.t.Fatal("merge differs from the unsharded run")
 	}
 	if err := r.l.Close(); err != nil {
@@ -263,10 +302,31 @@ func (r *ledgerRig) merge() {
 	}
 	r.cfg.KeepMerged = true
 	r.reopen()
-	if st := r.l.Stats(); !r.l.Finished() || !st.Merged || r.l.Next() != nil {
+	if st := r.l.Stats(); !r.l.Finished() || !st.Merged || r.next("w") != nil {
 		r.t.Fatalf("merged run reopened unfinished: %+v", st)
 	}
-	r.golden()
+}
+
+// references caches the unsharded run's encoded file by spec.
+var references sync.Map // fmt.Sprint(selection, params) → []byte
+
+// reference returns the encoded file of the rig's run, unsharded.
+func (r *ledgerRig) reference() []byte {
+	r.t.Helper()
+	key := fmt.Sprint(r.cfg.Spec.Selection, r.cfg.Spec.Params)
+	if b, ok := references.Load(key); ok {
+		return b.([]byte)
+	}
+	ref, err := experiment.RunShard(r.cfg.Spec.Selection, r.cfg.Spec.Params, 1, 1, 0)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	b, err := ref.Encode()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	references.Store(key, b)
+	return b
 }
 
 // golden compares the run's journal bytes with
@@ -302,17 +362,16 @@ func (r *ledgerRig) golden() {
 // attempt count; a duplicate completion after a steal wins.
 func TestLedgerShards(t *testing.T) {
 	r := newLedgerRig(t, BalanceRoundRobin, 3, 3)
-	u0 := r.l.Next()
+	u0 := r.next("w")
 	task, att := r.start(u0, false)
 	if !r.complete(u0, task, att) {
 		t.Fatal("first completion lost")
 	}
-	u1 := r.l.Next()
+	u1 := r.next("w")
 	_, att = r.start(u1, false)
 	if v, _ := r.fail(u1, att); v != FailRequeue {
 		t.Fatalf("verdict %v, want FailRequeue", v)
 	}
-	r.l.Requeue(u1)
 
 	r.reopen()
 	if st := r.l.Stats(); st.Resumed != 1 || st.Done != 1 || r.l.Unit(1).attempts != 1 {
@@ -322,7 +381,7 @@ func TestLedgerShards(t *testing.T) {
 	task, att = r.start(u1, false)
 	r.complete(u1, task, att)
 
-	u2 := r.l.Next()
+	u2 := r.next("w")
 	slow, slowAtt := r.start(u2, false)
 	stolen, stolenAtt := r.start(u2, true)
 	if !r.complete(u2, stolen, stolenAtt) {
@@ -341,21 +400,21 @@ func TestLedgerShards(t *testing.T) {
 // unfinished children and re-plans their cells; merge.
 func TestLedgerBatches(t *testing.T) {
 	r := newLedgerRig(t, BalanceCost, 2, 3)
-	b0 := r.l.Next()
+	b0 := r.next("w")
 	_, att := r.start(b0, false)
 	v, children := r.fail(b0, att)
 	if v != FailSplit || len(children) != 2 || children[0].attempts != att {
 		t.Fatalf("verdict %v, children %d: want a split inheriting the attempt count", v, len(children))
 	}
-	b1 := r.l.Next()
+	b1 := r.next("w")
 	task, att := r.start(b1, false)
 	r.complete(b1, task, att)
-	c0 := r.l.Next()
+	c0 := r.next("w")
 	task, att = r.start(c0, false)
 	r.complete(c0, task, att)
 
 	r.reopen()
-	if st := r.l.Stats(); st.Resumed != 2 || st.Done != 2 || r.l.Next() == nil {
+	if st := r.l.Stats(); st.Resumed != 2 || st.Done != 2 || r.next("w") == nil {
 		t.Fatalf("after reopen: %+v; want the two done batches resumed and the rest re-planned", st)
 	}
 	r.drain()
@@ -366,12 +425,11 @@ func TestLedgerBatches(t *testing.T) {
 // grants one more attempt numbered after the journaled ones.
 func TestLedgerExhaust(t *testing.T) {
 	r := newLedgerRig(t, BalanceRoundRobin, 1, 2)
-	u := r.l.Next()
+	u := r.next("w")
 	_, att := r.start(u, false)
 	if v, _ := r.fail(u, att); v != FailRequeue {
 		t.Fatalf("verdict %v, want FailRequeue", v)
 	}
-	r.l.Requeue(u)
 	_, att = r.start(u, false)
 	if v, _ := r.fail(u, att); v != FailExhausted {
 		t.Fatalf("verdict %v, want FailExhausted", v)
@@ -389,12 +447,11 @@ func TestLedgerExhaust(t *testing.T) {
 // It wins, and the re-queued unit is never started again.
 func TestLedgerLateCompletion(t *testing.T) {
 	r := newLedgerRig(t, BalanceRoundRobin, 2, 3)
-	u := r.l.Next()
+	u := r.next("w")
 	task, att := r.start(u, false)
 	if v, _ := r.fail(u, att); v != FailRequeue {
 		t.Fatalf("verdict %v, want FailRequeue", v)
 	}
-	r.l.Requeue(u)
 	r.compute(task)
 	f, err := r.l.Validate(u, task.Out)
 	if err != nil {
@@ -416,10 +473,10 @@ func TestLedgerLateCompletion(t *testing.T) {
 // pending.
 func TestLedgerResumeKeepsCostObservations(t *testing.T) {
 	r := newLedgerRig(t, BalanceCost, 2, 3)
-	b0 := r.l.Next()
+	b0 := r.next("w")
 	task, att := r.start(b0, false)
 	r.complete(b0, task, att)
-	r.start(r.l.Next(), false) // interrupted mid-attempt
+	r.start(r.next("w"), false) // interrupted mid-attempt
 
 	plan, err := experiment.PlanSelection(r.l.Spec().Selection, r.l.Spec().Params)
 	if err != nil {
@@ -527,4 +584,144 @@ func TestLedgerRefusedResumeKeepsJournal(t *testing.T) {
 			t.Fatalf("%s: the refused resume changed the journal (%v):\n%s", balance, err, after)
 		}
 	}
+}
+
+// wantNext asserts what the ledger picks for worker at the rig's clock.
+func (r *ledgerRig) wantNext(worker string, want *Unit, wantSteal bool) {
+	r.t.Helper()
+	u, steal := r.l.Next(worker, r.clock)
+	if u != want || steal != wantSteal {
+		r.t.Fatalf("Next(%q) = unit %s, steal %v; want unit %s, steal %v", worker, unitName(u), steal, unitName(want), wantSteal)
+	}
+}
+
+func unitName(u *Unit) string {
+	if u == nil {
+		return "none"
+	}
+	return strconv.Itoa(u.id)
+}
+
+// TestLedgerFreshWorker: a worker is not handed a unit it failed while a
+// live worker that has not failed it exists; once every live worker has
+// failed it, anyone may run it. The two workers share one name, so only
+// their identities tell them apart. Stealing is on: a ready unit the
+// worker may not run still holds its steal back.
+func TestLedgerFreshWorker(t *testing.T) {
+	r := newLedgerRig(t, BalanceRoundRobin, 2, 3, func(c *LedgerConfig) {
+		c.Live, c.Steal = slices.Values([]string{"a", "b"}), true
+	})
+	u0, u1 := r.l.Unit(0), r.l.Unit(1)
+	r.wantNext("a", u0, false)
+	_, a0 := r.startAs("a", u0, false)
+	task, b1 := r.startAs("b", u1, false)
+	if v, _ := r.fail(u0, a0); v != FailRequeue {
+		t.Fatalf("verdict %v, want FailRequeue", v)
+	}
+	r.wantNext("a", nil, false) // b has not failed unit 0, and it is ready: no steal of unit 1
+	r.complete(u1, task, b1)
+	r.wantNext("b", u0, false)
+	_, b0 := r.startAs("b", u0, false)
+	r.fail(u0, b0)
+	r.wantNext("b", u0, false) // every live worker failed it: anyone may run it
+	r.wantNext("a", u0, false)
+	task, a0 = r.startAs("a", u0, false)
+	r.complete(u0, task, a0)
+	r.merge()
+}
+
+// TestLedgerStealTargets: no steal while a queued unit is ready; then the
+// heaviest single-copy straggler, ties to the earliest started copy and
+// then the lowest id, never one the worker runs or failed. Every shard
+// weighs the same here, so the ties decide.
+func TestLedgerStealTargets(t *testing.T) {
+	r := newLedgerRig(t, BalanceRoundRobin, 3, 3, func(c *LedgerConfig) { c.Steal = true })
+	u0, u1, u2 := r.l.Unit(0), r.l.Unit(1), r.l.Unit(2)
+	a2, aAtt := r.startAs("a", u2, false)
+	r.wantNext("d", u0, false)
+	r.tick()
+	_, bAtt := r.begin("b", u0, false)
+	c1, cAtt := r.begin("c", u1, false) // same stamp as b's copy
+	r.wantNext("d", u2, true)           // the earliest started, not the lowest id
+	d2, dAtt := r.startAs("d", u2, true)
+	r.wantNext("e", u0, true) // same start: the lowest id
+	e0, eAtt := r.startAs("e", u0, true)
+	r.wantNext("c", nil, false) // c runs the only single-copy unit
+	if !r.complete(u2, d2, dAtt) {
+		t.Fatal("the stolen copy lost the race it finished first")
+	}
+	if r.complete(u2, a2, aAtt) {
+		t.Fatal("the late original won over a done unit")
+	}
+	if v, _ := r.fail(u0, bAtt); v != FailNone {
+		t.Fatalf("verdict %v with a copy still running, want FailNone", v)
+	}
+	r.wantNext("b", u1, true) // b failed unit 0, the other single-copy unit
+	r.complete(u0, e0, eAtt)
+	r.complete(u1, c1, cAtt)
+	if st := r.l.Stats(); st.Steals != 2 || st.Duplicates != 1 {
+		t.Fatalf("stats %+v, want 2 steals and 1 duplicate", st)
+	}
+	r.merge()
+}
+
+// TestLedgerRetryDelay: a failed unit is queued again but is not handed
+// out until the clock passes its retry delay, and Wake names that
+// instant.
+func TestLedgerRetryDelay(t *testing.T) {
+	r := newLedgerRig(t, BalanceRoundRobin, 1, 3, func(c *LedgerConfig) { c.RetryDelay = 5 * time.Second })
+	u := r.l.Unit(0)
+	_, att := r.start(u, false)
+	r.fail(u, att)
+	due := r.clock.Add(5 * time.Second)
+	r.tick()
+	r.wantNext("w", nil, false)
+	if at := r.l.Wake(r.clock); !at.Equal(due) {
+		t.Fatalf("Wake = %v, want the retry due at %v", at, due)
+	}
+	r.clock = due.Add(-time.Nanosecond)
+	r.wantNext("w", nil, false)
+	r.clock = due
+	r.wantNext("w", u, false)
+	if at := r.l.Wake(r.clock); !at.IsZero() {
+		t.Fatalf("Wake = %v with the retry due, want none", at)
+	}
+	r.drain()
+	r.merge()
+}
+
+// TestLedgerExpiredCopy: Expired reports a copy once, at its timeout; the
+// driver fails it, a retry completes, and the late completion of the
+// expired copy is discarded as a duplicate.
+func TestLedgerExpiredCopy(t *testing.T) {
+	r := newLedgerRig(t, BalanceRoundRobin, 2, 3, func(c *LedgerConfig) { c.AttemptTimeout = 10 * time.Second })
+	u := r.l.Unit(0)
+	late, lateAtt := r.startAs("a", u, false)
+	due := r.clock.Add(10 * time.Second)
+	if at := r.l.Wake(r.clock); !at.Equal(due) {
+		t.Fatalf("Wake = %v, want the copy's timeout at %v", at, due)
+	}
+	r.clock = due.Add(-time.Nanosecond)
+	if got := r.l.Expired(r.clock); len(got) != 0 {
+		t.Fatalf("Expired before the timeout = %+v", got)
+	}
+	r.clock = due
+	got := r.l.Expired(r.clock)
+	if len(got) != 1 || got[0].Unit != u || got[0].Attempt != lateAtt || got[0].Worker != "a" {
+		t.Fatalf("Expired at the timeout = %+v, want unit 0 attempt %d by a", got, lateAtt)
+	}
+	if again := r.l.Expired(r.clock); len(again) != 0 || !r.l.Wake(r.clock).IsZero() {
+		t.Fatalf("Expired reported the copy again: %+v", again)
+	}
+	r.fail(u, lateAtt)
+	task, att := r.startAs("b", u, false)
+	r.complete(u, task, att)
+	if r.complete(u, late, lateAtt) {
+		t.Fatal("the expired copy's late completion won over a done unit")
+	}
+	if st := r.l.Stats(); st.Duplicates != 1 {
+		t.Fatalf("stats %+v, want the late completion discarded", st)
+	}
+	r.drain()
+	r.merge()
 }

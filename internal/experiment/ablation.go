@@ -170,9 +170,10 @@ func (ablationExperiment) Describe() string {
 }
 func (ablationExperiment) CellKey() string { return ExpAblation }
 func (ablationExperiment) CSVName() string { return "" }
-func (ablationExperiment) Codec() Codec {
-	return Codec{Version: 1, New: func() any { return new([]qOutcome) }, Payload: qSlicePayloadCodec()}
-}
+
+var ablationCodec = Codec{Version: 1, New: func() any { return new([]qOutcome) }, Payload: qSlicePayloadCodec()}
+
+func (ablationExperiment) Codec() Codec { return ablationCodec }
 func (ablationExperiment) Grid(rc RunContext) (shard.Grid, error) {
 	return shard.Grid{Points: 1, Systems: rc.Config.Systems}, nil
 }

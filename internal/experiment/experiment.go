@@ -251,9 +251,10 @@ func (fig5Experiment) Describe() string {
 }
 func (fig5Experiment) CellKey() string { return ExpFig5 }
 func (fig5Experiment) CSVName() string { return "fig5.csv" }
-func (fig5Experiment) Codec() Codec {
-	return Codec{Version: 1, New: func() any { return new(fig5Outcome) }, Payload: fig5PayloadCodec()}
-}
+
+var fig5Codec = Codec{Version: 1, New: func() any { return new(fig5Outcome) }, Payload: fig5PayloadCodec()}
+
+func (fig5Experiment) Codec() Codec { return fig5Codec }
 func (fig5Experiment) Grid(rc RunContext) (shard.Grid, error) {
 	return shard.Grid{Points: len(Fig5Utils()), Systems: rc.Config.Systems}, nil
 }

@@ -64,9 +64,10 @@ func (e figqExperiment) CSVName() string {
 	}
 	return "fig7.csv"
 }
-func (figqExperiment) Codec() Codec {
-	return Codec{Version: 1, New: func() any { return new(figqOutcome) }, Payload: figqPayloadCodec()}
-}
+
+var figqCodec = Codec{Version: 1, New: func() any { return new(figqOutcome) }, Payload: figqPayloadCodec()}
+
+func (figqExperiment) Codec() Codec { return figqCodec }
 func (figqExperiment) Grid(rc RunContext) (shard.Grid, error) {
 	g := shard.Grid{Points: len(FigQUtils()), Systems: rc.Config.Systems}
 	return g, figqCheck(rc.Config)

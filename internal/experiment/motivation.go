@@ -132,9 +132,10 @@ func (motivationExperiment) Describe() string {
 }
 func (motivationExperiment) CellKey() string { return ExpMotivation }
 func (motivationExperiment) CSVName() string { return "" }
-func (motivationExperiment) Codec() Codec {
-	return Codec{Version: 1, New: func() any { return new(motivationOutcome) }, Payload: motivationPayloadCodec()}
-}
+
+var motivationCodec = Codec{Version: 1, New: func() any { return new(motivationOutcome) }, Payload: motivationPayloadCodec()}
+
+func (motivationExperiment) Codec() Codec { return motivationCodec }
 func (motivationExperiment) Grid(rc RunContext) (shard.Grid, error) {
 	g := shard.Grid{Points: 1, Systems: motivationDesigns}
 	return g, motivationCheck(rc.Motivation)

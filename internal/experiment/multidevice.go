@@ -39,9 +39,10 @@ func (multiDeviceExperiment) Describe() string {
 }
 func (multiDeviceExperiment) CellKey() string { return ExpMultiDevice }
 func (multiDeviceExperiment) CSVName() string { return "" }
-func (multiDeviceExperiment) Codec() Codec {
-	return Codec{Version: 1, New: func() any { return new(qOutcome) }, Payload: qPayloadCodec()}
-}
+
+var multiDeviceCodec = Codec{Version: 1, New: func() any { return new(qOutcome) }, Payload: qPayloadCodec()}
+
+func (multiDeviceExperiment) Codec() Codec { return multiDeviceCodec }
 func (multiDeviceExperiment) Grid(rc RunContext) (shard.Grid, error) {
 	_, counts := rc.Params.ResolvedMultiDevice()
 	g := shard.Grid{Points: len(counts), Systems: rc.Config.Systems}

@@ -11,6 +11,9 @@ package experiment
 // experiment's cells carry (floats travel as raw IEEE bits, nil-ness as
 // an explicit flag), so the v1 JSON render of an unpacked value is
 // byte-identical to the render of the value that was packed.
+//
+// Each experiment builds its Codec once, as a package-level value:
+// NewCodec builds the payload type's v1 JSON field table.
 
 import (
 	"fmt"

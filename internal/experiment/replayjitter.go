@@ -191,9 +191,9 @@ func (jitterExperiment) CSVName() string { return "jitter.csv" }
 // measurements.
 func (jitterExperiment) Reproducible() bool { return false }
 
-func (jitterExperiment) Codec() Codec {
-	return Codec{Version: 1, New: func() any { return new(jitterOutcome) }, Payload: jitterPayloadCodec()}
-}
+var jitterCodec = Codec{Version: 1, New: func() any { return new(jitterOutcome) }, Payload: jitterPayloadCodec()}
+
+func (jitterExperiment) Codec() Codec { return jitterCodec }
 func (jitterExperiment) Grid(rc RunContext) (shard.Grid, error) {
 	_, systems := rc.Params.ResolvedReplay()
 	if systems < 1 {

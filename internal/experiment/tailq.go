@@ -136,9 +136,10 @@ func (tailqExperiment) Describe() string {
 }
 func (tailqExperiment) CellKey() string { return ExpTailQ }
 func (tailqExperiment) CSVName() string { return "tailq.csv" }
-func (tailqExperiment) Codec() Codec {
-	return Codec{Version: 1, New: func() any { return new(tailqOutcome) }, Payload: tailqPayloadCodec()}
-}
+
+var tailqCodec = Codec{Version: 1, New: func() any { return new(tailqOutcome) }, Payload: tailqPayloadCodec()}
+
+func (tailqExperiment) Codec() Codec { return tailqCodec }
 func (tailqExperiment) Grid(rc RunContext) (shard.Grid, error) {
 	return shard.Grid{Points: len(Fig5Utils()), Systems: rc.Config.Systems}, nil
 }

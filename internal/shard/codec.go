@@ -134,16 +134,17 @@ type PayloadCodec interface {
 // bits, nil-ness as an explicit flag), so an unpacked value renders
 // exactly as the packed one did.
 //
-// NewCodec also builds T's v1 JSON field table, once per type. T may be
-// built of bool, the signed int kinds, float64 and string, nested in
-// structs, pointers and slices; any other kind, a type with its own JSON
-// or text unmarshaler, a recursive type, an embedded field or a
-// ",string" tag panics — a wiring bug, as duplicate registration is.
+// NewCodec also builds T's v1 JSON field table, on every call, so a
+// caller builds each codec once and keeps it. T may be built of bool,
+// the signed int kinds, float64 and string, nested in structs, pointers
+// and slices; any other kind, a type with its own JSON or text
+// unmarshaler, a recursive type, an embedded field or a ",string" tag
+// panics — a wiring bug, as duplicate registration is.
 func NewCodec[T any](pack func(w *ColumnWriter, v *T), unpack func(r *ColumnReader, v *T) error) PayloadCodec {
 	return typedCodec[T]{
 		pack:   pack,
 		unpack: unpack,
-		json:   jsonDecoderFor(reflect.TypeFor[T]()),
+		json:   newJSONDecoder(reflect.TypeFor[T](), map[reflect.Type]bool{}),
 	}
 }
 

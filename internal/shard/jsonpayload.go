@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // jsonDecoder decodes the JSON value next in s into v, a settable value
@@ -23,21 +22,6 @@ var (
 	jsonUnmarshalerType = reflect.TypeFor[json.Unmarshaler]()
 	textUnmarshalerType = reflect.TypeFor[encoding.TextUnmarshaler]()
 )
-
-// jsonDecoders caches each payload type's decoder: experiments build
-// their codec wherever they need its version or packer, so NewCodec runs
-// far more often than there are types.
-var jsonDecoders sync.Map // reflect.Type → jsonDecoder
-
-// jsonDecoderFor returns t's decoder, building it on first use.
-func jsonDecoderFor(t reflect.Type) jsonDecoder {
-	if d, ok := jsonDecoders.Load(t); ok {
-		return d.(jsonDecoder)
-	}
-	d := newJSONDecoder(t, map[reflect.Type]bool{})
-	jsonDecoders.Store(t, d)
-	return d
-}
 
 // newJSONDecoder builds t's decoder: the field table of a struct, and
 // the element decoder of a pointer or slice, built once. It supports
