@@ -23,13 +23,13 @@ import (
 func runBench(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	var (
-		out       = fs.String("o", "bench/BENCH_0031.json", "trajectory file to write (empty = don't write)")
+		out       = fs.String("o", "bench/BENCH_0034.json", "trajectory file to write (empty = don't write)")
 		compare   = fs.String("compare", "", "baseline trajectory to gate against; regressions make the command fail")
 		tolerance = fs.Float64("tolerance", 0.15, "allowed relative regression before the gate fails")
 		benchtime = fs.String("benchtime", "500ms", "per-benchmark measuring time (test.benchtime syntax, e.g. 2s or 10x)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: ioschedbench bench [-o bench/BENCH_0031.json] [-compare baseline.json] [flags]")
+		fmt.Fprintln(os.Stderr, "usage: ioschedbench bench [-o bench/BENCH_0034.json] [-compare baseline.json] [flags]")
 		fmt.Fprintln(os.Stderr, "\nMeasures the tier benchmarks (shared with `go test -bench` via")
 		fmt.Fprintln(os.Stderr, "internal/benchtraj), the Figure 5 serial/parallel speedup, the cell")
 		fmt.Fprintln(os.Stderr, "cache warm hit rate, the dispatch makespan ratio, the shard codec")

@@ -4,7 +4,7 @@ package shard
 // the File struct, whose cells carry each experiment's typed payload
 // value — and two on-disk serialisers of it:
 //
-//   - v1 ("json"): the indented JSON container shard.go encodes. Human-
+//   - v1 ("json"): the indented JSON container jsonencode.go encodes. Human-
 //     readable, diff-able, and the only format older builds read.
 //   - v2 ("binary"): a columnar binary container. Cells are stored
 //     column-wise per run — points, systems, seeds, payloads — with the
@@ -113,9 +113,9 @@ func (f *File) WriteFileAs(path, encoding string) error {
 // (experiment, payload version). The interface is sealed: NewCodec
 // builds typed codecs, and payload layouts without one travel under the
 // generic JSON codec (PayloadCodecFor), whose value is a json.RawMessage.
-// A typed codec decodes v1 JSON cells through the field table NewCodec
-// builds from its payload type: bool, the signed int kinds, float64 and
-// string, nested in structs, pointers and slices.
+// A typed codec decodes and renders v1 JSON cells through the field
+// table NewCodec builds from its payload type: bool, the signed int
+// kinds, float64 and string, nested in structs, pointers and slices.
 type PayloadCodec interface {
 	// Pack appends the binary record of one payload (a Cell.Data value).
 	Pack(w *ColumnWriter, v any) error
@@ -125,6 +125,9 @@ type PayloadCodec interface {
 	// decodeCells decodes the v1 JSON cell array next in s strictly,
 	// backing all the payloads with one allocation.
 	decodeCells(s *jsonScanner) ([]Cell, error)
+	// render appends one payload (a Cell.Data value) to w as
+	// json.MarshalIndent renders it, laid out at depth.
+	render(w *jsonWriter, v any, depth int)
 	// column names the v2 payload column kind the codec writes.
 	column() string
 }
@@ -135,23 +138,24 @@ type PayloadCodec interface {
 // exactly as the packed one did.
 //
 // NewCodec also builds T's v1 JSON field table, on every call, so a
-// caller builds each codec once and keeps it. T may be built of bool,
-// the signed int kinds, float64 and string, nested in structs, pointers
-// and slices; any other kind, a type with its own JSON or text
-// unmarshaler, a recursive type, an embedded field or a ",string" tag
-// panics — a wiring bug, as duplicate registration is.
+// caller builds each codec once and keeps it. The table both decodes
+// and renders v1 cells: the bytes a *T renders as are json.Marshal's.
+// T may be built of bool, the signed int kinds, float64 and string,
+// nested in structs, pointers and slices. Anything encoding/json would
+// read or write otherwise panics — a wiring bug, as duplicate
+// registration is: any other kind, a type with its own JSON or text
+// marshaler or unmarshaler, json.Number, a recursive type, an embedded
+// field, or a tag option other than omitempty.
 func NewCodec[T any](pack func(w *ColumnWriter, v *T), unpack func(r *ColumnReader, v *T) error) PayloadCodec {
-	return typedCodec[T]{
-		pack:   pack,
-		unpack: unpack,
-		json:   newJSONDecoder(reflect.TypeFor[T](), map[reflect.Type]bool{}),
-	}
+	dec, render := newJSONType(reflect.TypeFor[T](), map[reflect.Type]bool{})
+	return typedCodec[T]{pack: pack, unpack: unpack, dec: dec, renderT: render}
 }
 
 type typedCodec[T any] struct {
-	pack   func(w *ColumnWriter, v *T)
-	unpack func(r *ColumnReader, v *T) error
-	json   jsonDecoder
+	pack    func(w *ColumnWriter, v *T)
+	unpack  func(r *ColumnReader, v *T) error
+	dec     jsonDecoder
+	renderT jsonRenderer
 }
 
 func (c typedCodec[T]) Pack(w *ColumnWriter, v any) error {
@@ -176,12 +180,22 @@ func (c typedCodec[T]) Unpack(r *ColumnReader, cells []Cell) error {
 
 func (c typedCodec[T]) decodeCells(s *jsonScanner) ([]Cell, error) {
 	cells, vals, err := decodeCellArray(s, func(s *jsonScanner, v *T) error {
-		return c.json(s, reflect.ValueOf(v).Elem())
+		return c.dec(s, reflect.ValueOf(v).Elem())
 	})
 	for i := range vals {
 		cells[i].Data = &vals[i]
 	}
 	return cells, err
+}
+
+// render renders a *T through the field table; a payload of any other
+// type renders as json.Marshal renders it.
+func (c typedCodec[T]) render(w *jsonWriter, v any, depth int) {
+	if p, ok := v.(*T); ok && p != nil {
+		c.renderT(w, reflect.ValueOf(p).Elem(), depth)
+		return
+	}
+	w.marshal(v, depth)
 }
 
 func (typedCodec[T]) column() string { return columnNative }
@@ -227,6 +241,8 @@ func (jsonCodec) decodeCells(s *jsonScanner) ([]Cell, error) {
 	}
 	return cells, err
 }
+
+func (jsonCodec) render(w *jsonWriter, v any, depth int) { w.marshal(v, depth) }
 
 func (jsonCodec) column() string { return columnJSON }
 

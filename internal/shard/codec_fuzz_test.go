@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
 	"testing"
 )
@@ -104,9 +105,10 @@ func FuzzDecodeBinary(f *testing.F) {
 // shard file goes through, against the reference decoder it replaced
 // (jsonref_test.go). The contract under fuzzing: decoding never panics
 // and stays within containerBound; the two decoders accept exactly the
-// same inputs, and what they accept renders to the same v1 bytes; and
-// an accepted file re-encodes to a fixed point — encode it as v1,
-// decode and encode again, and the bytes are stable.
+// same inputs, and what they accept renders to the same v1 bytes, which
+// are json.MarshalIndent's and a newline; and an accepted file
+// re-encodes to a fixed point — encode it as v1, decode and encode
+// again, and the bytes are stable.
 // The checked-in corpus seeds valid, truncated, unknown-field and
 // wrong-typed files and the quirks of encoding/json's input language:
 // folded, escaped and repeated keys, null and missing payloads, numbers
@@ -139,6 +141,9 @@ func FuzzDecodeJSON(f *testing.F) {
 		js, err := decoded.Encode()
 		if err != nil {
 			t.Fatalf("decoded file does not re-encode: %v", err)
+		}
+		if want, err := json.MarshalIndent(decoded, "", "  "); err != nil || !bytes.Equal(js, append(want, '\n')) {
+			t.Fatalf("Encode differs from MarshalIndent (error %v):\n%s\nwant\n%s", err, js, want)
 		}
 		if refJS, err := ref.Encode(); err != nil || !bytes.Equal(js, refJS) {
 			t.Fatalf("decoders disagree on the file (reference encode error %v):\n%s\nreference\n%s", err, js, refJS)

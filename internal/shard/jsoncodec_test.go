@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,6 +28,20 @@ type richPayload struct {
 	hidden int
 }
 
+// omitPayload holds an omitempty field of every kind the field table
+// renders, and one under its Go name; genFile sets each to its zero value
+// or to a non-zero one.
+type omitPayload struct {
+	B bool          `json:"b,omitempty"`
+	I int16         `json:"i,omitempty"`
+	F float64       `json:"f,omitempty"`
+	S string        `json:"s,omitempty"`
+	P *typedPayload `json:"p,omitempty"`
+	L []int         `json:"l,omitempty"`
+	T typedPayload  `json:"t,omitempty"` // a struct is never empty
+	N *[]string     `json:",omitempty"`
+}
+
 // jsonBlobCodec registers T with pack and unpack as a JSON blob: the
 // tests below exercise the v1 decoder, not the v2 packers.
 func jsonBlobCodec[T any]() PayloadCodec {
@@ -47,13 +62,16 @@ func jsonBlobCodec[T any]() PayloadCodec {
 func init() {
 	RegisterPayloadCodec("codectest-rich", 1, jsonBlobCodec[richPayload]())
 	RegisterPayloadCodec("codectest-slice", 1, jsonBlobCodec[[]typedPayload]())
+	RegisterPayloadCodec("codectest-omit", 1, jsonBlobCodec[omitPayload]())
 }
 
 // genFile builds a random file over every payload codec the package's
 // tests register and the generic one, drawing the values the v1 render
 // is most likely to get wrong: floats around the 'e' switch of
 // encoding/json, negative zero, HTML and line-separator characters,
-// invalid UTF-8, and nil against empty slices.
+// invalid UTF-8, nil against empty slices, omitempty fields at zero and
+// not, and payloads of another type than their run codec's, which
+// render through json.Marshal.
 func genFile(rng *rand.Rand) *File {
 	floats := []float64{0, math.Copysign(0, -1), 1e-7, 9.999999e-7, 1e-6, 1e20, 1e21, 1e21 * 1.5,
 		0.30000000000000004, -1e-9, 5e-324, math.MaxFloat64, 123456789.125}
@@ -82,12 +100,25 @@ func genFile(rng *rand.Rand) *File {
 		return p
 	}
 	typed := func() *typedPayload { return &typedPayload{OK: pick(2) == 0, X: fl()} }
+	omit := func() *omitPayload {
+		p := &omitPayload{}
+		if pick(2) == 0 {
+			strs := []string{}
+			for i := pick(3); i > 0; i-- {
+				strs = append(strs, text())
+			}
+			p.B, p.I, p.F, p.S, p.P, p.T, p.N = true, int16(pick(9)-4), fl(), text(), typed(), *typed(), &strs
+		}
+		p.L = [...][]int{nil, {}, {pick(9) - 4}}[pick(3)]
+		return p
+	}
 	raw := func() json.RawMessage {
 		b, _ := json.Marshal(map[string]any{"label": text(), "x": fl()})
-		return [...]json.RawMessage{nil, json.RawMessage("null"), json.RawMessage(" [ 1 , 2 ] "), b}[pick(4)]
+		return [...]json.RawMessage{nil, json.RawMessage("null"), json.RawMessage(" [ 1 , 2 ] "), b,
+			json.RawMessage(" {\"html\" : \"<a&b>\u2028\u2029\", \"n\":[ {} , [ ] , -0.5e3 ,true,\"\\\"<\"]\n} ")}[pick(5)]
 	}
 	f := &File{Version: FormatVersion, Selection: text(), Shards: 1, Index: 0,
-		Params: json.RawMessage(`{"label":` + string(must(json.Marshal(text()))) + `, "seed": 3}`)}
+		Params: json.RawMessage(`{"label":` + string(must(json.Marshal(text()))) + `, "seed": 3, "raw": "<&>\u2028"}`)}
 	if pick(2) == 0 {
 		f.Host = text()
 	}
@@ -99,7 +130,7 @@ func genFile(rng *rand.Rand) *File {
 	case 2:
 		f.Runs = []Run{}
 	}
-	for _, exp := range []string{"codectest-typed", "codectest-rich", "codectest-slice", "codectest-generic"} {
+	for _, exp := range []string{"codectest-typed", "codectest-rich", "codectest-slice", "codectest-omit", "codectest-generic"} {
 		if pick(4) == 0 {
 			continue
 		}
@@ -123,8 +154,19 @@ func genFile(rng *rand.Rand) *File {
 					s = append(s, *typed())
 				}
 				c.Data = &s
+			case "codectest-omit":
+				c.Data = omit()
 			default:
 				c.Data = raw()
+			}
+			if pick(6) == 0 { // a payload of another type that decodes as the run's
+				switch v := c.Data.(type) {
+				case json.RawMessage:
+					c.Data = typed()
+				default:
+					val := reflect.ValueOf(v).Elem().Interface()
+					c.Data = [...]any{nil, val, json.RawMessage(" " + string(must(json.Marshal(val))) + "\n")}[pick(3)]
+				}
 			}
 			r.Cells = append(r.Cells, c)
 		}
@@ -176,8 +218,23 @@ func TestEncodeMatchesMarshalIndent(t *testing.T) {
 	}
 }
 
+// Payload field types that render through their own methods, which a
+// field table would not reproduce.
+type (
+	valueMarshaler int
+	ptrMarshaler   struct{ N int }
+	valueText      string
+	ptrText        bool
+)
+
+func (valueMarshaler) MarshalJSON() ([]byte, error)  { return []byte(`"m"`), nil }
+func (*ptrMarshaler) MarshalJSON() ([]byte, error)   { return []byte(`"m"`), nil }
+func (valueText) MarshalText() ([]byte, error)       { return []byte("t"), nil }
+func (*ptrText) MarshalText() (text []byte, e error) { return []byte("t"), nil }
+
 // TestNewCodecRejectsUnsupportedTypes: a payload type the v1 field table
-// cannot decode exactly as encoding/json would panics at registration.
+// cannot decode or render exactly as encoding/json would panics at
+// registration.
 func TestNewCodecRejectsUnsupportedTypes(t *testing.T) {
 	type recursive struct {
 		Next *recursive `json:"next"`
@@ -193,6 +250,12 @@ func TestNewCodecRejectsUnsupportedTypes(t *testing.T) {
 	type oddName struct {
 		A int `json:"a-b"`
 	}
+	type omitZero struct {
+		N int `json:"n,omitzero"`
+	}
+	type otherOpt struct {
+		N int `json:"n,omitempty,inline"`
+	}
 	for name, build := range map[string]func(){
 		"map":         func() { jsonBlobCodec[map[string]int]() },
 		"interface":   func() { jsonBlobCodec[any]() },
@@ -205,6 +268,13 @@ func TestNewCodecRejectsUnsupportedTypes(t *testing.T) {
 		"string-opt":  func() { jsonBlobCodec[stringOpt]() },
 		"fold-equal":  func() { jsonBlobCodec[folded]() },
 		"odd-name":    func() { jsonBlobCodec[oddName]() },
+		"marshaler":   func() { jsonBlobCodec[struct{ M valueMarshaler }]() },
+		"marshal-ptr": func() { jsonBlobCodec[struct{ M []ptrMarshaler }]() },
+		"text":        func() { jsonBlobCodec[struct{ T *valueText }]() },
+		"text-ptr":    func() { jsonBlobCodec[ptrText]() },
+		"number":      func() { jsonBlobCodec[struct{ N json.Number }]() },
+		"omitzero":    func() { jsonBlobCodec[omitZero]() },
+		"other-opt":   func() { jsonBlobCodec[otherOpt]() },
 	} {
 		func() {
 			defer func() {
@@ -214,6 +284,36 @@ func TestNewCodecRejectsUnsupportedTypes(t *testing.T) {
 			}()
 			build()
 		}()
+	}
+}
+
+// TestEncodeNamesTheCell: a payload that cannot render as JSON — NaN or
+// an infinity, through the field table or through json.Marshal — fails
+// Encode naming its run and cell; invalid params fail it too.
+func TestEncodeNamesTheCell(t *testing.T) {
+	for name, tc := range map[string]struct {
+		data any
+		want string
+	}{
+		"nan":         {&typedPayload{X: math.NaN()}, "json: unsupported value: NaN"},
+		"inf":         {&typedPayload{X: math.Inf(1)}, "json: unsupported value: +Inf"},
+		"value-inf":   {typedPayload{X: math.Inf(-1)}, "json: unsupported value: -Inf"},
+		"invalid-raw": {json.RawMessage(`{"x":`), "unexpected end of JSON input"},
+	} {
+		f := typedTestFile()
+		f.Runs[0].Cells[1].Data = tc.data
+		_, err := f.Encode()
+		if err == nil || !strings.Contains(err.Error(), `run "codectest-typed" cell (0,1): `+tc.want) {
+			t.Errorf("%s: Encode: %v", name, err)
+		}
+		if _, werr := json.Marshal(f); werr == nil {
+			t.Errorf("%s: json.Marshal accepts the file", name)
+		}
+	}
+	f := typedTestFile()
+	f.Params = json.RawMessage(`{"seed":3}}`)
+	if _, err := f.Encode(); err == nil || !strings.HasPrefix(err.Error(), "shard: encode: ") {
+		t.Errorf("invalid params: Encode: %v", err)
 	}
 }
 

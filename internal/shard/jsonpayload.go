@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -18,31 +19,46 @@ import (
 // them.
 type jsonDecoder func(s *jsonScanner, v reflect.Value) error
 
+// jsonRenderer appends v, a value of the type it was built for, to w as
+// json.MarshalIndent(v, "", "  ") renders it, laid out as if v opened
+// depth levels deep: encoding/json's float formatting and HTML-safe
+// string escaping, null for a nil pointer or slice, [] and {} for an
+// empty one, and omitempty as encoding/json's isEmptyValue reads it.
+type jsonRenderer func(w *jsonWriter, v reflect.Value, depth int)
+
 var (
 	jsonUnmarshalerType = reflect.TypeFor[json.Unmarshaler]()
 	textUnmarshalerType = reflect.TypeFor[encoding.TextUnmarshaler]()
+	jsonMarshalerType   = reflect.TypeFor[json.Marshaler]()
+	textMarshalerType   = reflect.TypeFor[encoding.TextMarshaler]()
+	jsonNumberType      = reflect.TypeFor[json.Number]()
 )
 
-// newJSONDecoder builds t's decoder: the field table of a struct, and
-// the element decoder of a pointer or slice, built once. It supports
-// bool, the signed int kinds, float64, string, and structs, pointers and
-// slices of those; it panics on any other kind, on a type with its own
-// JSON or text unmarshaler, on a recursive type, and on struct fields
-// encoding/json would treat specially (embedded fields, the ",string"
-// option, names that are not plain ASCII identifiers, or two names that
-// match the same key).
-func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder {
+// newJSONType builds t's field table, its decoder and renderer: the
+// table of a struct, and the element decoder and renderer of a pointer
+// or slice, built once. It supports bool, the signed int kinds, float64,
+// string, and structs, pointers and slices of those; it panics on any
+// other kind, on a type encoding/json reads or writes through its own
+// methods (a JSON or text marshaler or unmarshaler, json.Number), on a
+// recursive type, and on struct fields encoding/json would treat
+// specially (embedded fields, a tag option other than omitempty, names
+// that are not plain ASCII identifiers, or two names that match the
+// same key).
+func newJSONType(t reflect.Type, building map[reflect.Type]bool) (dec jsonDecoder, render jsonRenderer) {
 	if building[t] {
 		panic(fmt.Sprintf("shard: payload type %v is recursive", t))
 	}
-	if reflect.PointerTo(t).Implements(jsonUnmarshalerType) || reflect.PointerTo(t).Implements(textUnmarshalerType) {
+	if pt := reflect.PointerTo(t); pt.Implements(jsonUnmarshalerType) || pt.Implements(textUnmarshalerType) {
 		panic(fmt.Sprintf("shard: payload type %v has its own unmarshaler", t))
+	}
+	if pt := reflect.PointerTo(t); pt.Implements(jsonMarshalerType) || pt.Implements(textMarshalerType) || t == jsonNumberType {
+		panic(fmt.Sprintf("shard: payload type %v has its own marshaler", t))
 	}
 	building[t] = true
 	defer delete(building, t)
 	switch t.Kind() {
 	case reflect.Bool:
-		return func(s *jsonScanner, v reflect.Value) error {
+		dec = func(s *jsonScanner, v reflect.Value) error {
 			switch s.ws() {
 			case 'n':
 				return s.literal("null")
@@ -55,8 +71,11 @@ func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder 
 			}
 			return s.typeError(t)
 		}
+		render = func(w *jsonWriter, v reflect.Value, _ int) {
+			w.buf = strconv.AppendBool(w.buf, v.Bool())
+		}
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return func(s *jsonScanner, v reflect.Value) error {
+		dec = func(s *jsonScanner, v reflect.Value) error {
 			n, ok, err := s.integer()
 			if ok {
 				if v.OverflowInt(n) {
@@ -66,8 +85,11 @@ func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder 
 			}
 			return err
 		}
+		render = func(w *jsonWriter, v reflect.Value, _ int) {
+			w.buf = strconv.AppendInt(w.buf, v.Int(), 10)
+		}
 	case reflect.Float64:
-		return func(s *jsonScanner, v reflect.Value) error {
+		dec = func(s *jsonScanner, v reflect.Value) error {
 			tok, err := s.numberOrNull()
 			if tok == nil || err != nil {
 				return err
@@ -79,8 +101,11 @@ func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder 
 			v.SetFloat(f)
 			return nil
 		}
+		render = func(w *jsonWriter, v reflect.Value, _ int) {
+			w.float(v.Float())
+		}
 	case reflect.String:
-		return func(s *jsonScanner, v reflect.Value) error {
+		dec = func(s *jsonScanner, v reflect.Value) error {
 			if c := s.ws(); c != '"' && c != 'n' {
 				return s.typeError(t)
 			}
@@ -91,9 +116,12 @@ func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder 
 			v.SetString(str)
 			return nil
 		}
+		render = func(w *jsonWriter, v reflect.Value, _ int) {
+			w.buf = appendString(w.buf, v.String())
+		}
 	case reflect.Pointer:
-		elem := newJSONDecoder(t.Elem(), building)
-		return func(s *jsonScanner, v reflect.Value) error {
+		elemDec, elemRender := newJSONType(t.Elem(), building)
+		dec = func(s *jsonScanner, v reflect.Value) error {
 			if s.ws() == 'n' {
 				v.SetZero()
 				return s.literal("null")
@@ -101,11 +129,18 @@ func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder 
 			if v.IsNil() {
 				v.Set(reflect.New(t.Elem()))
 			}
-			return elem(s, v.Elem())
+			return elemDec(s, v.Elem())
+		}
+		render = func(w *jsonWriter, v reflect.Value, depth int) {
+			if v.IsNil() {
+				w.buf = append(w.buf, "null"...)
+				return
+			}
+			elemRender(w, v.Elem(), depth)
 		}
 	case reflect.Slice:
-		elem := newJSONDecoder(t.Elem(), building)
-		return func(s *jsonScanner, v reflect.Value) error {
+		elemDec, elemRender := newJSONType(t.Elem(), building)
+		dec = func(s *jsonScanner, v reflect.Value) error {
 			switch s.ws() {
 			case 'n':
 				v.SetZero()
@@ -125,7 +160,7 @@ func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder 
 					v.SetLen(i + 1)
 				}
 				i++
-				return elem(s, v.Index(i-1))
+				return elemDec(s, v.Index(i-1))
 			})
 			if err != nil {
 				return err
@@ -138,13 +173,38 @@ func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder 
 			}
 			return nil
 		}
+		render = func(w *jsonWriter, v reflect.Value, depth int) {
+			switch {
+			case v.IsNil():
+				w.buf = append(w.buf, "null"...)
+				return
+			case v.Len() == 0:
+				w.buf = append(w.buf, "[]"...)
+				return
+			}
+			w.buf = append(w.buf, '[')
+			for i := range v.Len() {
+				at := len(w.buf)
+				if i > 0 {
+					w.buf = append(w.buf, ',')
+				}
+				w.buf = appendNewline(w.buf, depth+1)
+				elemRender(w, v.Index(i), depth+1)
+				if i == 0 {
+					// Room for the rest at the first element's size, so
+					// a long slice grows the buffer once, not in steps.
+					w.buf = slices.Grow(w.buf, (v.Len()-1)*(len(w.buf)-at+1))
+				}
+			}
+			w.buf = append(appendNewline(w.buf, depth), ']')
+		}
 	case reflect.Struct:
 		fields := structFields(t, building)
 		names := make([]string, len(fields))
 		for i, f := range fields {
 			names[i] = f.name
 		}
-		return func(s *jsonScanner, v reflect.Value) error {
+		dec = func(s *jsonScanner, v reflect.Value) error {
 			switch s.ws() {
 			case 'n':
 				return s.literal("null")
@@ -159,19 +219,63 @@ func newJSONDecoder(t reflect.Type, building map[reflect.Type]bool) jsonDecoder 
 				return fields[i].dec(s, v.Field(fields[i].index))
 			})
 		}
+		render = func(w *jsonWriter, v reflect.Value, depth int) {
+			w.buf = append(w.buf, '{')
+			n := 0
+			for _, f := range fields {
+				fv := v.Field(f.index)
+				if f.omitEmpty && isEmptyValue(fv) {
+					continue
+				}
+				if n > 0 {
+					w.buf = append(w.buf, ',')
+				}
+				n++
+				w.buf = append(appendNewline(w.buf, depth+1), f.key...)
+				f.render(w, fv, depth+1)
+			}
+			if n > 0 {
+				w.buf = appendNewline(w.buf, depth)
+			}
+			w.buf = append(w.buf, '}')
+		}
+	default:
+		panic(fmt.Sprintf("shard: payload type %v: kind %v has no v1 codec", t, t.Kind()))
 	}
-	panic(fmt.Sprintf("shard: payload type %v: kind %v has no v1 decoder", t, t.Kind()))
+	return dec, render
 }
 
-// jsonField is one struct field a JSON key decodes into.
+// jsonField is one struct field: the JSON key that decodes into it, and
+// the key and value it renders as.
 type jsonField struct {
-	name  string
-	index int
-	dec   jsonDecoder
+	name      string
+	key       string // the rendered key: the quoted name, a colon and a space
+	index     int
+	omitEmpty bool
+	dec       jsonDecoder
+	render    jsonRenderer
+}
+
+// isEmptyValue is encoding/json's omitempty test, over the kinds a field
+// table holds: a struct is never empty, and -0 is as empty as 0.
+func isEmptyValue(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		return !v.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return v.Int() == 0
+	case reflect.Float64:
+		return v.Float() == 0
+	case reflect.String, reflect.Slice:
+		return v.Len() == 0
+	case reflect.Pointer:
+		return v.IsNil()
+	}
+	return false
 }
 
 // structFields returns t's field table: its exported fields under their
-// JSON names, in declaration order.
+// JSON names, in declaration order, as encoding/json orders them.
 func structFields(t reflect.Type, building map[reflect.Type]bool) []jsonField {
 	var fields []jsonField
 	for i := 0; i < t.NumField(); i++ {
@@ -184,9 +288,14 @@ func structFields(t reflect.Type, building map[reflect.Type]bool) []jsonField {
 			continue
 		}
 		name, opts, _ := strings.Cut(tag, ",")
+		omitEmpty := false
 		for _, o := range strings.Split(opts, ",") {
-			if o == "string" {
-				panic(fmt.Sprintf("shard: payload field %v.%s: the \",string\" option has no v1 decoder", t, sf.Name))
+			switch o {
+			case "":
+			case "omitempty":
+				omitEmpty = true
+			default:
+				panic(fmt.Sprintf("shard: payload field %v.%s: the %q option has no v1 codec", t, sf.Name, ","+o))
 			}
 		}
 		if name == "" {
@@ -202,7 +311,8 @@ func structFields(t reflect.Type, building map[reflect.Type]bool) []jsonField {
 				panic(fmt.Sprintf("shard: payload type %v: fields %q and %q match the same keys", t, f.name, name))
 			}
 		}
-		fields = append(fields, jsonField{name: name, index: i, dec: newJSONDecoder(sf.Type, building)})
+		dec, render := newJSONType(sf.Type, building)
+		fields = append(fields, jsonField{name: name, key: `"` + name + `": `, index: i, omitEmpty: omitEmpty, dec: dec, render: render})
 	}
 	return fields
 }

@@ -167,20 +167,6 @@ func (p Plan) Selector(inner int) func(point, system int) bool {
 	return func(point, system int) bool { return p.Owns(point*inner + system) }
 }
 
-// Encode renders the file as indented JSON. The encoding is deterministic
-// — struct fields in declaration order, cells in the order they are held
-// — so identical runs produce byte-identical shard files. The bytes are
-// json.MarshalIndent(f, "", "  ")'s plus a newline: json.Marshal writes
-// the values (its float formatting and string escaping) and indentJSON
-// lays them out in one pass.
-func (f *File) Encode() ([]byte, error) {
-	data, err := json.Marshal(f)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encode: %w", err)
-	}
-	return append(indentJSON(make([]byte, 0, 3*len(data)), data), '\n'), nil
-}
-
 // WriteFile writes the encoded file to path.
 func (f *File) WriteFile(path string) error {
 	data, err := f.Encode()
