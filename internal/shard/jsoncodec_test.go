@@ -298,7 +298,7 @@ func TestEncodeNamesTheCell(t *testing.T) {
 		"nan":         {&typedPayload{X: math.NaN()}, "json: unsupported value: NaN"},
 		"inf":         {&typedPayload{X: math.Inf(1)}, "json: unsupported value: +Inf"},
 		"value-inf":   {typedPayload{X: math.Inf(-1)}, "json: unsupported value: -Inf"},
-		"invalid-raw": {json.RawMessage(`{"x":`), "unexpected end of JSON input"},
+		"invalid-raw": {json.RawMessage(`{"x":`), "json: error calling MarshalJSON for type json.RawMessage: unexpected end of JSON input"},
 	} {
 		f := typedTestFile()
 		f.Runs[0].Cells[1].Data = tc.data

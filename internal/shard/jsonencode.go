@@ -26,8 +26,10 @@ import (
 // jsonWriter is the buffer a v1 render appends to, and the first error
 // a value failed to render with.
 type jsonWriter struct {
-	buf []byte
-	err error
+	buf   []byte
+	err   error
+	depth int        // the depth Write lays values out at
+	page  [4096]byte // Encode's scratch, allocated with the writer
 }
 
 // fail records err unless an earlier error is recorded.
@@ -38,39 +40,20 @@ func (w *jsonWriter) fail(err error) {
 }
 
 // marshal appends json.Marshal's rendering of v laid out at depth: the
-// path of every value without a field table.
+// path of every value without a field table. A json.Encoder writes
+// json.Marshal's bytes, and a newline, straight to w.Write.
 func (w *jsonWriter) marshal(v any, depth int) {
-	if m, ok := v.(json.RawMessage); ok {
-		w.raw(m, depth)
-		return
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
+	w.depth = depth
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		w.fail(err)
-		return
 	}
-	w.buf = indentJSON(w.buf, b, depth)
 }
 
-// raw appends m as json.Marshal renders a json.RawMessage, laid out at
-// depth: null when m is nil, else m validated, compacted and escaped.
-// The package's scanner validates it and indentJSON compacts, so the
-// params and untyped payloads skip json.Marshal and its pools.
-func (w *jsonWriter) raw(m json.RawMessage, depth int) {
-	if m == nil {
-		w.buf = append(w.buf, "null"...)
-		return
-	}
-	s := &jsonScanner{data: m}
-	if _, err := s.skip(0); err != nil {
-		w.fail(err)
-		return
-	}
-	if s.ws() != 0 {
-		w.fail(s.errorf("invalid character after top-level value"))
-		return
-	}
-	w.buf = indentJSON(w.buf, m, depth)
+// Write appends one value a json.Encoder wrote, its trailing newline
+// dropped, laid out at w.depth.
+func (w *jsonWriter) Write(p []byte) (int, error) {
+	w.buf = indentJSON(w.buf, p[:len(p)-1], w.depth)
+	return len(p), nil
 }
 
 // float appends f as encoding/json writes a float64: 'f' format, 'e' for
@@ -168,33 +151,25 @@ const (
 // decodes it), and any other value through json.Marshal. A payload that
 // cannot render (NaN or an infinity) fails naming its run and cell.
 func (f *File) Encode() ([]byte, error) {
-	// The header renders into a page of scratch. Each run of more than
-	// three cells counts its cell count times the largest of three
-	// samples (its first, middle and last cells), rendered past the
-	// header and truncated away again. A run of three cells or fewer, all
-	// of them samples, is rendered there once and kept (kept[i] is where
-	// it ends), to be copied into place.
-	w := &jsonWriter{buf: make([]byte, 0, 4096)}
+	// The header renders into the writer's page of scratch. Each run
+	// counts its cell count times the largest of its sampled cells (its
+	// first, middle and last), rendered past the header and truncated
+	// away again.
+	w := new(jsonWriter)
+	w.buf = w.page[:0]
 	w.header(f)
 	if w.err != nil {
 		return nil, fmt.Errorf("shard: encode: %w", w.err)
 	}
 	header := len(w.buf)
-	size, kept := len(closeRuns)+len(f.Runs), make([]int, len(f.Runs))
+	size := len(closeRuns) + len(f.Runs)
 	for i := range f.Runs {
 		r, n := &f.Runs[i], len(f.Runs[i].Cells)
-		if n <= 3 {
-			if err := w.run(r); err != nil {
-				return nil, err
-			}
-			kept[i] = len(w.buf)
-			continue
-		}
-		mark := len(w.buf)
 		w.runHead(r)
-		size += len(w.buf) - mark + len(closeCells)
+		size += len(w.buf) - header + len(closeCells)
 		codec, cell := PayloadCodecFor(r.Experiment, r.PayloadVersion), 0
-		for _, j := range [...]int{0, n / 2, n - 1} {
+		samples := [...]int{0, n / 2, n - 1} // distinct in their first min(n, 3)
+		for _, j := range samples[:min(n, 3)] {
 			at := len(w.buf)
 			if w.cell(&r.Cells[j], codec); w.err != nil {
 				return nil, cellError(r, j, w.err)
@@ -202,10 +177,9 @@ func (f *File) Encode() ([]byte, error) {
 			cell = max(cell, len(w.buf)-at+1)
 		}
 		size += n * cell
-		w.buf = w.buf[:mark]
+		w.buf = w.buf[:header]
 	}
-	scratch := w.buf
-	w.buf = append(make([]byte, 0, size+len(scratch)), scratch[:header]...)
+	w.buf = append(make([]byte, 0, header+size), w.buf...)
 	switch {
 	case f.Runs == nil:
 		return append(w.buf, "null\n}\n"...), nil
@@ -213,15 +187,11 @@ func (f *File) Encode() ([]byte, error) {
 		return append(w.buf, "[]\n}\n"...), nil
 	}
 	w.buf = append(w.buf, '[')
-	from := header
 	for i := range f.Runs {
 		if i > 0 {
 			w.buf = append(w.buf, ',')
 		}
-		if kept[i] > 0 {
-			w.buf = append(w.buf, scratch[from:kept[i]]...)
-			from = kept[i]
-		} else if err := w.run(&f.Runs[i]); err != nil {
+		if err := w.run(&f.Runs[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -270,7 +240,7 @@ func (w *jsonWriter) header(f *File) {
 	w.buf = append(w.buf, ",\n  \"shard_index\": "...)
 	w.buf = strconv.AppendInt(w.buf, int64(f.Index), 10)
 	w.buf = append(w.buf, ",\n  \"params\": "...)
-	w.raw(f.Params, 1)
+	w.marshal(&f.Params, 1)
 	if f.Host != "" {
 		w.buf = append(w.buf, ",\n  \"host\": "...)
 		w.buf = appendString(w.buf, f.Host)
@@ -317,22 +287,16 @@ func (w *jsonWriter) cell(c *Cell, codec PayloadCodec) {
 	w.buf = append(w.buf, "\n        }"...)
 }
 
-// indentJSON appends src, valid JSON, compacted with HTML-safe escaping
-// as json.Marshal writes it, then laid out as json.Indent lays it out
-// with a "" prefix and a "  " indent, as if src opened depth levels
-// deep: whitespace between tokens dropped, a newline and two spaces per
-// level after every opening bracket and comma, a space after every
-// colon, and "{}" and "[]" for empty containers. Inside strings '<',
-// '>', '&', U+2028 and U+2029 are escaped as json.Marshal escapes them
-// (what json.Marshal wrote holds none of them) and all else is copied
-// verbatim.
+// indentJSON appends src, valid compact JSON as json.Marshal writes it,
+// laid out as json.Indent(dst, src, "", "  ") lays it out as if src
+// opened depth levels deep: a newline and two spaces per level after
+// every opening bracket and comma, a space after every colon, and "{}"
+// and "[]" for empty containers. String tokens are copied verbatim.
 func indentJSON(dst, src []byte, depth int) []byte {
 	open := false // the last token opened a container
 	for i := 0; i < len(src); i++ {
 		c := src[i]
 		switch c {
-		case ' ', '\t', '\n', '\r':
-			continue
 		case '}', ']':
 			if open {
 				open = false
@@ -366,11 +330,11 @@ func indentJSON(dst, src []byte, depth int) []byte {
 					j++
 				}
 			}
-			dst = appendHTMLSafe(dst, src[i:min(j+1, len(src))])
+			dst = append(dst, src[i:min(j+1, len(src))]...)
 			i = j
 		default: // a number or literal runs to the next delimiter
 			j := i + 1
-			for j < len(src) && !jsonDelim[src[j]] {
+			for j < len(src) && src[j] != ',' && src[j] != '}' && src[j] != ']' {
 				j++
 			}
 			dst = append(dst, src[i:j]...)
@@ -378,33 +342,6 @@ func indentJSON(dst, src []byte, depth int) []byte {
 		}
 	}
 	return dst
-}
-
-// jsonDelim marks the bytes that end a number or literal token.
-var jsonDelim = func() (t [256]bool) {
-	for _, c := range ",}] \t\n\r" {
-		t[c] = true
-	}
-	return t
-}()
-
-// appendHTMLSafe appends the string token tok with '<', '>', '&', U+2028
-// and U+2029 escaped, as json.Marshal's compaction escapes them.
-func appendHTMLSafe(dst, tok []byte) []byte {
-	const hex = "0123456789abcdef"
-	start := 0
-	for i := 0; i < len(tok); i++ {
-		switch c := tok[i]; {
-		case c == '<' || c == '>' || c == '&':
-			dst = append(append(dst, tok[start:i]...), '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-			start = i + 1
-		case c == 0xe2 && i+2 < len(tok) && tok[i+1] == 0x80 && tok[i+2]&^1 == 0xa8:
-			dst = append(append(dst, tok[start:i]...), '\\', 'u', '2', '0', '2', hex[tok[i+2]&0xf])
-			i += 2
-			start = i + 1
-		}
-	}
-	return append(dst, tok[start:]...)
 }
 
 // appendNewline appends a newline and depth levels of two-space indent.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -184,17 +183,11 @@ func newJSONType(t reflect.Type, building map[reflect.Type]bool) (dec jsonDecode
 			}
 			w.buf = append(w.buf, '[')
 			for i := range v.Len() {
-				at := len(w.buf)
 				if i > 0 {
 					w.buf = append(w.buf, ',')
 				}
 				w.buf = appendNewline(w.buf, depth+1)
 				elemRender(w, v.Index(i), depth+1)
-				if i == 0 {
-					// Room for the rest at the first element's size, so
-					// a long slice grows the buffer once, not in steps.
-					w.buf = slices.Grow(w.buf, (v.Len()-1)*(len(w.buf)-at+1))
-				}
 			}
 			w.buf = append(appendNewline(w.buf, depth), ']')
 		}
